@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass, field
 
@@ -14,22 +13,23 @@ class LoopResult:
     wrong: int = 0
     passes: int = 0
     busy_s: float = 0.0
-    pass_busy_s: list[float] = field(default_factory=list)
+    # request_s[i]: the time of every completed run of request i, pass by pass.
+    request_s: list[list[float]] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
 
     @property
-    def completed(self) -> int:
-        return self.attempted - self.failed
-
-    @property
     def requests_per_s(self) -> float:
-        """Completed requests per pass over the median busy time of a pass.
+        """Requests of one pass over the sum of each request's slowest time.
 
-        The median keeps a burst of machine speed that covers a minority of
-        the passes from moving the result; with one or two passes it is
-        completed requests over busy time.
+        The shared 2-vCPU machine the bounds were set on switches between a
+        loaded speed, which it holds most of the time and which repeats to a
+        few percent between runs, and bursts up to 1.6x faster that come and
+        go over seconds to minutes (perfbench/README.md). A request's slowest time over the passes reads the loaded
+        speed unless a whole run falls in a burst; a median or a total reads
+        how much of the run the bursts happened to cover.
         """
-        return self.completed / self.passes / statistics.median(self.pass_busy_s)
+        slowest = [max(times) for times in self.request_s if times]
+        return len(slowest) / sum(slowest)
 
 
 def run_closed_loop(requests, tracer, seconds: float, clock=time.perf_counter) -> LoopResult:
@@ -39,11 +39,10 @@ def run_closed_loop(requests, tracer, seconds: float, clock=time.perf_counter) -
     its check counts as failed. ``busy_s`` is the time spent inside requests,
     so the client's own checks do not dilute the program's throughput.
     """
-    res = LoopResult()
+    res = LoopResult(request_s=[[] for _ in requests])
     start = clock()
     while True:
-        busy_before = res.busy_s
-        for req in requests:
+        for i, req in enumerate(requests):
             t0 = clock()
             try:
                 out = req.run(tracer)
@@ -53,7 +52,9 @@ def run_closed_loop(requests, tracer, seconds: float, clock=time.perf_counter) -
                 res.failed += 1
                 res.problems.append(f"{req.kind}: raised {exc!r}")
                 continue
-            res.busy_s += clock() - t0
+            elapsed = clock() - t0
+            res.busy_s += elapsed
+            res.request_s[i].append(elapsed)
             res.attempted += 1
             problems = req.check(out)
             if problems:
@@ -61,6 +62,5 @@ def run_closed_loop(requests, tracer, seconds: float, clock=time.perf_counter) -
                 res.wrong += 1
                 res.problems.extend(f"{req.kind}: {p}" for p in problems)
         res.passes += 1
-        res.pass_busy_s.append(res.busy_s - busy_before)
         if clock() - start >= seconds:
             return res

@@ -128,6 +128,24 @@ def _batch(tracer, name: str, fn, args: list, **attrs) -> list:
         return [fn(*a) for a in args]
 
 
+# Region axis for random families that no spectrum request supplies.
+RANDOM_AXIS = np.linspace(-1.5, 1.5, 21)
+
+
+def probe_linalg(tracer, spec, xs, ys, window, count: int, rng) -> None:
+    """Time ``solve_inverse`` then ``operator_norm`` of the inverse on
+    ``count`` shifted matrices lam I - S_h, lam on the grid xs x ys and h
+    in the tail window: one span per function, each batching its calls."""
+    eye = np.eye(spec.dim)
+    mats = []
+    for _ in range(count):
+        lam = complex(rng.choice(xs), rng.choice(ys))
+        mats.append(lam * eye - family_eval_array(spec, float(rng.choice(window))))
+    invs = _batch(tracer, "linalg.solve_inverse", asp.solve_inverse, [(m,) for m in mats], dim=spec.dim)
+    norm_args = [(inv.matrix,) for inv in invs if inv is not None]
+    _batch(tracer, "linalg.operator_norm", asp.operator_norm, norm_args, dim=spec.dim)
+
+
 def run_probes(tracer, seed: int, repeat: int = 300) -> None:
     """Call the inner layers' public functions on the workloads' inputs."""
     small = workloads.spectrum_small(seed)
@@ -154,15 +172,8 @@ def run_probes(tracer, seed: int, repeat: int = 300) -> None:
             spec, xs, ys = req.family.spec(), req.region.xs, req.region.ys
         else:
             spec = asp.random_family(dim, int(rng.integers(2**31)), 1.0 / np.sqrt(dim))
-            xs = ys = np.linspace(-1.5, 1.5, 21)
-        eye = np.eye(dim)
-        mats = []
-        for _ in range(count):
-            lam = complex(rng.choice(xs), rng.choice(ys))
-            mats.append(lam * eye - family_eval_array(spec, float(rng.choice(window))))
-        invs = _batch(tracer, "linalg.solve_inverse", asp.solve_inverse, [(m,) for m in mats], dim=dim)
-        norm_args = [(inv.matrix,) for inv in invs if inv is not None]
-        _batch(tracer, "linalg.operator_norm", asp.operator_norm, norm_args, dim=dim)
+            xs = ys = RANDOM_AXIS
+        probe_linalg(tracer, spec, xs, ys, window, count, rng)
 
     for req in workloads.algebra(seed):
         args = [(*req.attrs.get("specs", ()), req.attrs.get("grid"), workloads.N_MAX)]

@@ -66,6 +66,18 @@ def finish(proc: subprocess.Popen, timeout: float) -> str:
     return out
 
 
+def summarize(child: dict, setups: list[float], trace: int) -> dict:
+    """The result line: a run is correct only if no request raised or failed its check."""
+    metrics = {"setup_s": (statistics.median(setups), "s")} if not trace else {}
+    metrics.update({k: tuple(v) for k, v in child.pop("metrics").items()})
+    return {
+        "correct": child["failed"] == 0,
+        "attempted": child["attempted"],
+        "failed": child["failed"],
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    }
+
+
 def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
     if not (ROOT / "src" / "asymspec" / "__init__.py").is_file():
         raise BenchError(f"no asymspec sources under {ROOT / 'src'}")
@@ -79,14 +91,7 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
     setups.append(ready)
     child = json.loads(finish(proc, CHILD_TIMEOUT_S).strip().splitlines()[-1])
 
-    metrics = {"setup_s": (statistics.median(setups), "s")} if not trace else {}
-    metrics.update({k: tuple(v) for k, v in child.pop("metrics").items()})
-    result = {
-        "correct": child["wrong"] == 0,
-        "attempted": child["attempted"],
-        "failed": child["failed"],
-        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
-    }
+    result = summarize(child, setups, trace)
     RESULTS.mkdir(exist_ok=True)
     stem = f"{workload}-seed{seed}-trace{trace}"
     spans = child.pop("spans", None)

@@ -10,8 +10,9 @@ import pytest
 
 import asymspec as asp
 import checks
+import run
 import workloads
-from client import run_closed_loop
+from client import LoopResult, run_closed_loop
 from tracing import NullTracer, Tracer
 
 
@@ -114,12 +115,15 @@ class FakeClock:
         return self.now
 
 
-def test_raising_request_counts_as_failed_not_wrong():
+def test_raising_request_makes_the_run_incorrect():
     clock = FakeClock()
     reqs = [FakeRequest(clock, 0.1), FakeRequest(clock, 0.1, fail=True)]
     res = run_closed_loop(reqs, NullTracer(), 0.0, clock=clock)
-    assert (res.attempted, res.failed, res.wrong) == (2, 1, 0)
+    assert (res.attempted, res.failed) == (2, 1)
     assert "boom" in res.problems[0]
+    child = {"attempted": res.attempted, "failed": res.failed, "metrics": {}}
+    result = run.summarize(child, [1.0], 0)
+    assert result["correct"] is False and result["failed"] == 1
 
 
 def test_loop_stops_only_at_the_end_of_a_whole_pass():
@@ -128,6 +132,11 @@ def test_loop_stops_only_at_the_end_of_a_whole_pass():
     res = run_closed_loop(reqs, NullTracer(), 1.0, clock=clock)
     assert res.passes == 2 and res.attempted == 6
     assert res.busy_s == pytest.approx(1.8)
+
+
+def test_throughput_takes_each_requests_slowest_pass():
+    res = LoopResult(passes=2, request_s=[[1.0, 2.0], [3.0, 1.0]])
+    assert res.requests_per_s == pytest.approx(2 / 5)
 
 
 def test_self_time_subtracts_children():

@@ -45,7 +45,7 @@ def loop_record(res) -> dict:
         "wrong": res.wrong,
         "passes": res.passes,
         "busy_s": res.busy_s,
-        "pass_busy_s": res.pass_busy_s,
+        "request_s": res.request_s,
         "requests_per_s": res.requests_per_s,
         "problems": res.problems[:20],
     }

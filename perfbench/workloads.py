@@ -314,8 +314,13 @@ def algebra(seed: int) -> list:
     b8 = make_family(random(8, seed_of(), 0.5), 8)
     reqs.append(verdict_request("commuting", asp.asymptotic_commuting, (a8, b8), grid, "fails"))
 
-    diag_t = np.diag(dyadic(rng, 8).diagonal() * 4.0)
-    diag_r = np.diag(fixed_moduli(rng, np.linspace(0.3, 1.0, 8)))
+    # Not seeded: rounding in (T + hR) - T leaves near-ties between the top
+    # singular values of some brackets, and how many of the program's power
+    # iterations run to their cap depends on the entries (31k-61k iterations
+    # per request over ten seeds, 11k with exact arithmetic).
+    fixed = np.random.default_rng(0)
+    diag_t = np.diag(dyadic(fixed, 8).diagonal() * 4.0)
+    diag_r = np.diag(fixed_moduli(fixed, np.linspace(0.3, 1.0, 8)))
     dt = make_family(constant(diag_t), 8)
     dt_pert = make_family(add(constant(diag_t), h_scaled(constant(diag_r))), 8)
     reqs.append(
