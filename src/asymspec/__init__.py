@@ -81,7 +81,6 @@ from .funcalc import (
 from .linalg import (
     ComplexMatrix,
     Inverse,
-    SpectralNorm,
     jordan_block,
     matrix_from_dict,
     matrix_power,
@@ -89,7 +88,6 @@ from .linalg import (
     max_abs,
     operator_norm,
     solve_inverse,
-    spectral_norm_result,
 )
 from .spectrum import (
     Cluster,

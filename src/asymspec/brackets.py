@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, OutOfRange
-from .families import FamilySpec, HGrid, family_eval_array, tail_limsup
-from .linalg import ComplexMatrix, _spectral_norm, matrix_power, operator_norm, sub
+from .families import FamilySpec, HGrid, constant_family, family_eval_stack, tail_limsup
+from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, sub
 
 MAX_ORDER = 60
 MAX_SEQUENCE_ORDER = 40
@@ -102,38 +102,29 @@ class BracketSequence:
 def bracket_sequence(
     sf: FamilySpec, tf: FamilySpec, grid: HGrid, n_max: int = 24
 ) -> BracketSequence:
-    """Per-order tail norms of the brackets of (S_h, T_h) over the grid."""
+    """Per-order tail norms of the brackets of (S_h, T_h) over the grid.
+
+    The recurrence ``B -> S_h B - B T_h`` runs on the stack of all grid
+    samples at once, with one batched norm per order.
+    """
     if sf.dim != tf.dim:
         raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
-    table = np.empty((n_max, grid.count), dtype=np.float64)
-    for j, h in enumerate(grid.samples):
-        sa = family_eval_array(sf, h)
-        ta = family_eval_array(tf, h)
-        b = np.eye(sf.dim, dtype=np.complex128)
-        for n in range(1, n_max + 1):
-            b = sa @ b - b @ ta
-            table[n - 1, j] = _spectral_norm(b)[0]
-    norms = tuple(tail_limsup(table[n - 1], grid).value for n in range(1, n_max + 1))
+    sa = family_eval_stack(sf, grid.samples)
+    ta = family_eval_stack(tf, grid.samples)
+    b = np.eye(sf.dim, dtype=np.complex128)
+    norms = []
+    for _ in range(n_max):
+        b = sa @ b - b @ ta
+        norms.append(tail_limsup(spectral_norms(b), grid).value)
     roots = tuple(a ** (1.0 / n) for n, a in enumerate(norms, start=1))
-    return BracketSequence(n_max, norms, roots)
+    return BracketSequence(n_max, tuple(norms), roots)
 
 
 def power_norm_sequence(uf: FamilySpec, grid: HGrid, n_max: int = 24) -> BracketSequence:
-    """Tail norms of the plain powers ``U_h^n`` (the bracket against zero)."""
-    if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
-        raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
-    table = np.empty((n_max, grid.count), dtype=np.float64)
-    for j, h in enumerate(grid.samples):
-        ua = family_eval_array(uf, h)
-        b = np.eye(uf.dim, dtype=np.complex128)
-        for n in range(1, n_max + 1):
-            b = b @ ua
-            table[n - 1, j] = _spectral_norm(b)[0]
-    norms = tuple(tail_limsup(table[n - 1], grid).value for n in range(1, n_max + 1))
-    roots = tuple(a ** (1.0 / n) for n, a in enumerate(norms, start=1))
-    return BracketSequence(n_max, norms, roots)
+    """Tail norms of the plain powers ``U_h^n``: the bracket against zero."""
+    return bracket_sequence(uf, constant_family(ComplexMatrix.zeros(uf.dim)), grid, n_max)
 
 
 class RootClass(str, Enum):

@@ -20,11 +20,11 @@ from .families import (
     HGrid,
     TailEstimate,
     default_vanish_tol,
-    family_eval_array,
+    family_eval_stack,
     tail_limsup,
     vanishes,
 )
-from .linalg import _spectral_norm
+from .linalg import spectral_norms
 
 DEFAULT_ROOT_TOL = 1e-3
 
@@ -51,13 +51,10 @@ class EquivalenceVerdict:
     sequences: tuple[BracketSequence, ...] = ()
 
 
-def _difference_norms(sf: FamilySpec, tf: FamilySpec, grid: HGrid) -> list[float]:
+def _difference_norms(sf: FamilySpec, tf: FamilySpec, grid: HGrid) -> np.ndarray:
     if sf.dim != tf.dim:
         raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
-    return [
-        _spectral_norm(family_eval_array(sf, h) - family_eval_array(tf, h))[0]
-        for h in grid.samples
-    ]
+    return spectral_norms(family_eval_stack(sf, grid.samples) - family_eval_stack(tf, grid.samples))
 
 
 def asymptotic_equiv(
@@ -85,11 +82,9 @@ def asymptotic_commuting(
     """Does the commutator norm of (S_h, T_h) vanish in the tail?"""
     if sf.dim != tf.dim:
         raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
-    values = []
-    for h in grid.samples:
-        sa = family_eval_array(sf, h)
-        ta = family_eval_array(tf, h)
-        values.append(_spectral_norm(sa @ ta - ta @ sa)[0])
+    sa = family_eval_stack(sf, grid.samples)
+    ta = family_eval_stack(tf, grid.samples)
+    values = spectral_norms(sa @ ta - ta @ sa)
     if tol is None:
         tol = default_vanish_tol(values)
     holds = vanishes(values, grid, tol)

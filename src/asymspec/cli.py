@@ -49,7 +49,6 @@ from .spectrum import (
     ComplexRegion,
     default_epsilon,
     default_region,
-    default_workers,
     field_to_csv,
     quotient_norm_bounds,
     resolvent_norm_field,
@@ -160,8 +159,12 @@ def _region_from_args(args, fam, grid, default_resolution: int = 101):
     center = _parse_complex_flag(args.region_center, "--region-center")
     resolution = args.resolution if args.resolution is not None else default_resolution
     region = ComplexRegion(center, half_width, resolution)
-    epsilon = args.epsilon if args.epsilon is not None else default_epsilon(upper)
-    return region, epsilon
+    if args.epsilon is not None:
+        return region, args.epsilon
+    # sigma_min is 1-Lipschitz in lambda, so the grid point nearest an
+    # eigenvalue has sigma_min <= spacing/sqrt(2) < 0.75 * spacing: an epsilon
+    # of at least 0.75 * spacing flags it wherever the eigenvalue falls
+    return region, max(default_epsilon(upper), 0.75 * region.spacing)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -206,7 +209,7 @@ def _cmd_spectrum(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
     region, epsilon = _region_from_args(args, fam, grid)
-    field = resolvent_norm_field(fam, region, grid, default_workers())
+    field = resolvent_norm_field(fam, region, grid)
     estimate = spectrum_estimate(field, epsilon)
     payload = spectrum_to_dict(estimate)
     if args.out:
@@ -223,7 +226,7 @@ def _cmd_field(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
     region, _ = _region_from_args(args, fam, grid)
-    field = resolvent_norm_field(fam, region, grid, default_workers())
+    field = resolvent_norm_field(fam, region, grid)
     csv_text = field_to_csv(field)
     if args.out:
         _write_artifact(args.out, "field.csv", csv_text)
@@ -278,7 +281,7 @@ def _cmd_funcalc(args) -> int:
 
     region, epsilon = _region_from_args(args, fam, grid, default_resolution=41)
     src_estimate = spectrum_estimate(
-        resolvent_norm_field(fam, region, grid, default_workers()), epsilon
+        resolvent_norm_field(fam, region, grid), epsilon
     )
     encloses = contour_encloses(contour, src_estimate.clusters)
     if not encloses:
@@ -360,7 +363,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = tuple(args.suite) if args.suite else None
-    results = run_all_suites(args.seed, names, default_workers())
+    results = run_all_suites(args.seed, names)
     for result in results:
         print(f"suite {result.name}: {'PASS' if result.passed else 'FAIL'}")
     all_passed = all(r.passed for r in results)

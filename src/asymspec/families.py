@@ -335,10 +335,21 @@ def family_eval(spec: FamilySpec, h: float) -> ComplexMatrix:
 
 
 def family_eval_array(spec: FamilySpec, h: float) -> np.ndarray:
-    """Like :func:`family_eval` but returns the raw array. Do not mutate it."""
+    """Like :func:`family_eval` but returns the raw array. Do not mutate it.
+
+    Raises TraceError when the value overflows to a non-finite entry.
+    """
     if not 0.0 < h <= 1.0:
         raise BadParameter(f"h must lie in (0, 1], got {h!r}")
-    return spec.node._eval(float(h))
+    value = spec.node._eval(float(h))
+    if not np.isfinite(value).all():
+        raise TraceError(h, "the family value has a non-finite entry")
+    return value
+
+
+def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
+    """The family at each h in ``hs``, stacked along a new first axis."""
+    return np.stack([family_eval_array(spec, h) for h in hs])
 
 
 # Convenience constructors

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import BadParameter, NonEnclosing, SingularOnContour, TraceError
 from .exprs import FuncExpr, eval_expr
 from .families import FamilyNode, FamilySpec
-from .linalg import ComplexMatrix, _lu_inverse
+from .linalg import ComplexMatrix, inverse_stack
 
 MIN_NODES = 64
 DEFAULT_NODES = 256
@@ -77,17 +77,24 @@ def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
     the caller should nudge the radius, not this routine.
     """
     ta = t.array if isinstance(t, ComplexMatrix) else ComplexMatrix(t).array
-    dim = ta.shape[0]
-    eye = np.eye(dim, dtype=np.complex128)
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for k, lam in enumerate(contour.points()):
-        inv = _lu_inverse(lam * eye - ta)
-        if inv is None:
+    eye = np.eye(ta.shape[0])
+    nodes = contour.points()
+    weights = np.array(
+        [cmath.exp(2j * cmath.pi * k / contour.nodes) * f(lam) for k, lam in enumerate(nodes)],
+        dtype=np.complex128,
+    )
+    total = np.zeros_like(ta)
+    # MIN_NODES nodes per batch bound the memory of the stacked (lambda I - T)
+    # whatever the node count; node counts are multiples of MIN_NODES.
+    for start in range(0, contour.nodes, MIN_NODES):
+        batch = slice(start, start + MIN_NODES)
+        invs, singular = inverse_stack(nodes[batch, None, None] * eye - ta)
+        if singular.any():
+            k = start + int(np.argmax(singular))
             raise SingularOnContour(
-                f"contour node {k} at {lam:.6g} lies in the spectrum; adjust the radius"
+                f"contour node {k} at {nodes[k]:.6g} lies in the spectrum; adjust the radius"
             )
-        phase = cmath.exp(2j * cmath.pi * k / contour.nodes)
-        total += phase * f(lam) * inv
+        total += np.tensordot(weights[batch], invs, axes=1)
     return ComplexMatrix(total * (contour.radius / contour.nodes))
 
 

@@ -1,25 +1,23 @@
-"""Dense complex matrix arithmetic, LU solves, and the spectral norm.
+"""Dense complex matrix arithmetic, inverses and the spectral norm.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated, so matrices can be shared freely between threads and workers.
+allocated, so matrices can be shared freely. Inverses and norms are LAPACK
+calls through numpy, on one matrix or on a stack of them. One rule decides
+singularity everywhere: ``sigma_min <= SINGULAR_RTOL * sigma_max``.
 Singularity is reported as a value (``solve_inverse`` returns ``None``), not
 as an exception, because downstream resolvent scans treat it as data.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, OutOfRange, SchemaError
 
-# Relative pivot threshold below which LU declares the matrix singular.
-PIVOT_RTOL = 1e-14
-# Power iteration: relative tolerance on successive norm estimates, and cap.
-NORM_RTOL = 1e-12
-NORM_MAX_ITER = 5000
+# A matrix is singular when sigma_min <= SINGULAR_RTOL * sigma_max.
+SINGULAR_RTOL = 1e-14
 
 
 class ComplexMatrix:
@@ -129,40 +127,22 @@ def max_abs(a: ComplexMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# LU inversion with partial pivoting
+# inverses and norms on LAPACK
 
 
-def _lu_inverse(a: np.ndarray) -> np.ndarray | None:
-    """Invert via LU with partial pivoting; ``None`` when a pivot collapses.
+def is_singular(s: np.ndarray) -> np.ndarray:
+    """The singularity rule, applied to singular values ``s`` (..., n) in
+    descending order: ``sigma_min <= SINGULAR_RTOL * sigma_max``."""
+    return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
 
-    A pivot is considered collapsed when its magnitude falls below
-    ``PIVOT_RTOL`` times the largest entry magnitude of the input.
-    """
-    n = a.shape[0]
-    scale_ = float(np.abs(a).max())
-    if scale_ == 0.0:
-        return None
-    threshold = PIVOT_RTOL * scale_
-    lu = np.array(a, dtype=np.complex128)
-    # Right-hand side starts as the identity and absorbs the row swaps.
-    x = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < threshold:
-            return None
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        col = lu[k + 1 :, k] / lu[k, k]
-        lu[k + 1 :, k] = col
-        lu[k + 1 :, k + 1 :] -= np.outer(col, lu[k, k + 1 :])
-        # Forward substitution interleaved with elimination.
-        x[k + 1 :] -= np.outer(col, x[k])
-    for k in range(n - 1, -1, -1):
-        x[k] /= lu[k, k]
-        if k:
-            x[:k] -= np.outer(lu[:k, k], x[k])
-    return x
+
+def inverse_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack (..., n, n) of matrices, plus the mask of members
+    that are singular under :func:`is_singular`; those members hold NaN."""
+    singular = is_singular(np.linalg.svd(a, compute_uv=False))
+    inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
+    inv[singular] = np.nan
+    return inv, singular
 
 
 @dataclass(frozen=True)
@@ -174,13 +154,13 @@ class Inverse:
 
 
 def solve_inverse(a) -> Inverse | None:
-    """LU-invert with partial pivoting; ``None`` signals a singular input.
+    """LAPACK inverse; ``None`` signals a singular input (see :func:`is_singular`).
 
     Accepts a ComplexMatrix or a raw square array.
     """
     mat = a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)
-    inv = _lu_inverse(mat.array)
-    if inv is None:
+    inv, singular = inverse_stack(mat.array)
+    if singular:
         return None
     residual = float(
         np.abs(mat.array @ inv - np.eye(mat.dim, dtype=np.complex128)).max()
@@ -188,135 +168,21 @@ def solve_inverse(a) -> Inverse | None:
     return Inverse(ComplexMatrix(inv), residual)
 
 
-# ---------------------------------------------------------------------------
-# Spectral norm by power iteration on the Gram matrix
+def spectral_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack (..., n, n).
 
-
-@dataclass(frozen=True)
-class SpectralNorm:
-    value: float
-    converged: bool
-    iterations: int
-
-
-def _spectral_norm(a: np.ndarray) -> tuple[float, bool, int]:
-    """Power iteration on ``a^H a`` from the all-ones start vector.
-
-    Stops when successive estimates agree to ``NORM_RTOL`` relative, or at
-    ``NORM_MAX_ITER`` iterations (the last estimate is still returned, with
-    ``converged`` false). Ties between top singular values are harmless: any
-    limit of the Rayleigh quotient inside the top cluster equals the norm to
-    within the cluster width.
+    A member with a non-finite entry (an overflowed power, or a NaN slot from
+    :func:`inverse_stack`) has norm inf.
     """
-    n = a.shape[0]
-    gram = a.conj().T @ a
-    if n <= 3:
-        return _spectral_norm_small(gram, n)
-    dot = gram.dot
-    vdot = np.vdot
-    x = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-    prev = -1.0
-    est = 0.0
-    for it in range(1, NORM_MAX_ITER + 1):
-        y = dot(x)
-        rayleigh = vdot(x, y).real
-        est = math.sqrt(rayleigh) if rayleigh > 0.0 else 0.0
-        if prev >= 0.0 and abs(est - prev) <= NORM_RTOL * max(est, prev, 1e-300):
-            return est, True, it
-        norm_sq = vdot(y, y).real
-        if norm_sq == 0.0:
-            return 0.0, True, it
-        x = y / math.sqrt(norm_sq)
-        prev = est
-    return est, False, NORM_MAX_ITER
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    norms = np.full(finite.shape, np.inf)
+    norms[finite] = np.linalg.svd(a[finite], compute_uv=False)[..., 0]
+    return norms
 
 
-def _spectral_norm_small(gram: np.ndarray, n: int) -> tuple[float, bool, int]:
-    # Same iteration as above on unrolled Python complexes; numpy call overhead
-    # dominates at these sizes and field sweeps hit this path millions of times.
-    if n == 1:
-        # one Rayleigh quotient already equals the norm; the loop would agree
-        # with itself at the second iteration
-        return math.sqrt(max(gram[0, 0].real, 0.0)), True, 2
-    if n == 2:
-        return _spectral_norm_2(gram)
-    return _spectral_norm_3(gram)
-
-
-def _spectral_norm_2(gram: np.ndarray) -> tuple[float, bool, int]:
-    g00 = complex(gram[0, 0])
-    g01 = complex(gram[0, 1])
-    g10 = complex(gram[1, 0])
-    g11 = complex(gram[1, 1])
-    r = 1.0 / math.sqrt(2.0)
-    x0 = x1 = r + 0j
-    prev = -1.0
-    est = 0.0
-    for it in range(1, NORM_MAX_ITER + 1):
-        y0 = g00 * x0 + g01 * x1
-        y1 = g10 * x0 + g11 * x1
-        rayleigh = (x0.conjugate() * y0 + x1.conjugate() * y1).real
-        est = math.sqrt(rayleigh) if rayleigh > 0.0 else 0.0
-        if prev >= 0.0 and abs(est - prev) <= NORM_RTOL * max(est, prev, 1e-300):
-            return est, True, it
-        norm_sq = y0.real * y0.real + y0.imag * y0.imag + y1.real * y1.real + y1.imag * y1.imag
-        if norm_sq == 0.0:
-            return 0.0, True, it
-        scale = 1.0 / math.sqrt(norm_sq)
-        x0 = y0 * scale
-        x1 = y1 * scale
-        prev = est
-    return est, False, NORM_MAX_ITER
-
-
-def _spectral_norm_3(gram: np.ndarray) -> tuple[float, bool, int]:
-    g00 = complex(gram[0, 0])
-    g01 = complex(gram[0, 1])
-    g02 = complex(gram[0, 2])
-    g10 = complex(gram[1, 0])
-    g11 = complex(gram[1, 1])
-    g12 = complex(gram[1, 2])
-    g20 = complex(gram[2, 0])
-    g21 = complex(gram[2, 1])
-    g22 = complex(gram[2, 2])
-    r = 1.0 / math.sqrt(3.0)
-    x0 = x1 = x2 = r + 0j
-    prev = -1.0
-    est = 0.0
-    for it in range(1, NORM_MAX_ITER + 1):
-        y0 = g00 * x0 + g01 * x1 + g02 * x2
-        y1 = g10 * x0 + g11 * x1 + g12 * x2
-        y2 = g20 * x0 + g21 * x1 + g22 * x2
-        rayleigh = (x0.conjugate() * y0 + x1.conjugate() * y1 + x2.conjugate() * y2).real
-        est = math.sqrt(rayleigh) if rayleigh > 0.0 else 0.0
-        if prev >= 0.0 and abs(est - prev) <= NORM_RTOL * max(est, prev, 1e-300):
-            return est, True, it
-        norm_sq = (
-            y0.real * y0.real
-            + y0.imag * y0.imag
-            + y1.real * y1.real
-            + y1.imag * y1.imag
-            + y2.real * y2.real
-            + y2.imag * y2.imag
-        )
-        if norm_sq == 0.0:
-            return 0.0, True, it
-        scale = 1.0 / math.sqrt(norm_sq)
-        x0 = y0 * scale
-        x1 = y1 * scale
-        x2 = y2 * scale
-        prev = est
-    return est, False, NORM_MAX_ITER
-
-
-def spectral_norm_result(a: ComplexMatrix) -> SpectralNorm:
-    value, converged, iterations = _spectral_norm(a.array)
-    return SpectralNorm(value, converged, iterations)
-
-
-def operator_norm(a: ComplexMatrix) -> float:
-    """Spectral (2-)norm; the convergence flag is on :func:`spectral_norm_result`."""
-    return _spectral_norm(a.array)[0]
+def operator_norm(a) -> float:
+    """Spectral (2-)norm of a ComplexMatrix or a raw square array."""
+    return float(spectral_norms(a.array if isinstance(a, ComplexMatrix) else a))
 
 
 # ---------------------------------------------------------------------------

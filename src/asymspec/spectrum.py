@@ -14,17 +14,28 @@ point is still available through resolvent_at for diagnostics.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .brackets import bracket_sequence
 from .errors import BadParameter, LengthMismatch, UnresolvedPoint
-from .families import FamilySpec, HGrid, TailEstimate, Trend, family_eval_array, tail_limsup
-from .linalg import Inverse, _lu_inverse, _spectral_norm, solve_inverse
+from .families import (
+    FamilySpec,
+    HGrid,
+    TailEstimate,
+    family_eval_array,
+    family_eval_stack,
+    tail_limsup,
+)
+from .linalg import (
+    Inverse,
+    inverse_stack,
+    is_singular,
+    operator_norm,
+    solve_inverse,
+    spectral_norms,
+)
 
 INF = float("inf")
 
@@ -99,7 +110,7 @@ def resolvent_at(sf: FamilySpec, lam: complex, grid: HGrid) -> ResolventSweep:
     for h in grid.samples:
         inv = solve_inverse(lam * eye - family_eval_array(sf, h))
         inverses.append(inv)
-        norms.append(_spectral_norm(inv.matrix.array)[0] if inv is not None else INF)
+        norms.append(operator_norm(inv.matrix) if inv is not None else INF)
     return ResolventSweep(lam, inverses, norms, tail_limsup(norms, grid))
 
 
@@ -127,99 +138,32 @@ def resolvent_defect(
             right.append(INF)
             continue
         a = lam * eye - family_eval_array(sf, h)
-        left.append(_spectral_norm(a @ r - eye)[0])
-        right.append(_spectral_norm(r @ a - eye)[0])
+        left.append(operator_norm(a @ r - eye))
+        right.append(operator_norm(r @ a - eye))
     return tail_limsup(left, grid), tail_limsup(right, grid)
 
 
 # ---------------------------------------------------------------------------
 # field sweeps
 
-# Module-level state for worker processes: forked children inherit it, and
-# spawn-based pools re-init it via _field_worker_init. Keyed per call.
-_WORKER_CTX: dict = {}
+def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> ResolventField:
+    """Sweep the tail resolvent norm max_h 1/sigma_min(lam I - S_h) over the region.
 
-
-def _field_worker_init(spec_dict: dict, window: tuple[float, ...], xs, ys) -> None:
-    from .families import family_from_dict
-
-    _WORKER_CTX["spec"] = family_from_dict(spec_dict)
-    _WORKER_CTX["window"] = window
-    _WORKER_CTX["xs"] = xs
-    _WORKER_CTX["ys"] = ys
-
-
-def _tail_norm_at(spec: FamilySpec, lam: complex, window: tuple[float, ...]) -> float:
-    """Max resolvent norm over the tail window; inf as soon as one sample is singular."""
-    eye = np.eye(spec.dim, dtype=np.complex128)
-    worst = 0.0
-    for h in window:
-        inv = _lu_inverse(lam * eye - family_eval_array(spec, h))
-        if inv is None:
-            return INF
-        worst = max(worst, _spectral_norm(inv)[0])
-    return worst
-
-
-def _field_row(iy: int) -> tuple[int, list[float]]:
-    spec = _WORKER_CTX["spec"]
-    window = _WORKER_CTX["window"]
-    xs = _WORKER_CTX["xs"]
-    y = _WORKER_CTX["ys"][iy]
-    return iy, [_tail_norm_at(spec, complex(x, y), window) for x in xs]
-
-
-def resolvent_norm_field(
-    sf: FamilySpec,
-    region: ComplexRegion,
-    grid: HGrid,
-    workers: int | None = None,
-) -> ResolventField:
-    """Sweep the tail resolvent norm over the region.
-
-    workers > 1 distributes rows over a process pool; rows are reassembled
-    by index so the result is identical to the serial sweep. Families with
-    no JSON form (derived nodes) fall back to the serial sweep.
+    Each tail-window matrix is evaluated once. One batched SVD per region row
+    gives sigma_min at every (point, window sample) of the row; a sample that
+    is singular under linalg.is_singular makes its point inf. Rows are batched
+    one at a time so memory stays at one row of shifted matrices.
     """
-    from .families import family_to_dict
-
-    xs = [float(x) for x in region.xs]
-    ys = [float(y) for y in region.ys]
-    window = grid.window_samples
+    window = family_eval_stack(sf, grid.window_samples)
+    eye = np.eye(sf.dim)
     values = np.empty((region.resolution, region.resolution), dtype=np.float64)
-
-    spec_dict = None
-    if workers is not None and workers > 1:
-        try:
-            spec_dict = family_to_dict(sf)
-        except BadParameter:
-            spec_dict = None
-
-    if spec_dict is not None:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_field_worker_init,
-            initargs=(spec_dict, window, xs, ys),
-        ) as pool:
-            for iy, row in pool.map(_field_row, range(region.resolution)):
-                values[iy, :] = row
-    else:
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                values[iy, ix] = _tail_norm_at(sf, complex(x, y), window)
+    for iy, y in enumerate(region.ys):
+        lams = region.xs + 1j * y
+        s = np.linalg.svd(lams[:, None, None, None] * eye - window, compute_uv=False)
+        sigma_min = s[..., -1]
+        norms = np.divide(1.0, sigma_min, out=np.full_like(sigma_min, INF), where=~is_singular(s))
+        values[iy] = norms.max(axis=1)
     return ResolventField(region, values)
-
-
-def default_workers() -> int | None:
-    """Worker count from the ASYMSPEC_THREADS env var; None means run serial."""
-    raw = os.environ.get("ASYMSPEC_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise BadParameter(f"ASYMSPEC_THREADS must be an integer, got {raw!r}") from exc
-    return n if n > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,41 +247,33 @@ def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate, slack: float = 0.0)
 # resolvent identities
 
 
+def _resolvents(a: np.ndarray, lam: complex, grid: HGrid) -> np.ndarray:
+    """(lam I - a_h)^{-1} for the stacked family values a; UnresolvedPoint if one is singular."""
+    r, singular = inverse_stack(lam * np.eye(a.shape[-1]) - a)
+    if singular.any():
+        h = grid.samples[int(np.argmax(singular))]
+        raise UnresolvedPoint(f"resolvent missing at h={h!r} for lam={lam}")
+    return r
+
+
 def resolvent_equation_residual(
     sf: FamilySpec, lam: complex, mu: complex, grid: HGrid
 ) -> TailEstimate:
     """Tail norm of R(lam) - R(mu) - (mu - lam) R(lam) R(mu) over the window."""
-    eye = np.eye(sf.dim, dtype=np.complex128)
-    values: list[float] = []
-    for h in grid.samples:
-        a = family_eval_array(sf, h)
-        r_lam = _lu_inverse(lam * eye - a)
-        r_mu = _lu_inverse(mu * eye - a)
-        if r_lam is None or r_mu is None:
-            raise UnresolvedPoint(f"resolvent missing at h={h!r} for lam={lam} or mu={mu}")
-        values.append(_spectral_norm(r_lam - r_mu - (mu - lam) * (r_lam @ r_mu))[0])
-    return tail_limsup(values, grid)
+    a = family_eval_stack(sf, grid.samples)
+    r_lam = _resolvents(a, lam, grid)
+    r_mu = _resolvents(a, mu, grid)
+    return tail_limsup(spectral_norms(r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)), grid)
 
 
 def resolvent_commutation_residual(
     sf: FamilySpec, lam: complex, grid: HGrid, mu: complex | None = None
 ) -> TailEstimate:
     """Tail norm of [S_h, R(lam)] (mu=None) or [R(lam), R(mu)]."""
-    eye = np.eye(sf.dim, dtype=np.complex128)
-    values: list[float] = []
-    for h in grid.samples:
-        a = family_eval_array(sf, h)
-        r_lam = _lu_inverse(lam * eye - a)
-        if r_lam is None:
-            raise UnresolvedPoint(f"resolvent missing at h={h!r} for lam={lam}")
-        if mu is None:
-            values.append(_spectral_norm(a @ r_lam - r_lam @ a)[0])
-        else:
-            r_mu = _lu_inverse(mu * eye - a)
-            if r_mu is None:
-                raise UnresolvedPoint(f"resolvent missing at h={h!r} for mu={mu}")
-            values.append(_spectral_norm(r_lam @ r_mu - r_mu @ r_lam)[0])
-    return tail_limsup(values, grid)
+    a = family_eval_stack(sf, grid.samples)
+    r_lam = _resolvents(a, lam, grid)
+    other = a if mu is None else _resolvents(a, mu, grid)
+    return tail_limsup(spectral_norms(other @ r_lam - r_lam @ other), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +288,8 @@ class SeriesTransport:
 
     matrices holds the partial sums per grid sample; the defect estimates
     measure (lam I - S_h) Sigma - I and Sigma (lam I - S_h) - I in the tail.
-    last_term_tail tracks the norm of the final summand, a truncation gauge.
+    term_tails holds the tail norm of every summand B_n R^{n+1}, n = 0..N;
+    the last of them, last_term_tail, is a truncation gauge.
     """
 
     lambda_: complex
@@ -360,7 +297,11 @@ class SeriesTransport:
     matrices: list[np.ndarray]
     left_defect: TailEstimate
     right_defect: TailEstimate
-    last_term_tail: float
+    term_tails: tuple[float, ...]
+
+    @property
+    def last_term_tail(self) -> float:
+        return self.term_tails[-1]
 
 
 def series_resolvent(
@@ -380,92 +321,39 @@ def series_resolvent(
 
     tol is recorded on the defect verdicts' behalf by callers; this routine
     just builds the evidence. Raises UnresolvedPoint when lam is not in T's
-    resolvent set at some tail-window sample.
+    resolvent set at some tail-window sample; a singular sample outside the
+    window gets a NaN partial sum and inf norms.
     """
     if sf.dim != tf.dim:
         raise BadParameter(f"family dimensions differ: {sf.dim} vs {tf.dim}")
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
     eye = np.eye(sf.dim, dtype=np.complex128)
-    window = set(grid.window_samples)
+    sa = family_eval_stack(sf, grid.samples)
+    ta = family_eval_stack(tf, grid.samples)
+    r, singular = inverse_stack(lam * eye - ta)
+    if singular[-grid.tail_window :].any():
+        h = grid.window_samples[int(np.argmax(singular[-grid.tail_window :]))]
+        raise UnresolvedPoint(f"lam={lam} not resolved for the source family at h={h!r}")
 
-    sums: list[np.ndarray] = []
-    left_vals: list[float] = []
-    right_vals: list[float] = []
-    last_norms: list[float] = []
-    for h in grid.samples:
-        sa = family_eval_array(sf, h)
-        ta = family_eval_array(tf, h)
-        r = _lu_inverse(lam * eye - ta)
-        if r is None:
-            if h in window:
-                raise UnresolvedPoint(f"lam={lam} not resolved for the source family at h={h!r}")
-            sums.append(np.full((sf.dim, sf.dim), np.nan, dtype=np.complex128))
-            left_vals.append(INF)
-            right_vals.append(INF)
-            last_norms.append(INF)
-            continue
-        bracket = eye.copy()
-        r_pow = r.copy()
-        total = r_pow.copy()
-        term = total
-        for _ in range(n_terms):
-            bracket = sa @ bracket - bracket @ ta
-            r_pow = r_pow @ r
-            term = bracket @ r_pow
-            total = total + term
-        sums.append(total)
-        a = lam * eye - sa
-        left_vals.append(_spectral_norm(a @ total - eye)[0])
-        right_vals.append(_spectral_norm(total @ a - eye)[0])
-        last_norms.append(_spectral_norm(term)[0])
-
+    bracket = eye
+    term = total = r_pow = r
+    term_tails = [tail_limsup(spectral_norms(term), grid).value]
+    for _ in range(n_terms):
+        bracket = sa @ bracket - bracket @ ta
+        r_pow = r_pow @ r
+        term = bracket @ r_pow
+        total = total + term
+        term_tails.append(tail_limsup(spectral_norms(term), grid).value)
+    a = lam * eye - sa
     return SeriesTransport(
         lambda_=lam,
         n_terms=n_terms,
-        matrices=sums,
-        left_defect=tail_limsup(left_vals, grid),
-        right_defect=tail_limsup(right_vals, grid),
-        last_term_tail=tail_limsup(last_norms, grid).value,
+        matrices=list(total),
+        left_defect=tail_limsup(spectral_norms(a @ total - eye), grid),
+        right_defect=tail_limsup(spectral_norms(total @ a - eye), grid),
+        term_tails=tuple(term_tails),
     )
-
-
-def series_term_envelope(
-    sf: FamilySpec, tf: FamilySpec, lam: complex, grid: HGrid, n_terms: int
-) -> tuple[list[float], list[float]]:
-    """Observed tail norms of the summands vs the a_n * M^(n+1) envelope.
-
-    M is the tail resolvent norm of the source family at lam; a_n the tail
-    bracket norms. Useful as a sanity check that truncation error is
-    controlled by the bracket decay.
-    """
-    sweep = resolvent_at(tf, lam, grid)
-    if not point_resolved(sweep):
-        raise UnresolvedPoint(f"lam={lam} not resolved for the source family")
-    big_m = sweep.tail.value
-    # seq.norms[k] is the order-(k+1) tail bracket norm; order 0 is the identity.
-    seq = bracket_sequence(sf, tf, grid, max(n_terms, 1))
-    envelope = [big_m] + [seq.norms[n - 1] * big_m ** (n + 1) for n in range(1, n_terms + 1)]
-
-    eye = np.eye(sf.dim, dtype=np.complex128)
-    observed_rows: list[list[float]] = [[] for _ in range(n_terms + 1)]
-    for h in grid.samples:
-        sa = family_eval_array(sf, h)
-        ta = family_eval_array(tf, h)
-        r = _lu_inverse(lam * eye - ta)
-        if r is None:
-            for row in observed_rows:
-                row.append(INF)
-            continue
-        bracket = eye.copy()
-        r_pow = r.copy()
-        observed_rows[0].append(_spectral_norm(r_pow)[0])
-        for n in range(1, n_terms + 1):
-            bracket = sa @ bracket - bracket @ ta
-            r_pow = r_pow @ r
-            observed_rows[n].append(_spectral_norm(bracket @ r_pow)[0])
-    observed = [tail_limsup(row, grid).value for row in observed_rows]
-    return observed, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +368,9 @@ class NormBounds:
 
 def quotient_norm_bounds(sf: FamilySpec, grid: HGrid) -> NormBounds:
     """Bounds that sandwich the family norm: tail limsup below, grid sup above."""
-    values = [_spectral_norm(family_eval_array(sf, h))[0] for h in grid.samples]
+    values = spectral_norms(family_eval_stack(sf, grid.samples))
     tail = tail_limsup(values, grid)
-    return NormBounds(lower=tail.value, upper=max(values))
+    return NormBounds(lower=tail.value, upper=float(values.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +431,6 @@ __all__ = [
     "point_resolved",
     "resolvent_defect",
     "resolvent_norm_field",
-    "default_workers",
     "default_epsilon",
     "default_region",
     "spectrum_estimate",
@@ -552,7 +439,6 @@ __all__ = [
     "resolvent_equation_residual",
     "resolvent_commutation_residual",
     "series_resolvent",
-    "series_term_envelope",
     "quotient_norm_bounds",
     "field_to_csv",
     "spectrum_to_dict",

@@ -100,7 +100,7 @@ def _default_grid() -> HGrid:
 # suites
 
 
-def _suite_bracket_consistency(seed: int, workers: int | None) -> SuiteResult:
+def _suite_bracket_consistency(seed: int) -> SuiteResult:
     rng = _rng(seed, 1)
     worst_rel = 0.0
     for _ in range(50):
@@ -136,7 +136,7 @@ def _suite_bracket_consistency(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-def _suite_commuting_collapse(seed: int, workers: int | None) -> SuiteResult:
+def _suite_commuting_collapse(seed: int) -> SuiteResult:
     rng = _rng(seed, 2)
     worst = 0.0
     for _ in range(20):
@@ -152,7 +152,7 @@ def _suite_commuting_collapse(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-def _suite_equivalence_relation(seed: int, workers: int | None) -> SuiteResult:
+def _suite_equivalence_relation(seed: int) -> SuiteResult:
     rng = _rng(seed, 3)
     grid = _default_grid()
     base = _random_diagonal(rng, 4, 1.0)
@@ -190,7 +190,7 @@ def _suite_equivalence_relation(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-def _suite_equiv_implies_qequiv(seed: int, workers: int | None) -> SuiteResult:
+def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
     rng = _rng(seed, 4)
     grid = _default_grid()
     equiv_all = True
@@ -217,11 +217,11 @@ def _suite_equiv_implies_qequiv(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-def _suite_spectrum_two_point(seed: int, workers: int | None) -> SuiteResult:
+def _suite_spectrum_two_point(seed: int) -> SuiteResult:
     grid = _default_grid()
     fam = diag_family(["1", "2+h"])
     region = ComplexRegion(0j, 2.5, 101)
-    field = resolvent_norm_field(fam, region, grid, workers)
+    field = resolvent_norm_field(fam, region, grid)
     estimate = spectrum_estimate(field, 1e-3)
     count = len(estimate.clusters)
     offsets = []
@@ -251,7 +251,7 @@ def _fixture_perturbation(seed: int) -> list[tuple[str, FamilySpec, ComplexRegio
     ]
 
 
-def _suite_perturbation_invariance(seed: int, workers: int | None) -> SuiteResult:
+def _suite_perturbation_invariance(seed: int) -> SuiteResult:
     grid = _default_grid()
     epsilon = 1.0 / 3000.0
     per_fixture: dict = {}
@@ -259,8 +259,8 @@ def _suite_perturbation_invariance(seed: int, workers: int | None) -> SuiteResul
     for k, (name, base, region) in enumerate(_fixture_perturbation(seed)):
         pert = family_sum(base, h_scaled(random_family(base.dim, seed + 601 + k, 0.5)))
         equiv_ok = asymptotic_equiv(pert, base, grid).result is VerdictResult.HOLDS
-        est_base = spectrum_estimate(resolvent_norm_field(base, region, grid, workers), epsilon)
-        est_pert = spectrum_estimate(resolvent_norm_field(pert, region, grid, workers), epsilon)
+        est_base = spectrum_estimate(resolvent_norm_field(base, region, grid), epsilon)
+        est_pert = spectrum_estimate(resolvent_norm_field(pert, region, grid), epsilon)
         match = clusters_match(est_base, est_pert)
         per_fixture[name] = {
             "equiv_holds": bool(equiv_ok),
@@ -272,7 +272,7 @@ def _suite_perturbation_invariance(seed: int, workers: int | None) -> SuiteResul
     return SuiteResult("perturbation_invariance", passed, per_fixture)
 
 
-def _suite_qequiv_spectrum_transport(seed: int, workers: int | None) -> SuiteResult:
+def _suite_qequiv_spectrum_transport(seed: int) -> SuiteResult:
     grid = _default_grid()
     fam_t = constant_family(np.diag([0.5 + 0j, 0.5 + 0j, 0.5 + 0j]))
     fam_s = jordan_family(3, 0.5)  # 0.5 I + N with N^3 = 0, and N commutes with 0.5 I
@@ -282,8 +282,8 @@ def _suite_qequiv_spectrum_transport(seed: int, workers: int | None) -> SuiteRes
 
     region = ComplexRegion(0.5 + 0j, 2.0, 41)
     epsilon = 1.0 / 3000.0
-    est_t = spectrum_estimate(resolvent_norm_field(fam_t, region, grid, workers), epsilon)
-    est_s = spectrum_estimate(resolvent_norm_field(fam_s, region, grid, workers), epsilon)
+    est_t = spectrum_estimate(resolvent_norm_field(fam_t, region, grid), epsilon)
+    est_s = spectrum_estimate(resolvent_norm_field(fam_s, region, grid), epsilon)
     match = clusters_match(est_t, est_s)
 
     probes = [1.7 + 0j, 0.5 + 1.2j, -0.6 + 0j]
@@ -310,13 +310,13 @@ def _suite_qequiv_spectrum_transport(seed: int, workers: int | None) -> SuiteRes
     )
 
 
-def _suite_spectral_mapping(seed: int, workers: int | None) -> SuiteResult:
+def _suite_spectral_mapping(seed: int) -> SuiteResult:
     grid = _default_grid()
     src = diag_family(["1", "2+h"])
     contour = ContourSpec(1.5 + 0j, 1.8, 256)
 
     src_est = spectrum_estimate(
-        resolvent_norm_field(src, ComplexRegion(1.5 + 0j, 2.0, 41), grid, workers), 1e-3
+        resolvent_norm_field(src, ComplexRegion(1.5 + 0j, 2.0, 41), grid), 1e-3
     )
     enclosed = contour_encloses(contour, src_est.clusters)
 
@@ -328,7 +328,7 @@ def _suite_spectral_mapping(seed: int, workers: int | None) -> SuiteResult:
     passed = enclosed
     for name, func, region, epsilon, targets in cases:
         image = family_funcalc(src, func, contour)
-        est = spectrum_estimate(resolvent_norm_field(image, region, grid, None), epsilon)
+        est = spectrum_estimate(resolvent_norm_field(image, region, grid), epsilon)
         count_ok = len(est.clusters) == len(targets)
         offsets = [
             abs(c.centroid - t) for c, t in zip(est.clusters, targets)
@@ -345,13 +345,13 @@ def _suite_spectral_mapping(seed: int, workers: int | None) -> SuiteResult:
     return SuiteResult("spectral_mapping", passed, per_case)
 
 
-def _suite_quasinilpotent_spectrum(seed: int, workers: int | None) -> SuiteResult:
+def _suite_quasinilpotent_spectrum(seed: int) -> SuiteResult:
     deep = geometric_grid(1.0, 0.5, 36, 6)
     fam_nil = family_sum(jordan_family(4, 0.0), h_scaled(random_family(4, seed + 901, 1.0)))
     v_nil = is_asymptotic_quasinilpotent(fam_nil, deep, n_max=24, tol=0.05)
 
     region = ComplexRegion(0j, 1.25, 41)
-    est_nil = spectrum_estimate(resolvent_norm_field(fam_nil, region, deep, workers), 1e-5)
+    est_nil = spectrum_estimate(resolvent_norm_field(fam_nil, region, deep), 1e-5)
     nil_cluster_ok = (
         len(est_nil.clusters) == 1 and abs(est_nil.clusters[0].centroid) <= region.spacing
     )
@@ -359,7 +359,7 @@ def _suite_quasinilpotent_spectrum(seed: int, workers: int | None) -> SuiteResul
     grid = _default_grid()
     fam_pos = constant_family([[0.5 + 0j]])
     v_pos = is_asymptotic_quasinilpotent(fam_pos, grid)
-    est_pos = spectrum_estimate(resolvent_norm_field(fam_pos, region, grid, workers), 1e-3)
+    est_pos = spectrum_estimate(resolvent_norm_field(fam_pos, region, grid), 1e-3)
     pos_cluster_ok = (
         len(est_pos.clusters) == 1
         and abs(est_pos.clusters[0].centroid - 0.5) <= region.spacing
@@ -392,7 +392,7 @@ def _funcalc_case(t: ComplexMatrix, contour: ContourSpec) -> tuple[float, float]
     return id_err, exp_err
 
 
-def _suite_funcalc_accuracy(seed: int, workers: int | None) -> SuiteResult:
+def _suite_funcalc_accuracy(seed: int) -> SuiteResult:
     t1 = ComplexMatrix(np.diag([1.0 + 0j, 2.0 + 0j]))
     id1, exp1 = _funcalc_case(t1, ContourSpec(1.5 + 0j, 2.0, 256))
 
@@ -414,7 +414,7 @@ def _suite_funcalc_accuracy(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-def _suite_resolvent_identities(seed: int, workers: int | None) -> SuiteResult:
+def _suite_resolvent_identities(seed: int) -> SuiteResult:
     grid = _default_grid()
     entries = np.diag([0.3 + 0.2j, -0.6 + 0j, 1.1 - 0.4j, 0.05 + 0.9j])
     fam_t = constant_family(entries)
@@ -462,7 +462,7 @@ def _suite_resolvent_identities(seed: int, workers: int | None) -> SuiteResult:
     )
 
 
-_SUITES: dict[str, Callable[[int, int | None], SuiteResult]] = {
+_SUITES: dict[str, Callable[[int], SuiteResult]] = {
     "bracket_consistency": _suite_bracket_consistency,
     "commuting_collapse": _suite_commuting_collapse,
     "equivalence_relation": _suite_equivalence_relation,
@@ -479,20 +479,18 @@ _SUITES: dict[str, Callable[[int, int | None], SuiteResult]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int | None = None) -> SuiteResult:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
     try:
         func = _SUITES[name]
     except KeyError:
         raise BadParameter(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
         ) from None
-    return func(seed, workers)
+    return func(seed)
 
 
 def run_all_suites(
-    seed: int = DEFAULT_SEED,
-    names: tuple[str, ...] | None = None,
-    workers: int | None = None,
+    seed: int = DEFAULT_SEED, names: tuple[str, ...] | None = None
 ) -> list[SuiteResult]:
     chosen = SUITE_NAMES if names is None else tuple(names)
     for name in chosen:
@@ -500,7 +498,7 @@ def run_all_suites(
             raise BadParameter(
                 f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
             )
-    return [_SUITES[name](seed, workers) for name in chosen]
+    return [_SUITES[name](seed) for name in chosen]
 
 
 __all__ = [

@@ -36,6 +36,13 @@ class TestAsymptoticEquiv:
         verdict = ax.asymptotic_equiv(diag([1.0, 2.0]), diag([1.0, 2.5]), grid)
         assert verdict.result is VerdictResult.FAILS
 
+    def test_swap_against_identity_fails(self, grid):
+        # the all-ones vector is fixed by both, so the difference kills it
+        swap = ax.constant_family(ComplexMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        verdict = ax.asymptotic_equiv(swap, ax.constant_family(ComplexMatrix.identity(2)), grid)
+        assert verdict.result is VerdictResult.FAILS
+        assert verdict.tail.value == pytest.approx(2.0, rel=1e-15)
+
     def test_reflexive(self, grid):
         f = ax.diag_family(["1", "2+h"])
         assert ax.asymptotic_equiv(f, f, grid).result is VerdictResult.HOLDS

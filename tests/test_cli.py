@@ -76,6 +76,28 @@ class TestSpectrumCommand:
         assert abs(centroids[0] - 1.0) <= 0.1
         assert abs(centroids[1] - 2.0) <= 0.1
 
+    def test_default_flags_find_both_eigenvalues(self, capsys, two_point):
+        # the default region's grid misses 1 and 2, so the default epsilon
+        # has to cover the distance from an eigenvalue to its nearest point
+        code, out, _ = run(capsys, "spectrum", "--family", two_point)
+        assert code == 0
+        report = json.loads(out)
+        spacing = 2 * report["region"]["half_width"] / (report["region"]["resolution"] - 1)
+        assert report["epsilon"] >= 0.75 * spacing
+        centroids = [c["centroid_re"] + 1j * c["centroid_im"] for c in report["clusters"]]
+        assert len(centroids) == 2
+        assert abs(centroids[0] - 1.0) <= 2 * spacing
+        assert abs(centroids[1] - 2.0) <= 2 * spacing
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_family_is_a_numerical_failure(self, capsys, tmp_path):
+        huge = {"kind": "random", "dim": 2, "seed": 1, "scale": 1e200}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "node": {"kind": "product", "children": [huge, huge]}}))
+        code, _, err = run(capsys, "spectrum", "--family", str(path), "--epsilon", "0.1")
+        assert code == 3
+        assert json.loads(err)["kind"] == "TraceError"
+
     def test_artifacts_written_and_byte_stable(self, capsys, two_point, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         blobs = []

@@ -98,6 +98,14 @@ class TestFamilyEval:
         with pytest.raises(DimensionMismatch):
             ax.family_sum(ax.diag_family(["1"]), ax.diag_family(["1", "2"]))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_value_reports_h(self):
+        # each factor is finite; their product overflows
+        huge = ax.random_family(2, seed=1, scale=1e200)
+        with pytest.raises(TraceError) as err:
+            ax.family_eval(ax.family_product(huge, huge), 0.5)
+        assert err.value.h == 0.5
+
 
 class TestScalarTrace:
     def test_identity_trace(self):

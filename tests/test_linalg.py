@@ -1,4 +1,4 @@
-"""Matrix ring operations, LU inversion, and the power-iteration norm."""
+"""Matrix ring operations, LAPACK inversion, and the spectral norm."""
 
 import numpy as np
 import pytest
@@ -106,6 +106,15 @@ class TestSolveInverse:
         assert linalg.solve_inverse(ComplexMatrix.diagonal([1.0, 1e-10])) is not None
         assert linalg.solve_inverse(ComplexMatrix.diagonal([1.0, 1e-20])) is None
 
+    def test_stack_marks_singular_members(self, rng):
+        good = random_matrix(rng, 3).array
+        stack = np.stack([good, linalg.jordan_block(3, 0.0).array, 2.0 * good])
+        inv, singular = linalg.inverse_stack(stack)
+        assert list(singular) == [False, True, False]
+        assert np.isnan(inv[1]).all()
+        assert np.allclose(inv[0] @ good, np.eye(3), atol=1e-12)
+        assert np.allclose(inv[2], 0.5 * inv[0], atol=1e-12)
+
 
 class TestOperatorNorm:
     def test_diagonal_norm_is_largest_magnitude(self):
@@ -121,7 +130,6 @@ class TestOperatorNorm:
         assert abs(got - want) <= 1e-9 * want
 
     def test_small_dims_match_oracle(self, rng):
-        # dims 1..3 take a dedicated code path; check each against the oracle
         for dim in (1, 2, 3, 4):
             for _ in range(4):
                 a = random_matrix(rng, dim)
@@ -141,18 +149,38 @@ class TestOperatorNorm:
             na = linalg.operator_norm(a)
             assert abs(linalg.operator_norm(a.adjoint()) - na) <= 1e-10 * na
 
-    def test_repeated_top_value_converges_fast(self):
-        result = linalg.spectral_norm_result(ComplexMatrix.diagonal([2.0, 2.0]))
-        assert result.converged
-        assert result.value == pytest.approx(2.0, rel=1e-12)
+    def test_repeated_top_value_is_exact(self):
+        assert linalg.operator_norm(ComplexMatrix.diagonal([2.0, 2.0])) == pytest.approx(
+            2.0, rel=1e-15
+        )
 
-    def test_near_tie_reports_nonconvergence_with_usable_value(self):
-        # a relative gap of 1e-5 between the top two singular values stalls
-        # the iteration; the flag must say so while the estimate stays close
-        result = linalg.spectral_norm_result(ComplexMatrix.diagonal([1.0, 1.0 + 1e-5]))
-        assert not result.converged
-        assert result.iterations == linalg.NORM_MAX_ITER
-        assert result.value == pytest.approx(1.0 + 1e-5, rel=1e-4)
+    def test_near_tie_is_exact(self):
+        # a relative gap of 1e-5 between the top two singular values
+        got = linalg.operator_norm(ComplexMatrix.diagonal([1.0, 1.0 + 1e-5]))
+        assert got == pytest.approx(1.0 + 1e-5, rel=1e-15)
+
+    def test_top_singular_vector_orthogonal_to_ones(self):
+        # the all-ones vector spans the kernel of this matrix
+        a = ComplexMatrix([[-1.0, 1.0], [1.0, -1.0]])
+        assert linalg.operator_norm(a) == pytest.approx(2.0, rel=1e-15)
+        assert oracles.spectral_norm_oracle(a.array.tolist()) == pytest.approx(2.0, rel=1e-15)
+
+    def test_tiny_matrix_does_not_underflow(self):
+        a = linalg.scale(ComplexMatrix.identity(3), 1e-100)
+        want = pytest.approx(1e-100, rel=1e-15, abs=0.0)
+        assert linalg.operator_norm(a) == want
+        assert oracles.spectral_norm_oracle(a.array.tolist()) == want
+
+    def test_stack_norms_match_single_norms(self, rng):
+        stack = np.stack([random_matrix(rng, 3).array for _ in range(5)])
+        got = linalg.spectral_norms(stack)
+        assert got.shape == (5,)
+        for a, norm in zip(stack, got):
+            assert norm == pytest.approx(oracles.spectral_norm_oracle(a.tolist()), rel=1e-12)
+
+    def test_non_finite_member_has_infinite_norm(self):
+        stack = np.stack([np.eye(2), np.full((2, 2), np.nan)]).astype(np.complex128)
+        assert list(linalg.spectral_norms(stack)) == [1.0, np.inf]
 
 
 class TestConstruction:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import asymspec as ax
-from asymspec import families, linalg, spectrum
+from asymspec import families, linalg
 from asymspec.errors import BadParameter, UnresolvedPoint
 from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
@@ -136,14 +136,43 @@ class TestNormField:
         envelope = 4.0 * h_edge * bump_norm * base.values ** 2
         assert np.all(drift <= envelope + 1e-9)
 
-    def test_worker_pool_matches_serial(self, const_two_point, grid20):
+    def test_matches_pointwise_inverse_norms(self, grid20):
+        fam = ax.family_sum(
+            ax.jordan_family(3, 0.2), ax.h_scaled(ax.random_family(3, seed=5, scale=0.7))
+        )
+        region = ComplexRegion(0.1 + 0.05j, 1.5, 21)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        for iy in range(0, region.resolution, 4):
+            for ix in range(0, region.resolution, 4):
+                lam = region.point(ix, iy)
+                shifted = [
+                    lam * np.eye(3) - families.family_eval_array(fam, h)
+                    for h in grid20.window_samples
+                ]
+                want = max(np.linalg.norm(np.linalg.inv(a), 2) for a in shifted)
+                assert field.values[iy, ix] == pytest.approx(want, rel=1e-10)
+
+    def test_singular_value_tie_is_exact(self, grid20):
+        # at 1.5 - 0.2i both diagonal entries of the resolvent have nearly the
+        # same modulus for every window sample
         region = ComplexRegion(1.5 + 0j, 2.0, 21)
-        serial = ax.resolvent_norm_field(const_two_point, region, grid20)
-        pooled = ax.resolvent_norm_field(const_two_point, region, grid20, workers=2)
-        assert np.array_equal(serial.values, pooled.values)
+        field = ax.resolvent_norm_field(ax.diag_family(["1", "2+h"]), region, grid20)
+        assert region.point(10, 9) == pytest.approx(1.5 - 0.2j)
+        assert field.values[9, 10] == pytest.approx(1.8569533817705184, rel=1e-12)
 
 
 class TestSpectrumEstimate:
+    def test_off_grid_swap_spectrum_has_both_eigenvalues(self, grid20):
+        # the all-ones vector is an eigenvector of the swap matrix, and no
+        # grid point of this region sits on -1 or +1
+        swap = ax.constant_family(ComplexMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        region = ComplexRegion(0.013 + 0.007j, 1.5, 41)
+        field = ax.resolvent_norm_field(swap, region, grid20)
+        estimate = ax.spectrum_estimate(field, 0.75 * region.spacing)
+        assert ax.cluster_near(estimate, -1.0 + 0j) is not None
+        assert ax.cluster_near(estimate, 1.0 + 0j) is not None
+        assert len(estimate.clusters) == 2
+
     def test_two_point_family_clusters_at_limits(self, expr_field):
         estimate = ax.spectrum_estimate(expr_field, 1e-3)
         assert len(estimate.clusters) == 2
@@ -337,12 +366,27 @@ class TestSeriesResolvent:
         assert len(transport.matrices) == grid20.count
 
     def test_term_norms_respect_envelope(self, grid20):
+        # summand n is bounded by a_n * M^(n+1): a_n the tail bracket norm,
+        # M the tail resolvent norm of the source family
         tf = ax.constant_family(ComplexMatrix.diagonal([0.5, 0.5, 0.5]))
         sf = ax.jordan_family(3, 0.5)
-        measured, envelope = spectrum.series_term_envelope(sf, tf, 1.7 + 0j, grid20, 6)
-        assert len(measured) == len(envelope) == 7
+        lam = 1.7 + 0j
+        measured = ax.series_resolvent(sf, tf, lam, grid20, 6).term_tails
+        big_m = ax.resolvent_at(tf, lam, grid20).tail.value
+        seq = ax.bracket_sequence(sf, tf, grid20, 6)
+        envelope = [big_m] + [seq.norms[n - 1] * big_m ** (n + 1) for n in range(1, 7)]
+        assert len(measured) == 7
         for got, bound in zip(measured, envelope):
             assert got <= bound * (1 + 1e-9) + 1e-12
+
+    def test_singular_sample_outside_window_is_ignored(self, grid20):
+        # lam = 1 is an eigenvalue of diag(h, 3) only at h = 1, the first sample
+        fam = ax.diag_family(["h", "3"])
+        transport = ax.series_resolvent(fam, fam, 1.0 + 0j, grid20, 2)
+        assert np.isnan(transport.matrices[0]).all()
+        assert np.isfinite(transport.matrices[1]).all()
+        assert transport.left_defect.value <= 1e-12
+        assert transport.right_defect.value <= 1e-12
 
     def test_unresolved_source_point_rejected(self, const_two_point, grid20):
         with pytest.raises(UnresolvedPoint):
