@@ -167,14 +167,8 @@ def sequence_to_csv(sequence: BracketSequence) -> str:
     for n in range(1, sequence.n_max + 1):
         a = sequence.norms[n - 1]
         r = sequence.roots[n - 1]
-        lines.append(f"{n},{_fmt(a)},{_fmt(r)}")
+        lines.append("%d,%.17g,%.17g" % (n, a, r))
     return "\n".join(lines) + "\n"
-
-
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
 
 
 # Re-exported convenience: the collapse comparison used by tests.

@@ -1,12 +1,13 @@
 """Resolvent fields, spectrum estimation, identities, and series transport."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import asymspec as ax
-from asymspec import families, linalg
+from asymspec import families, funcalc, linalg, spectrum
 from asymspec.errors import BadParameter, UnresolvedPoint
 from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
@@ -159,6 +160,89 @@ class TestNormField:
         field = ax.resolvent_norm_field(ax.diag_family(["1", "2+h"]), region, grid20)
         assert region.point(10, 9) == pytest.approx(1.5 - 0.2j)
         assert field.values[9, 10] == pytest.approx(1.8569533817705184, rel=1e-12)
+
+
+def rowwise_field(sf, region, grid):
+    """Single-threaded reference: one batched SVD per region row."""
+    window = families.family_eval_stack(sf, grid.window_samples)
+    eye = np.eye(sf.dim)
+    values = np.empty((region.resolution, region.resolution))
+    for iy, y in enumerate(region.ys):
+        lams = region.xs + 1j * y
+        s = np.linalg.svd(lams[:, None, None, None] * eye - window, compute_uv=False)
+        sigma_min = s[..., -1]
+        norms = np.divide(
+            1.0, sigma_min, out=np.full_like(sigma_min, math.inf), where=~linalg.is_singular(s)
+        )
+        values[iy] = norms.max(axis=1)
+    return values
+
+
+class TestThreadedSweep:
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        # put every dimension on the thread pool, the small ones included
+        monkeypatch.setattr(spectrum, "THREAD_MIN_DIM", 1)
+
+    @pytest.mark.parametrize("resolution", [21, 101])
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_field_is_bit_identical_for_any_cpu_count(
+        self, monkeypatch, threaded, dim, resolution
+    ):
+        # a two-sample window keeps the dim-16, 101-point case cheap
+        grid = ax.geometric_grid(1.0, 0.5, 8, 2)
+        fam = ax.family_sum(
+            ax.jordan_family(dim, 0.5), ax.h_scaled(ax.random_family(dim, seed=11, scale=0.8))
+        )
+        region = ComplexRegion(0.4 + 0.1j, 1.5, resolution)
+        want = rowwise_field(fam, region, grid)
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(spectrum, "_cpu_count", lambda: cpus)
+            field = ax.resolvent_norm_field(fam, region, grid)
+            assert np.array_equal(field.values, want), cpus
+
+    def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch, threaded):
+        fam = ax.diag_family(["0", "1"])
+        region = ComplexRegion(0j, 2.0, 21)
+        infinite = []
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(spectrum, "_cpu_count", lambda: cpus)
+            infinite.append(np.isinf(ax.resolvent_norm_field(fam, region, grid20).values))
+        assert set(zip(*np.nonzero(infinite[0]))) == {(10, 10), (10, 15)}
+        for mask in infinite[1:]:
+            assert np.array_equal(mask, infinite[0])
+
+    def test_window_is_evaluated_once_in_the_calling_thread(self, grid20, monkeypatch, threaded):
+        calls = []
+        real_eval = funcalc._Funcalc._eval
+
+        def recording_eval(node, h):
+            calls.append((h, threading.get_ident()))
+            return real_eval(node, h)
+
+        monkeypatch.setattr(funcalc._Funcalc, "_eval", recording_eval)
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 3)
+        image = ax.family_funcalc(
+            ax.diag_family(["1", "2+h"]), lambda z: z * z, ax.ContourSpec(1.5 + 0j, 1.2, 256)
+        )
+        ax.resolvent_norm_field(image, ComplexRegion(2.5 + 0j, 2.0, 21), grid20)
+        caller = threading.get_ident()
+        assert calls == [(h, caller) for h in grid20.window_samples]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_small_dims_sweep_in_the_calling_thread(self, grid20, monkeypatch, dim):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("thread pool started")
+
+        monkeypatch.setattr(spectrum, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(spectrum, "_cpu_count", lambda: 8)
+        fam = ax.jordan_family(dim, 0.5)
+        region = ComplexRegion(0.4 + 0.1j, 1.5, 21)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        assert np.array_equal(field.values, rowwise_field(fam, region, grid20))
+
+    def test_cpu_count_is_positive(self):
+        assert spectrum._cpu_count() >= 1
 
 
 class TestSpectrumEstimate:
@@ -432,6 +516,35 @@ class TestSerializationHelpers:
 
     def test_field_csv_marks_singular_points(self, const_field):
         assert any(line.endswith(",inf") for line in ax.field_to_csv(const_field).split("\n"))
+
+    def test_field_csv_pins_the_float_formatting(self):
+        def old_fmt(x):
+            if math.isinf(x):
+                return "inf" if x > 0 else "-inf"
+            if math.isnan(x):
+                return "nan"
+            return "%.17g" % x
+
+        region = ComplexRegion(-0.1 + 0.3j, 1.0, 21)
+        values = np.linspace(-2.0, 3.0, 21 * 21).reshape(21, 21) / 3.0
+        values[0, :5] = [math.inf, -math.inf, math.nan, -0.0, 5e-324]
+        values[7, 7] = 0.0
+        field = ax.ResolventField(region, values)
+        want = ["re,im,value"] + [
+            f"{old_fmt(float(region.xs[ix]))},{old_fmt(float(region.ys[iy]))},"
+            f"{old_fmt(float(values[iy, ix]))}"
+            for iy in range(21)
+            for ix in range(21)
+        ]
+        text = ax.field_to_csv(field)
+        assert text == "\n".join(want) + "\n"
+        assert text.split("\n")[1:6] == [
+            "-1.1000000000000001,-0.69999999999999996,inf",
+            "-1,-0.69999999999999996,-inf",
+            "-0.90000000000000002,-0.69999999999999996,nan",
+            "-0.79999999999999993,-0.69999999999999996,-0",
+            "-0.69999999999999996,-0.69999999999999996,4.9406564584124654e-324",
+        ]
 
     def test_spectrum_dict_shape(self, expr_field):
         estimate = ax.spectrum_estimate(expr_field, 1e-3)
