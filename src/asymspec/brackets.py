@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, OutOfRange
-from .families import FamilySpec, HGrid, constant_family, family_eval_stack, tail_limsup
+from .families import FamilySpec, HGrid, constant_family, family_pair_stacks, tail_limsup
 from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, sub
 
 MAX_ORDER = 60
@@ -53,16 +55,21 @@ def bracket_direct(t: ComplexMatrix, s: ComplexMatrix, n: int) -> ComplexMatrix:
     return ComplexMatrix(acc)
 
 
+def iter_brackets(t: np.ndarray, s: np.ndarray) -> Iterator[np.ndarray]:
+    """Brackets of orders 0, 1, 2, ... of (t, s), endlessly, by the recurrence
+    ``B -> t B - B s`` from I; t and s are matrices or stacks of them."""
+    b = np.eye(t.shape[-1], dtype=np.complex128)
+    while True:
+        yield b
+        b = t @ b - b @ s
+
+
 def bracket_recurrence(t: ComplexMatrix, s: ComplexMatrix, n: int) -> ComplexMatrix:
     """Order-n bracket by the two-sided recurrence ``B -> t B - B s`` from I."""
     if t.dim != s.dim:
         raise DimensionMismatch(f"dimensions differ: {t.dim} vs {s.dim}")
     _check_order(n, MAX_ORDER)
-    b = np.eye(t.dim, dtype=np.complex128)
-    ta, sa = t.array, s.array
-    for _ in range(n):
-        b = ta @ b - b @ sa
-    return ComplexMatrix(b)
+    return ComplexMatrix(next(islice(iter_brackets(t.array, s.array), n, None)))
 
 
 def bracket_compose_check(
@@ -107,19 +114,19 @@ def bracket_sequence(
     The recurrence ``B -> S_h B - B T_h`` runs on the stack of all grid
     samples at once, with one batched norm per order.
     """
-    if sf.dim != tf.dim:
-        raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
+    return stack_bracket_sequence(*family_pair_stacks(sf, tf, grid.samples), grid, n_max)
+
+
+def stack_bracket_sequence(
+    sa: np.ndarray, ta: np.ndarray, grid: HGrid, n_max: int
+) -> BracketSequence:
+    """:func:`bracket_sequence` of a pair already evaluated into grid stacks."""
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
-    sa = family_eval_stack(sf, grid.samples)
-    ta = family_eval_stack(tf, grid.samples)
-    b = np.eye(sf.dim, dtype=np.complex128)
-    norms = []
-    for _ in range(n_max):
-        b = sa @ b - b @ ta
-        norms.append(tail_limsup(spectral_norms(b), grid).value)
+    orders = islice(iter_brackets(sa, ta), 1, n_max + 1)
+    norms = tuple(tail_limsup(spectral_norms(b), grid).value for b in orders)
     roots = tuple(a ** (1.0 / n) for n, a in enumerate(norms, start=1))
-    return BracketSequence(n_max, tuple(norms), roots)
+    return BracketSequence(n_max, norms, roots)
 
 
 def power_norm_sequence(uf: FamilySpec, grid: HGrid, n_max: int = 24) -> BracketSequence:

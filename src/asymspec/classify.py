@@ -13,16 +13,21 @@ from enum import Enum
 
 import numpy as np
 
-from .brackets import BracketSequence, RootClass, bracket_sequence, power_norm_sequence, root_limit
-from .errors import DimensionMismatch
+from .brackets import (
+    BracketSequence,
+    RootClass,
+    power_norm_sequence,
+    root_limit,
+    stack_bracket_sequence,
+)
 from .families import (
     FamilySpec,
     HGrid,
     TailEstimate,
     default_vanish_tol,
-    family_eval_stack,
+    family_pair_stacks,
     tail_limsup,
-    vanishes,
+    tail_vanishes,
 )
 from .linalg import spectral_norms
 
@@ -51,10 +56,19 @@ class EquivalenceVerdict:
     sequences: tuple[BracketSequence, ...] = ()
 
 
-def _difference_norms(sf: FamilySpec, tf: FamilySpec, grid: HGrid) -> np.ndarray:
-    if sf.dim != tf.dim:
-        raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
-    return spectral_norms(family_eval_stack(sf, grid.samples) - family_eval_stack(tf, grid.samples))
+def _vanishing_verdict(
+    kind: VerdictKind, values: np.ndarray, grid: HGrid, tol: float | None
+) -> EquivalenceVerdict:
+    """HOLDS when the tail of one norm per grid sample vanishes, else FAILS."""
+    if tol is None:
+        tol = default_vanish_tol(values)
+    tail = tail_limsup(values, grid)
+    return EquivalenceVerdict(
+        kind,
+        VerdictResult.HOLDS if tail_vanishes(tail, tol) else VerdictResult.FAILS,
+        both_directions=True,
+        tail=tail,
+    )
 
 
 def asymptotic_equiv(
@@ -64,36 +78,17 @@ def asymptotic_equiv(
 
     The difference norm is symmetric, so one trace certifies both directions.
     """
-    values = _difference_norms(sf, tf, grid)
-    if tol is None:
-        tol = default_vanish_tol(values)
-    holds = vanishes(values, grid, tol)
-    return EquivalenceVerdict(
-        VerdictKind.ASYMPTOTIC_EQUIV,
-        VerdictResult.HOLDS if holds else VerdictResult.FAILS,
-        both_directions=True,
-        tail=tail_limsup(values, grid),
-    )
+    sa, ta = family_pair_stacks(sf, tf, grid.samples)
+    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_EQUIV, spectral_norms(sa - ta), grid, tol)
 
 
 def asymptotic_commuting(
     sf: FamilySpec, tf: FamilySpec, grid: HGrid, tol: float | None = None
 ) -> EquivalenceVerdict:
     """Does the commutator norm of (S_h, T_h) vanish in the tail?"""
-    if sf.dim != tf.dim:
-        raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
-    sa = family_eval_stack(sf, grid.samples)
-    ta = family_eval_stack(tf, grid.samples)
+    sa, ta = family_pair_stacks(sf, tf, grid.samples)
     values = spectral_norms(sa @ ta - ta @ sa)
-    if tol is None:
-        tol = default_vanish_tol(values)
-    holds = vanishes(values, grid, tol)
-    return EquivalenceVerdict(
-        VerdictKind.ASYMPTOTIC_COMMUTING,
-        VerdictResult.HOLDS if holds else VerdictResult.FAILS,
-        both_directions=True,
-        tail=tail_limsup(values, grid),
-    )
+    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_COMMUTING, values, grid, tol)
 
 
 def _roots_verdict(limits: list[RootClass]) -> VerdictResult:
@@ -112,8 +107,9 @@ def quasinilpotent_equiv(
     tol: float = DEFAULT_ROOT_TOL,
 ) -> EquivalenceVerdict:
     """Do the bracket root sequences of BOTH orderings tend to zero?"""
-    seq_st = bracket_sequence(sf, tf, grid, n_max)
-    seq_ts = bracket_sequence(tf, sf, grid, n_max)
+    sa, ta = family_pair_stacks(sf, tf, grid.samples)
+    seq_st = stack_bracket_sequence(sa, ta, grid, n_max)
+    seq_ts = stack_bracket_sequence(ta, sa, grid, n_max)
     result = _roots_verdict(
         [root_limit(seq_st, tol).classification, root_limit(seq_ts, tol).classification]
     )

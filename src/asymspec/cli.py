@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import is_dataclass
 
 from .classify import (
     asymptotic_equiv,
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .exprs import parse_constant, parse_expr
+from .exprs import Var, parse_constant, parse_expr
 from .families import (
     FamilySpec,
     HGrid,
@@ -77,8 +78,6 @@ def _canon(obj, pieces: list[str]) -> None:
         pieces.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, str):
         pieces.append(json.dumps(obj))
-    elif isinstance(obj, bool):  # pragma: no cover - caught above
-        pieces.append("true" if obj else "false")
     elif isinstance(obj, int):
         pieces.append(str(obj))
     elif isinstance(obj, float):
@@ -114,12 +113,21 @@ def canonical_json(obj) -> str:
     return "".join(pieces) + "\n"
 
 
-def _write_artifact(out_dir: str, name: str, text: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+def _emit(args, artifacts: dict[str, str], summary: str | None = None) -> int:
+    """With --out, write the artifacts (file name -> text) there and print the
+    summary line; without it, write the first artifact's text to stdout.
+    Returns the success exit code."""
+    if not args.out:
+        sys.stdout.write(next(iter(artifacts.values())))
+        return 0
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in artifacts.items():
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    if summary is not None:
+        print(summary)
+    print(f"artifacts written to {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -211,40 +219,22 @@ def _cmd_spectrum(args) -> int:
     region, epsilon = _region_from_args(args, fam, grid)
     field = resolvent_norm_field(fam, region, grid)
     estimate = spectrum_estimate(field, epsilon)
-    payload = spectrum_to_dict(estimate)
+    artifacts = {"spectrum.json": canonical_json(spectrum_to_dict(estimate))}
     if args.out:
-        _write_artifact(args.out, "spectrum.json", canonical_json(payload))
-        _write_artifact(args.out, "field.csv", field_to_csv(field))
-        print(f"clusters: {len(estimate.clusters)}")
-        print(f"artifacts written to {args.out}")
-    else:
-        sys.stdout.write(canonical_json(payload))
-    return 0
+        artifacts["field.csv"] = field_to_csv(field)
+    return _emit(args, artifacts, f"clusters: {len(estimate.clusters)}")
 
 
 def _cmd_field(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
     region, _ = _region_from_args(args, fam, grid)
-    field = resolvent_norm_field(fam, region, grid)
-    csv_text = field_to_csv(field)
-    if args.out:
-        _write_artifact(args.out, "field.csv", csv_text)
-        print(f"artifacts written to {args.out}")
-    else:
-        sys.stdout.write(csv_text)
-    return 0
+    return _emit(args, {"field.csv": field_to_csv(resolvent_norm_field(fam, region, grid))})
 
 
 def _emit_verdict(args, verdict) -> int:
-    payload = verdict_to_dict(verdict)
-    if args.out:
-        _write_artifact(args.out, "verdict.json", canonical_json(payload))
-        print(f"{verdict.kind.value}: {verdict.result.value}")
-        print(f"artifacts written to {args.out}")
-    else:
-        sys.stdout.write(canonical_json(payload))
-    return 0
+    summary = f"{verdict.kind.value}: {verdict.result.value}"
+    return _emit(args, {"verdict.json": canonical_json(verdict_to_dict(verdict))}, summary)
 
 
 def _cmd_equiv(args) -> int:
@@ -276,6 +266,8 @@ def _cmd_funcalc(args) -> int:
         ast = parse_expr(args.expr)
     except ParseError as exc:
         raise SchemaError(f"bad --expr: {exc}", path="--expr") from exc
+    if _variables(ast) - {"z"}:
+        raise SchemaError("only the variable z (alias lambda) may appear", path="--expr")
     center = _parse_complex_flag(args.contour_center, "--contour-center")
     contour = ContourSpec(center, args.contour_radius, args.nodes)
 
@@ -316,13 +308,15 @@ def _cmd_funcalc(args) -> int:
         "mapped_centroids": mapped,
         "tail": tail,
     }
-    if args.out:
-        _write_artifact(args.out, "funcalc_report.json", canonical_json(payload))
-        print(f"encloses source spectrum: {str(encloses).lower()}")
-        print(f"artifacts written to {args.out}")
-    else:
-        sys.stdout.write(canonical_json(payload))
-    return 0
+    summary = f"encloses source spectrum: {str(encloses).lower()}"
+    return _emit(args, {"funcalc_report.json": canonical_json(payload)}, summary)
+
+
+def _variables(node) -> set[str]:
+    """Names of the variables an expression tree reads."""
+    if isinstance(node, Var):
+        return {node.name}
+    return set().union(*(_variables(v) for v in vars(node).values() if is_dataclass(v)))
 
 
 def _complex_pair(z: complex) -> tuple[float, float]:
@@ -352,13 +346,8 @@ def _cmd_series(args) -> int:
         "defects_vanish": ok,
         "tail_matrices": tail_matrices,
     }
-    if args.out:
-        _write_artifact(args.out, "series_report.json", canonical_json(payload))
-        print(f"defects vanish: {str(ok).lower()}")
-        print(f"artifacts written to {args.out}")
-    else:
-        sys.stdout.write(canonical_json(payload))
-    return 0
+    summary = f"defects vanish: {str(ok).lower()}"
+    return _emit(args, {"series_report.json": canonical_json(payload)}, summary)
 
 
 def _cmd_verify(args) -> int:
@@ -377,8 +366,7 @@ def _cmd_verify(args) -> int:
                 {"name": r.name, "passed": r.passed, "details": r.details} for r in results
             ],
         }
-        _write_artifact(args.out, "verify_report.json", canonical_json(payload))
-        print(f"artifacts written to {args.out}")
+        _emit(args, {"verify_report.json": canonical_json(payload)})
     return 0 if all_passed else 1
 
 

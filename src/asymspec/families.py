@@ -352,6 +352,15 @@ def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
     return np.stack([family_eval_array(spec, h) for h in hs])
 
 
+def family_pair_stacks(
+    sf: FamilySpec, tf: FamilySpec, hs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both families of a pair stacked at each h in ``hs``; DimensionMismatch if dims differ."""
+    if sf.dim != tf.dim:
+        raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
+    return family_eval_stack(sf, hs), family_eval_stack(tf, hs)
+
+
 # Convenience constructors
 
 

@@ -104,33 +104,25 @@ class _Funcalc(FamilyNode):
 
     Not serializable to JSON; exists so functional-calculus images can be
     fed back into the classifiers and field sweeps like any other family.
-    Results are memoized per parameter value since field sweeps revisit the
-    same tail samples many times.
     """
 
     inner: FamilySpec
     func: ScalarFunc = field(compare=False)
     contour: ContourSpec
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.inner.dim
 
     def _eval(self, h: float) -> np.ndarray:
-        hit = self._cache.get(h)
-        if hit is not None:
-            return hit
         try:
-            out = contour_funcalc(self.inner.node._eval(h), self.func, self.contour).array
+            return contour_funcalc(self.inner.node._eval(h), self.func, self.contour).array
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
-        self._cache[h] = out
-        return out
 
 
 def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> FamilySpec:
-    """The image family h -> f(T_h), lazily evaluated and memoized."""
+    """The image family h -> f(T_h), evaluated by quadrature at each h asked for."""
     return FamilySpec(tf.dim, _Funcalc(tf, f, contour))
 
 

@@ -153,19 +153,24 @@ class Inverse:
     residual: float
 
 
+def solve_inverse_stack(a: np.ndarray) -> tuple[np.ndarray, list[Inverse | None]]:
+    """:func:`solve_inverse` on each member of a stack (k, n, n): the inverses of
+    :func:`inverse_stack` (NaN where singular) and one Inverse or None per member."""
+    inv, singular = inverse_stack(a)
+    residuals = np.abs(a @ inv - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    return inv, [
+        None if sing else Inverse(ComplexMatrix(m), float(res))
+        for m, sing, res in zip(inv, singular, residuals)
+    ]
+
+
 def solve_inverse(a) -> Inverse | None:
     """LAPACK inverse; ``None`` signals a singular input (see :func:`is_singular`).
 
     Accepts a ComplexMatrix or a raw square array.
     """
     mat = a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)
-    inv, singular = inverse_stack(mat.array)
-    if singular:
-        return None
-    residual = float(
-        np.abs(mat.array @ inv - np.eye(mat.dim, dtype=np.complex128)).max()
-    )
-    return Inverse(ComplexMatrix(inv), residual)
+    return solve_inverse_stack(mat.array[None])[1][0]
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:

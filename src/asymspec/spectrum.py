@@ -2,9 +2,11 @@
 
 The central object is the resolvent norm field: over a square grid of
 complex points, the tail statistic of h -> ||(lambda I - S_h)^{-1}||.
-Points where that statistic blows up (or where some tail sample is outright
-singular) make up the family spectrum estimate; everything else belongs to
-the family resolvent set.
+Points where that statistic blows up make up the family spectrum estimate;
+everything else belongs to the family resolvent set. One rule governs
+singular samples: inside the tail window a singular sample makes the point
+unresolved (inf, or UnresolvedPoint where a resolvent is needed); outside
+it the sample is ignored, since every limit h -> 0 is read from the window.
 
 Tail statistics only depend on the trailing window of the h-grid, so the
 field sweeps evaluate just those samples, once, in the calling thread. The
@@ -22,27 +24,22 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy import ndimage
 
+from .brackets import iter_brackets
 from .errors import BadParameter, LengthMismatch, UnresolvedPoint
 from .families import (
     FamilySpec,
     HGrid,
     TailEstimate,
-    family_eval_array,
     family_eval_stack,
+    family_pair_stacks,
     tail_limsup,
 )
-from .linalg import (
-    Inverse,
-    inverse_stack,
-    is_singular,
-    operator_norm,
-    solve_inverse,
-    spectral_norms,
-)
+from .linalg import Inverse, inverse_stack, is_singular, solve_inverse_stack, spectral_norms
 
 INF = float("inf")
 
@@ -111,13 +108,8 @@ class ResolventSweep:
 
 def resolvent_at(sf: FamilySpec, lam: complex, grid: HGrid) -> ResolventSweep:
     """Invert (lam I - S_h) at every grid sample. Singular samples become None/inf."""
-    eye = np.eye(sf.dim, dtype=np.complex128)
-    inverses: list[Inverse | None] = []
-    norms: list[float] = []
-    for h in grid.samples:
-        inv = solve_inverse(lam * eye - family_eval_array(sf, h))
-        inverses.append(inv)
-        norms.append(operator_norm(inv.matrix) if inv is not None else INF)
+    r, inverses = solve_inverse_stack(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples))
+    norms = spectral_norms(r).tolist()
     return ResolventSweep(lam, inverses, norms, tail_limsup(norms, grid))
 
 
@@ -137,17 +129,14 @@ def resolvent_defect(
     if len(rf) != grid.count:
         raise LengthMismatch(f"expected {grid.count} candidate matrices, got {len(rf)}")
     eye = np.eye(sf.dim, dtype=np.complex128)
-    left: list[float] = []
-    right: list[float] = []
-    for h, r in zip(grid.samples, rf):
-        if r is None:
-            left.append(INF)
-            right.append(INF)
-            continue
-        a = lam * eye - family_eval_array(sf, h)
-        left.append(operator_norm(a @ r - eye))
-        right.append(operator_norm(r @ a - eye))
-    return tail_limsup(left, grid), tail_limsup(right, grid)
+    r = np.stack([np.full_like(eye, np.nan) if m is None else m for m in rf])
+    return _defects(lam * eye - family_eval_stack(sf, grid.samples), r, grid)
+
+
+def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, TailEstimate]:
+    """Tail norms of a_h r_h - I and r_h a_h - I over the stacks a and r."""
+    eye = np.eye(a.shape[-1])
+    return tuple(tail_limsup(spectral_norms(p - eye), grid) for p in (a @ r, r @ a))
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +275,12 @@ def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate, slack: float = 0.0)
 
 
 def _resolvents(a: np.ndarray, lam: complex, grid: HGrid) -> np.ndarray:
-    """(lam I - a_h)^{-1} for the stacked family values a; UnresolvedPoint if one is singular."""
+    """(lam I - a_h)^{-1} for the stacked family values a, NaN at singular
+    samples; UnresolvedPoint when a tail-window sample is singular."""
     r, singular = inverse_stack(lam * np.eye(a.shape[-1]) - a)
-    if singular.any():
-        h = grid.samples[int(np.argmax(singular))]
+    in_window = singular[-grid.tail_window :]
+    if in_window.any():
+        h = grid.window_samples[int(np.argmax(in_window))]
         raise UnresolvedPoint(f"resolvent missing at h={h!r} for lam={lam}")
     return r
 
@@ -360,34 +351,24 @@ def series_resolvent(
     tail-window sample; a singular sample outside the window gets a NaN
     partial sum and inf norms.
     """
-    if sf.dim != tf.dim:
-        raise BadParameter(f"family dimensions differ: {sf.dim} vs {tf.dim}")
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
-    eye = np.eye(sf.dim, dtype=np.complex128)
-    sa = family_eval_stack(sf, grid.samples)
-    ta = family_eval_stack(tf, grid.samples)
-    r, singular = inverse_stack(lam * eye - ta)
-    if singular[-grid.tail_window :].any():
-        h = grid.window_samples[int(np.argmax(singular[-grid.tail_window :]))]
-        raise UnresolvedPoint(f"lam={lam} not resolved for the source family at h={h!r}")
-
-    bracket = eye
+    sa, ta = family_pair_stacks(sf, tf, grid.samples)
+    r = _resolvents(ta, lam, grid)
     term = total = r_pow = r
     term_tails = [tail_limsup(spectral_norms(term), grid).value]
-    for _ in range(n_terms):
-        bracket = sa @ bracket - bracket @ ta
+    for bracket in islice(iter_brackets(sa, ta), 1, n_terms + 1):
         r_pow = r_pow @ r
         term = bracket @ r_pow
         total = total + term
         term_tails.append(tail_limsup(spectral_norms(term), grid).value)
-    a = lam * eye - sa
+    left, right = _defects(lam * np.eye(sf.dim) - sa, total, grid)
     return SeriesTransport(
         lambda_=lam,
         n_terms=n_terms,
         matrices=list(total),
-        left_defect=tail_limsup(spectral_norms(a @ total - eye), grid),
-        right_defect=tail_limsup(spectral_norms(total @ a - eye), grid),
+        left_defect=left,
+        right_defect=right,
         term_tails=tuple(term_tails),
     )
 

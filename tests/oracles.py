@@ -5,6 +5,10 @@ no code with the package: naive triple loops instead of BLAS, Pascal's
 triangle instead of factorials, cyclic Jacobi rotations instead of power
 iteration, and source-to-source re-evaluation of expression trees.  Slow is
 fine; these only run on small fixtures.
+
+The per-sample resolvent references are the exception: they call the
+package's single-matrix kernels one grid sample at a time, so that the
+stacked sweeps can be held to them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from asymspec import exprs
+from asymspec.families import family_eval_array
+from asymspec.linalg import operator_norm, solve_inverse
 
 
 def matmul_loops(a, b):
@@ -133,3 +141,28 @@ def eval_rendered(node, bindings) -> complex:
     scope = {"cmath": cmath, "__builtins__": {}}
     scope.update({name: complex(value) for name, value in bindings.items()})
     return complex(eval(source, scope))
+
+
+def resolvent_at_per_sample(sf, lam, grid):
+    """Inverses and norms of lam I - S_h, one sample at a time: the solve_inverse
+    result (None where singular) and its operator norm (inf where singular)."""
+    eye = np.eye(sf.dim, dtype=np.complex128)
+    inverses = [solve_inverse(lam * eye - family_eval_array(sf, h)) for h in grid.samples]
+    norms = [math.inf if inv is None else operator_norm(inv.matrix) for inv in inverses]
+    return inverses, norms
+
+
+def resolvent_defect_per_sample(sf, rf, lam, grid):
+    """Norms of (lam I - S_h) R_h - I and R_h (lam I - S_h) - I, one sample at
+    a time; a None candidate scores inf on both sides."""
+    eye = np.eye(sf.dim, dtype=np.complex128)
+    left, right = [], []
+    for h, r in zip(grid.samples, rf):
+        if r is None:
+            left.append(math.inf)
+            right.append(math.inf)
+            continue
+        a = lam * eye - family_eval_array(sf, h)
+        left.append(operator_norm(a @ r - eye))
+        right.append(operator_norm(r @ a - eye))
+    return left, right

@@ -358,6 +358,23 @@ class TestConfigErrors:
         assert code == 2
         assert json.loads(err)["field"] == "--region-center"
 
+    def test_funcalc_expr_with_h_rejected_before_any_sweep(self, capsys, two_point):
+        code, out, err = run(
+            capsys,
+            "funcalc",
+            "--family",
+            two_point,
+            "--expr",
+            "z*h",
+            "--contour-center",
+            "0.5",
+            "--contour-radius",
+            "2.2",
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == "--expr"
+
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2
 

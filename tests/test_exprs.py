@@ -55,6 +55,9 @@ class TestPrecedence:
         assert value("8-3-2") == 3 + 0j
         assert value("8/4/2") == 1 + 0j
 
+    def test_chained_powers_are_left_associative(self):
+        assert value("z^2^3", z=2.0) == 64 + 0j
+
     def test_parentheses_override(self):
         assert value("(2+3)*4") == 20 + 0j
 

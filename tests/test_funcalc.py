@@ -125,21 +125,17 @@ class TestFamilyFuncalc:
             want = np.diag([1.0, (2.0 + h) ** 2])
             assert entry_gap(ax.family_eval(fam, h), want) <= 1e-8
 
-    def test_repeated_evaluation_reuses_cache(self):
+    def test_qequiv_evaluates_each_sample_once(self, coarse_grid):
         calls = []
 
         def counting(z):
             calls.append(z)
             return z
 
-        fam = ax.family_funcalc(
-            ax.diag_family(["1", "2+h"]), counting, ContourSpec(1.5 + 0j, 2.0, 64)
-        )
-        first = ax.family_eval(fam, 0.5)
-        after_first = len(calls)
-        second = ax.family_eval(fam, 0.5)
-        assert len(calls) == after_first
-        assert np.array_equal(first.array, second.array)
+        contour = ContourSpec(1.5 + 0j, 2.0, 64)
+        image = ax.family_funcalc(ax.diag_family(["1", "2+h"]), counting, contour)
+        ax.quasinilpotent_equiv(image, ax.diag_family(["1", "2"]), coarse_grid, n_max=8)
+        assert len(calls) == contour.nodes * coarse_grid.count
 
     def test_singular_h_reports_which_sample(self):
         # the eigenvalue 1+h crosses the radius-1.25 contour exactly at h=0.25

@@ -5,10 +5,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymspec as ax
+import oracles
 from asymspec import families, funcalc, linalg, spectrum
-from asymspec.errors import BadParameter, UnresolvedPoint
+from asymspec.errors import BadParameter, DimensionMismatch, UnresolvedPoint
 from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
 
@@ -327,6 +330,65 @@ class TestFieldInvariants:
                 assert const_field.values[iy, ix] >= 1.0 / (abs(lam) + upper) - 1e-12
 
 
+@st.composite
+def resolvent_cases(draw):
+    """A triangular family diag(d) + N + h diag(e), a grid and a point lam.
+
+    Half the cases put lam on an eigenvalue at one grid sample, so that the
+    shifted matrix there has an exact zero on its diagonal.
+    """
+    dim = draw(st.integers(1, 8))
+    count = draw(st.integers(4, 20))
+    ratio = draw(st.sampled_from([0.5, 0.8]))
+    grid = ax.geometric_grid(1.0, ratio, count, draw(st.integers(1, count)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    upper = draw(st.sampled_from([0.0, 1.0])) * np.triu(cplx(dim, dim), 1)
+    fam = ax.family_sum(
+        ax.constant_family(np.diag(cplx(dim)) + upper),
+        ax.h_scaled(ax.constant_family(np.diag(rng.normal(size=dim)))),
+    )
+    if draw(st.booleans()):
+        h = grid.samples[draw(st.integers(0, count - 1))]
+        k = draw(st.integers(0, dim - 1))
+        lam = complex(families.family_eval_array(fam, h)[k, k])
+    else:
+        part = st.floats(-3.0, 3.0, allow_nan=False)
+        lam = complex(draw(part), draw(part))
+    return fam, lam, grid, rng
+
+
+class TestStackedResolvents:
+    @settings(max_examples=80, deadline=None)
+    @given(resolvent_cases())
+    def test_match_per_sample_reference(self, case):
+        fam, lam, grid, rng = case
+        sweep = ax.resolvent_at(fam, lam, grid)
+        inverses, norms = oracles.resolvent_at_per_sample(fam, lam, grid)
+        assert sweep.norms == norms
+        assert sweep.tail == ax.tail_limsup(norms, grid)
+        assert [inv is None for inv in sweep.inverses] == [inv is None for inv in inverses]
+        for got, want in zip(sweep.inverses, inverses):
+            if want is not None:
+                assert np.array_equal(got.matrix.array, want.matrix.array)
+                assert got.residual == want.residual
+
+        # candidates: the exact inverses, bumped by O(h), with some dropped
+        bump = rng.normal(size=(fam.dim, fam.dim))
+        rf = [
+            None if inv is None or rng.random() < 0.2 else inv.matrix.array + h * bump
+            for inv, h in zip(inverses, grid.samples)
+        ]
+        left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
+        assert ax.resolvent_defect(fam, rf, lam, grid) == (
+            ax.tail_limsup(left, grid),
+            ax.tail_limsup(right, grid),
+        )
+
+
 class TestResolventIdentities:
     def test_equation_residual_exact(self, const_two_point, grid20):
         lam, mu = 0j, 3.5 + 0.5j
@@ -373,6 +435,18 @@ class TestResolventIdentities:
     def test_commutation_unresolved_rejected(self, const_two_point, grid20):
         with pytest.raises(UnresolvedPoint):
             ax.resolvent_commutation_residual(const_two_point, 2.0 + 0j, grid20)
+
+    def test_singular_sample_outside_window_is_ignored(self, grid20):
+        # lam = 1 is an eigenvalue of diag(h) only at h = 1, the first sample
+        fam = ax.diag_family(["h"])
+        residuals = [
+            ax.resolvent_equation_residual(fam, 1.0, 3.0, grid20),
+            ax.resolvent_commutation_residual(fam, 1.0, grid20),
+            ax.resolvent_commutation_residual(fam, 1.0, grid20, mu=3.0),
+        ]
+        for residual in residuals:
+            assert math.isfinite(residual.value)
+            assert residual.value <= 1e-12
 
 
 class TestPointSeparation:
@@ -475,6 +549,12 @@ class TestSeriesResolvent:
     def test_unresolved_source_point_rejected(self, const_two_point, grid20):
         with pytest.raises(UnresolvedPoint):
             ax.series_resolvent(const_two_point, const_two_point, 1.0 + 0j, grid20, 4)
+
+    def test_dimension_mismatch(self, grid20):
+        sf = ax.diag_family(["1", "2"])
+        tf = ax.diag_family(["1"])
+        with pytest.raises(DimensionMismatch):
+            ax.series_resolvent(sf, tf, 4.0 + 0j, grid20, 2)
 
     def test_term_cap(self, const_two_point, grid20):
         with pytest.raises(BadParameter):
