@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadParameter, DimensionMismatch, OutOfRange
-from .families import FamilySpec, HGrid, constant_family, family_pair_stacks, tail_limsup
+from .families import FamilySpec, HGrid, constant_family, family_pair_stacks, window_sup
 from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, sub
 
 MAX_ORDER = 60
@@ -111,8 +111,10 @@ def bracket_sequence(
 ) -> BracketSequence:
     """Per-order tail norms of the brackets of (S_h, T_h) over the grid.
 
-    The recurrence ``B -> S_h B - B T_h`` runs on the stack of all grid
-    samples at once, with one batched norm per order.
+    Both families are evaluated at every grid sample, so an evaluation error
+    anywhere on the grid raises. The recurrence ``B -> S_h B - B T_h`` then
+    runs on the stack of the tail-window samples alone, with one batched
+    norm per order.
     """
     return stack_bracket_sequence(*family_pair_stacks(sf, tf, grid.samples), grid, n_max)
 
@@ -120,11 +122,13 @@ def bracket_sequence(
 def stack_bracket_sequence(
     sa: np.ndarray, ta: np.ndarray, grid: HGrid, n_max: int
 ) -> BracketSequence:
-    """:func:`bracket_sequence` of a pair already evaluated into grid stacks."""
+    """:func:`bracket_sequence` of a pair already evaluated into grid stacks;
+    only their last ``grid.tail_window`` members are read."""
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
-    orders = islice(iter_brackets(sa, ta), 1, n_max + 1)
-    norms = tuple(tail_limsup(spectral_norms(b), grid).value for b in orders)
+    w = grid.tail_window
+    orders = islice(iter_brackets(sa[-w:], ta[-w:]), 1, n_max + 1)
+    norms = tuple(window_sup(spectral_norms(b)) for b in orders)
     roots = tuple(a ** (1.0 / n) for n, a in enumerate(norms, start=1))
     return BracketSequence(n_max, norms, roots)
 

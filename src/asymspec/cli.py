@@ -138,7 +138,7 @@ def _parse_complex_flag(text: str, flag: str) -> complex:
     try:
         return parse_constant(text)
     except ParseError as exc:
-        raise SchemaError(f"bad complex literal for {flag}: {exc}", path=flag) from exc
+        raise SchemaError(f"bad complex literal: {exc}", path=flag) from exc
 
 
 def _load_family(path: str, flag: str) -> FamilySpec:
@@ -146,9 +146,9 @@ def _load_family(path: str, flag: str) -> FamilySpec:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read {flag} file: {exc}", path=flag) from exc
+        raise SchemaError(f"cannot read the file: {exc}", path=flag) from exc
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{flag} file is not valid JSON: {exc}", path=flag) from exc
+        raise SchemaError(f"the file is not valid JSON: {exc}", path=flag) from exc
     return family_from_dict(data)
 
 
@@ -265,7 +265,7 @@ def _cmd_funcalc(args) -> int:
     try:
         ast = parse_expr(args.expr)
     except ParseError as exc:
-        raise SchemaError(f"bad --expr: {exc}", path="--expr") from exc
+        raise SchemaError(f"bad expression: {exc}", path="--expr") from exc
     if _variables(ast) - {"z"}:
         raise SchemaError("only the variable z (alias lambda) may appear", path="--expr")
     center = _parse_complex_flag(args.contour_center, "--contour-center")

@@ -110,16 +110,27 @@ def _window_slope(hs: Sequence[float], values: Sequence[float]) -> float:
 def tail_limsup(values: Sequence[float], grid: HGrid) -> TailEstimate:
     """Tail statistic of one value per grid sample (ordered like the grid).
 
-    Non-finite values inside the window force value ``inf`` with a flat
-    trend; non-finite values outside the window are ignored (only the tail
-    defines the estimate).
+    Only the window defines the estimate: values outside it, finite or not,
+    are ignored (see :func:`window_limsup`).
     """
-    vals = [float(v) for v in values]
-    if len(vals) != grid.count:
-        raise LengthMismatch(f"expected {grid.count} values, got {len(vals)}")
-    window = tuple(vals[-grid.tail_window :])
-    if not all(math.isfinite(v) for v in window):
-        return TailEstimate(math.inf, Trend.FLAT, window)
+    if len(values) != grid.count:
+        raise LengthMismatch(f"expected {grid.count} values, got {len(values)}")
+    return window_limsup(values[-grid.tail_window :], grid)
+
+
+def window_limsup(window: Sequence[float], grid: HGrid) -> TailEstimate:
+    """Tail statistic of one value per tail-window sample (ordered like
+    ``grid.window_samples``). Callers that need nothing but the tail compute
+    these values alone.
+
+    The value is :func:`window_sup`; a non-finite value forces a flat trend.
+    """
+    window = tuple(float(v) for v in window)
+    if len(window) != grid.tail_window:
+        raise LengthMismatch(f"expected {grid.tail_window} window values, got {len(window)}")
+    value = window_sup(window)
+    if not math.isfinite(value):
+        return TailEstimate(value, Trend.FLAT, window)
     slope = _window_slope(grid.window_samples, window)
     if abs(slope) <= TREND_DEADBAND:
         trend = Trend.FLAT
@@ -127,7 +138,14 @@ def tail_limsup(values: Sequence[float], grid: HGrid) -> TailEstimate:
         trend = Trend.DECREASING
     else:
         trend = Trend.INCREASING
-    return TailEstimate(max(window), trend, window)
+    return TailEstimate(value, trend, window)
+
+
+def window_sup(window: Sequence[float]) -> float:
+    """The value of the tail statistic alone, for callers that read no trend:
+    the largest of the window values, or inf when one of them is not finite."""
+    values = [float(v) for v in window]
+    return max(values) if all(math.isfinite(v) for v in values) else math.inf
 
 
 def default_vanish_tol(values: Sequence[float]) -> float:

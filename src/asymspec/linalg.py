@@ -3,9 +3,12 @@
 All operations are pure: inputs are never mutated and results are freshly
 allocated, so matrices can be shared freely. Inverses and norms are LAPACK
 calls through numpy, on one matrix or on a stack of them. One rule decides
-singularity everywhere: ``sigma_min <= SINGULAR_RTOL * sigma_max``.
-Singularity is reported as a value (``solve_inverse`` returns ``None``), not
-as an exception, because downstream resolvent scans treat it as data.
+singularity everywhere: ``sigma_min <= SINGULAR_RTOL * sigma_max``. An
+inverse decides it without singular values where it can: a residual bound
+on the computed inverse certifies most members nonsingular, and only the
+members it leaves undecided get an SVD. Singularity is reported as a value
+(``solve_inverse`` returns ``None``), not as an exception, because
+downstream resolvent scans treat it as data.
 """
 
 from __future__ import annotations
@@ -18,6 +21,18 @@ from .errors import BadParameter, DimensionMismatch, OutOfRange, SchemaError
 
 # A matrix is singular when sigma_min <= SINGULAR_RTOL * sigma_max.
 SINGULAR_RTOL = 1e-14
+
+# Residual certificate for a computed inverse X of a (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002, ch. 14). With R = a X - I and
+# ||R|| < 1, a^{-1} = X (I + R)^{-1}, so sigma_max / sigma_min of a is at
+# most ||a|| ||X|| / (1 - ||R||). Frobenius norms bound the 2-norms, so
+# ||R||_F <= CERTIFIED_RESIDUAL and ||a||_F ||X||_F <= CERTIFIED_NORM_PRODUCT
+# prove sigma_min / sigma_max >= CERTIFIED_RTOL. That is four decades above
+# SINGULAR_RTOL: room for the rounding in R, in the norms and in an SVD,
+# so the singular-value rule would call every certified member nonsingular.
+CERTIFIED_RTOL = 1e4 * SINGULAR_RTOL
+CERTIFIED_RESIDUAL = 0.5
+CERTIFIED_NORM_PRODUCT = (1.0 - CERTIFIED_RESIDUAL) / CERTIFIED_RTOL
 
 
 class ComplexMatrix:
@@ -136,13 +151,51 @@ def is_singular(s: np.ndarray) -> np.ndarray:
     return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
 
 
+def _frobenius_squared(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix in a stack, with no temporaries."""
+    re, im = a.real, a.imag
+    return np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+
+
 def inverse_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack (..., n, n) of matrices, plus the mask of members
-    that are singular under :func:`is_singular`; those members hold NaN."""
-    singular = is_singular(np.linalg.svd(a, compute_uv=False))
-    inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
+    that are singular under :func:`is_singular`; those members hold NaN.
+
+    The rule is decided in two steps. A member whose computed inverse passes
+    the residual certificate (CERTIFIED_RTOL) is nonsingular; only the
+    members it leaves undecided get an SVD. A stack that LAPACK cannot
+    invert at all (an exactly zero pivot) gets an SVD on every member, and
+    the singular ones are inverted as I.
+    """
+    return _inverse_residual_stack(a)[:2]
+
+
+def _inverse_residual_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`inverse_stack` plus the residuals ``a @ X - I`` of the computed
+    inverses X, taken before the singular members are set to NaN."""
+    eye = np.eye(a.shape[-1])
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        # An exactly zero pivot somewhere: decide every member by its SVD.
+        singular = is_singular(np.linalg.svd(a, compute_uv=False))
+        inv = np.linalg.inv(np.where(singular[..., None, None], eye, a))
+        residual = a @ inv - eye
+    else:
+        # A nearly singular member has huge or non-finite entries in X; its
+        # products and norms may overflow, which leaves it undecided.
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = a @ inv
+            residual -= eye
+            undecided = ~(
+                (_frobenius_squared(residual) <= CERTIFIED_RESIDUAL**2)
+                & (_frobenius_squared(a) * _frobenius_squared(inv) <= CERTIFIED_NORM_PRODUCT**2)
+            )
+        singular = np.zeros_like(undecided)
+        if undecided.any():
+            singular[undecided] = is_singular(np.linalg.svd(a[undecided], compute_uv=False))
     inv[singular] = np.nan
-    return inv, singular
+    return inv, singular, residual
 
 
 @dataclass(frozen=True)
@@ -156,8 +209,8 @@ class Inverse:
 def solve_inverse_stack(a: np.ndarray) -> tuple[np.ndarray, list[Inverse | None]]:
     """:func:`solve_inverse` on each member of a stack (k, n, n): the inverses of
     :func:`inverse_stack` (NaN where singular) and one Inverse or None per member."""
-    inv, singular = inverse_stack(a)
-    residuals = np.abs(a @ inv - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    inv, singular, residual = _inverse_residual_stack(a)
+    residuals = np.abs(residual).max(axis=(-2, -1))
     return inv, [
         None if sing else Inverse(ComplexMatrix(m), float(res))
         for m, sing, res in zip(inv, singular, residuals)

@@ -8,12 +8,17 @@ singular samples: inside the tail window a singular sample makes the point
 unresolved (inf, or UnresolvedPoint where a resolvent is needed); outside
 it the sample is ignored, since every limit h -> 0 is read from the window.
 
-Tail statistics only depend on the trailing window of the h-grid, so the
-field sweeps evaluate just those samples, once, in the calling thread. The
-points of the region are independent of one another: a sweep splits them
-into slices and, from dimension THREAD_MIN_DIM up, factors the slices on
-a thread pool sized to the CPUs available to the process, with the same
-kernel for every slice, so the field does not depend on the CPU count.
+Tail statistics only depend on the trailing window of the h-grid, so
+every tail statistic is computed from the window samples alone: the
+resolvent identities and defects invert and take norms there only, and the
+series transport, whose partial sums cover the whole grid, takes its norms
+there. They still evaluate the family at every grid sample, so an
+evaluation error anywhere on the grid raises; the field sweeps evaluate
+just the window samples, once, in the calling thread. The points of the region are
+independent of one another: a sweep splits them into slices and, from
+dimension THREAD_MIN_DIM up, factors the slices on a thread pool sized to
+the CPUs available to the process, with the same kernel for every slice,
+so the field does not depend on the CPU count.
 A full-grid sweep of a single point is still available through
 resolvent_at for diagnostics.
 """
@@ -38,6 +43,8 @@ from .families import (
     family_eval_stack,
     family_pair_stacks,
     tail_limsup,
+    window_limsup,
+    window_sup,
 )
 from .linalg import Inverse, inverse_stack, is_singular, solve_inverse_stack, spectral_norms
 
@@ -125,18 +132,20 @@ def resolvent_defect(
 
     rf supplies one candidate resolvent per grid sample (None marks a sample
     with no candidate; it scores inf and poisons the tail if inside the window).
+    Only the candidates of the window samples are read.
     """
     if len(rf) != grid.count:
         raise LengthMismatch(f"expected {grid.count} candidate matrices, got {len(rf)}")
     eye = np.eye(sf.dim, dtype=np.complex128)
-    r = np.stack([np.full_like(eye, np.nan) if m is None else m for m in rf])
-    return _defects(lam * eye - family_eval_stack(sf, grid.samples), r, grid)
+    w = grid.tail_window
+    r = np.stack([np.full_like(eye, np.nan) if m is None else m for m in rf[-w:]])
+    return _defects(lam * eye - family_eval_stack(sf, grid.samples)[-w:], r, grid)
 
 
 def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, TailEstimate]:
-    """Tail norms of a_h r_h - I and r_h a_h - I over the stacks a and r."""
+    """Tail norms of a_h r_h - I and r_h a_h - I over the window stacks a and r."""
     eye = np.eye(a.shape[-1])
-    return tuple(tail_limsup(spectral_norms(p - eye), grid) for p in (a @ r, r @ a))
+    return tuple(window_limsup(spectral_norms(p - eye), grid) for p in (a @ r, r @ a))
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +284,9 @@ def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate, slack: float = 0.0)
 
 
 def _resolvents(a: np.ndarray, lam: complex, grid: HGrid) -> np.ndarray:
-    """(lam I - a_h)^{-1} for the stacked family values a, NaN at singular
-    samples; UnresolvedPoint when a tail-window sample is singular."""
+    """(lam I - a_h)^{-1} for the stacked family values a, whose last
+    grid.tail_window members are the window samples: NaN at singular
+    samples, UnresolvedPoint when a window sample is singular."""
     r, singular = inverse_stack(lam * np.eye(a.shape[-1]) - a)
     in_window = singular[-grid.tail_window :]
     if in_window.any():
@@ -289,20 +299,20 @@ def resolvent_equation_residual(
     sf: FamilySpec, lam: complex, mu: complex, grid: HGrid
 ) -> TailEstimate:
     """Tail norm of R(lam) - R(mu) - (mu - lam) R(lam) R(mu) over the window."""
-    a = family_eval_stack(sf, grid.samples)
+    a = family_eval_stack(sf, grid.samples)[-grid.tail_window :]
     r_lam = _resolvents(a, lam, grid)
     r_mu = _resolvents(a, mu, grid)
-    return tail_limsup(spectral_norms(r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)), grid)
+    return window_limsup(spectral_norms(r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)), grid)
 
 
 def resolvent_commutation_residual(
     sf: FamilySpec, lam: complex, grid: HGrid, mu: complex | None = None
 ) -> TailEstimate:
-    """Tail norm of [S_h, R(lam)] (mu=None) or [R(lam), R(mu)]."""
-    a = family_eval_stack(sf, grid.samples)
+    """Tail norm of [S_h, R(lam)] (mu=None) or [R(lam), R(mu)] over the window."""
+    a = family_eval_stack(sf, grid.samples)[-grid.tail_window :]
     r_lam = _resolvents(a, lam, grid)
     other = a if mu is None else _resolvents(a, mu, grid)
-    return tail_limsup(spectral_norms(other @ r_lam - r_lam @ other), grid)
+    return window_limsup(spectral_norms(other @ r_lam - r_lam @ other), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,7 @@ MAX_SERIES_TERMS = 30
 class SeriesTransport:
     """Truncated transport of T's resolvent toward S's at one point.
 
-    matrices holds the partial sums per grid sample; the defect estimates
+    matrices holds the partial sums at every grid sample; the defect estimates
     measure (lam I - S_h) Sigma - I and Sigma (lam I - S_h) - I in the tail.
     term_tails holds the tail norm of every summand B_n R^{n+1}, n = 0..N;
     the last of them, last_term_tail, is a truncation gauge.
@@ -349,20 +359,21 @@ def series_resolvent(
 
     Raises UnresolvedPoint when lam is not in T's resolvent set at some
     tail-window sample; a singular sample outside the window gets a NaN
-    partial sum and inf norms.
+    partial sum. The term and defect norms are taken on the window alone.
     """
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
     sa, ta = family_pair_stacks(sf, tf, grid.samples)
+    w = grid.tail_window
     r = _resolvents(ta, lam, grid)
     term = total = r_pow = r
-    term_tails = [tail_limsup(spectral_norms(term), grid).value]
+    term_tails = [window_sup(spectral_norms(term[-w:]))]
     for bracket in islice(iter_brackets(sa, ta), 1, n_terms + 1):
         r_pow = r_pow @ r
         term = bracket @ r_pow
         total = total + term
-        term_tails.append(tail_limsup(spectral_norms(term), grid).value)
-    left, right = _defects(lam * np.eye(sf.dim) - sa, total, grid)
+        term_tails.append(window_sup(spectral_norms(term[-w:])))
+    left, right = _defects(lam * np.eye(sf.dim) - sa[-w:], total[-w:], grid)
     return SeriesTransport(
         lambda_=lam,
         n_terms=n_terms,

@@ -8,7 +8,9 @@ fine; these only run on small fixtures.
 
 The per-sample resolvent references are the exception: they call the
 package's single-matrix kernels one grid sample at a time, so that the
-stacked sweeps can be held to them bit for bit.
+stacked sweeps can be held to them bit for bit. So is the SVD-rule
+inverse, which decides singularity by singular values alone, so that the
+certified inverse can be held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from asymspec import exprs
 from asymspec.families import family_eval_array
-from asymspec.linalg import operator_norm, solve_inverse
+from asymspec.linalg import SINGULAR_RTOL, operator_norm, solve_inverse
 
 
 def matmul_loops(a, b):
@@ -166,3 +168,14 @@ def resolvent_defect_per_sample(sf, rf, lam, grid):
         left.append(operator_norm(a @ r - eye))
         right.append(operator_norm(r @ a - eye))
     return left, right
+
+
+def svd_rule_inverse_stack(a):
+    """Inverses of a stack (..., n, n) and the singular mask, deciding every
+    member by its singular values: sigma_min <= SINGULAR_RTOL * sigma_max.
+    Singular members are inverted as I, then set to NaN."""
+    s = np.linalg.svd(a, compute_uv=False)
+    singular = s[..., -1] <= SINGULAR_RTOL * s[..., 0]
+    inv = np.linalg.inv(np.where(singular[..., None, None], np.eye(a.shape[-1]), a))
+    inv[singular] = np.nan
+    return inv, singular

@@ -1,11 +1,15 @@
 """The bracket operation, its identities, and root-sequence classification."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymspec as ax
 import oracles
-from asymspec import brackets, linalg
+from asymspec import brackets, families, linalg
 from asymspec.brackets import BracketSequence, RootClass
 from asymspec.errors import BadParameter, DimensionMismatch, OutOfRange
 from asymspec.linalg import ComplexMatrix
@@ -182,6 +186,31 @@ class TestBracketSequence:
         f = ax.diag_family(["h"])
         with pytest.raises(OutOfRange):
             ax.bracket_sequence(f, f, coarse_grid, n_max=41)
+
+
+@st.composite
+def random_pairs(draw):
+    """T against T + hR for random T and R at dims 2-8, on the default or a deep grid."""
+    dim = draw(st.integers(2, 8))
+    scale = 0.3 / np.sqrt(dim)
+    tf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    rf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    sf = ax.family_sum(tf, ax.h_scaled(rf))
+    grid = draw(st.sampled_from([ax.geometric_grid(), ax.geometric_grid(1.0, 0.5, 36, 6)]))
+    return (sf, tf, grid) if draw(st.booleans()) else (tf, sf, grid)
+
+
+class TestWindowOnlySequence:
+    @settings(max_examples=30, deadline=None)
+    @given(random_pairs())
+    def test_equals_full_grid_reference(self, pair):
+        sf, tf, grid = pair
+        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        orders = islice(brackets.iter_brackets(sa, ta), 1, 25)
+        want = tuple(ax.tail_limsup(linalg.spectral_norms(b), grid).value for b in orders)
+        seq = ax.bracket_sequence(sf, tf, grid, n_max=24)
+        assert seq.norms == want
+        assert seq.roots == tuple(a ** (1.0 / n) for n, a in enumerate(want, start=1))
 
 
 class TestPowerNormSequence:

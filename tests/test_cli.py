@@ -375,6 +375,29 @@ class TestConfigErrors:
         assert out == ""
         assert json.loads(err)["field"] == "--expr"
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--expr", ["funcalc", "--family", "{family}", "--expr", "z^",
+                        "--contour-center", "0.5", "--contour-radius", "2.2"]),
+            ("--region-center", ["spectrum", "--family", "{family}", "--region-center",
+                                 "1.5+*2i", "--region-half-width", "2", "--resolution", "21"]),
+            ("--family", ["qnil", "--family", "{missing}"]),
+            ("--family", ["qnil", "--family", "{not_json}"]),
+        ],
+        ids=["bad-expr", "bad-region-center", "missing-family", "non-json-family"],
+    )
+    def test_error_names_the_flag_once(self, capsys, two_point, tmp_path, flag, argv):
+        not_json = tmp_path / "not_json.json"
+        not_json.write_text("{")
+        paths = {"family": two_point, "missing": str(tmp_path / "missing.json"),
+                 "not_json": str(not_json)}
+        code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["field"] == flag
+        assert payload["error"].count(flag) == 1
+
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2
 

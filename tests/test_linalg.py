@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from asymspec import linalg
@@ -114,6 +116,67 @@ class TestSolveInverse:
         assert np.isnan(inv[1]).all()
         assert np.allclose(inv[0] @ good, np.eye(3), atol=1e-12)
         assert np.allclose(inv[2], 0.5 * inv[0], atol=1e-12)
+
+
+# sigma_min / sigma_max of the members the inverse property draws: exactly
+# singular, far below, at and around, and above the SINGULAR_RTOL cutoff,
+# including the ratios the residual certificate leaves undecided (1e-10).
+CONDITION_RATIOS = [
+    0.0,
+    1e-17,
+    1e-15,
+    *(linalg.SINGULAR_RTOL + k * np.spacing(linalg.SINGULAR_RTOL) for k in (-3, -1, 0, 1, 3)),
+    1e-12,
+    1e-10,
+    1e-8,
+    1.0,
+]
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+@st.composite
+def conditioned_stacks(draw):
+    """Stacks of U diag(sigma) V^H with a drawn sigma_min / sigma_max and
+    scale; some members get a zero row, which LAPACK's inv refuses."""
+    dim = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = []
+    for ratio in draw(st.lists(st.sampled_from(CONDITION_RATIOS), min_size=1, max_size=6)):
+        sigma = np.sort(rng.uniform(ratio, 1.0, dim))[::-1]
+        sigma[0] = 1.0
+        sigma[-1] = ratio
+        scale = draw(st.sampled_from([1e-100, 1.0, 1e100]))
+        m = scale * (random_unitary(rng, dim) * sigma) @ random_unitary(rng, dim).conj().T
+        if draw(st.integers(0, 9)) == 0:
+            m[draw(st.integers(0, dim - 1))] = 0.0
+        members.append(m)
+    return np.stack(members)
+
+
+class TestCertifiedInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(conditioned_stacks())
+    def test_matches_svd_rule_reference(self, stack):
+        inv, singular = linalg.inverse_stack(stack)
+        want_inv, want_singular = oracles.svd_rule_inverse_stack(stack)
+        assert (singular == want_singular).all()
+        assert np.array_equal(inv, want_inv, equal_nan=True)
+
+    def test_well_conditioned_stack_takes_no_svd(self, rng, monkeypatch):
+        stack = np.stack([random_matrix(rng, 6).array for _ in range(20)])
+        want_inv, _ = oracles.svd_rule_inverse_stack(stack)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("inverse_stack took an SVD")
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        inv, singular = linalg.inverse_stack(stack)
+        assert not singular.any()
+        assert np.array_equal(inv, want_inv)
 
 
 class TestOperatorNorm:

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 import asymspec as ax
 import oracles
-from asymspec import families, funcalc, linalg, spectrum
-from asymspec.errors import BadParameter, DimensionMismatch, UnresolvedPoint
+from asymspec import brackets, families, funcalc, linalg, spectrum
+from asymspec.errors import BadParameter, DimensionMismatch, ExprError, UnresolvedPoint
 from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
 
@@ -559,6 +560,85 @@ class TestSeriesResolvent:
     def test_term_cap(self, const_two_point, grid20):
         with pytest.raises(BadParameter):
             ax.series_resolvent(const_two_point, const_two_point, 0j, grid20, 31)
+
+
+@st.composite
+def window_cases(draw):
+    """T + hR and T for random T and R at dims 2-8, on the default or a deep
+    grid, with two points |lam| = 3 and |mu| = 2.5 in both resolvent sets."""
+    dim = draw(st.integers(2, 8))
+    scale = 0.3 / np.sqrt(dim)
+    tf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    rf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    sf = ax.family_sum(tf, ax.h_scaled(rf))
+    grid = draw(st.sampled_from([ax.geometric_grid(), ax.geometric_grid(1.0, 0.5, 36, 6)]))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    lam = 3.0 * complex(math.cos(draw(angle)), math.sin(draw(angle)))
+    mu = 2.5 * complex(math.cos(draw(angle)), math.sin(draw(angle)))
+    return sf, tf, grid, lam, mu
+
+
+def full_grid_tail(stack, grid):
+    """Reference: the norm at every grid sample, then the tail statistic."""
+    return ax.tail_limsup(linalg.spectral_norms(stack), grid)
+
+
+class TestWindowOnlyTails:
+    @settings(max_examples=30, deadline=None)
+    @given(window_cases())
+    def test_identities_equal_full_grid_reference(self, case):
+        sf, _, grid, lam, mu = case
+        a = families.family_eval_stack(sf, grid.samples)
+        eye = np.eye(sf.dim)
+        r_lam = linalg.inverse_stack(lam * eye - a)[0]
+        r_mu = linalg.inverse_stack(mu * eye - a)[0]
+        assert ax.resolvent_equation_residual(sf, lam, mu, grid) == full_grid_tail(
+            r_lam - r_mu - (mu - lam) * (r_lam @ r_mu), grid
+        )
+        assert ax.resolvent_commutation_residual(sf, lam, grid) == full_grid_tail(
+            a @ r_lam - r_lam @ a, grid
+        )
+        assert ax.resolvent_commutation_residual(sf, lam, grid, mu) == full_grid_tail(
+            r_mu @ r_lam - r_lam @ r_mu, grid
+        )
+        # candidates: the resolvents at mu, off by O(|lam - mu|)
+        assert ax.resolvent_defect(sf, list(r_mu), lam, grid) == (
+            full_grid_tail((lam * eye - a) @ r_mu - eye, grid),
+            full_grid_tail(r_mu @ (lam * eye - a) - eye, grid),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(window_cases())
+    def test_series_equals_full_grid_reference(self, case):
+        sf, tf, grid, lam, _ = case
+        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        eye = np.eye(sf.dim)
+        r = linalg.inverse_stack(lam * eye - ta)[0]
+        term = total = r_pow = r
+        term_tails = [full_grid_tail(term, grid).value]
+        for bracket in islice(brackets.iter_brackets(sa, ta), 1, 9):
+            r_pow = r_pow @ r
+            term = bracket @ r_pow
+            total = total + term
+            term_tails.append(full_grid_tail(term, grid).value)
+        tr = ax.series_resolvent(sf, tf, lam, grid, 8)
+        assert tr.term_tails == tuple(term_tails)
+        assert (tr.left_defect, tr.right_defect) == (
+            full_grid_tail((lam * eye - sa) @ total - eye, grid),
+            full_grid_tail(total @ (lam * eye - sa) - eye, grid),
+        )
+        assert len(tr.matrices) == grid.count
+        assert all(np.array_equal(m, want) for m, want in zip(tr.matrices, total))
+
+    def test_evaluation_error_outside_window_still_raises(self, grid20):
+        # exp(1000 h) overflows at h = 1 only, far outside the tail window
+        fam = ax.diag_family(["exp(1000*h)"])
+        with pytest.raises(ExprError):
+            ax.bracket_sequence(fam, fam, grid20)
+        with pytest.raises(ExprError):
+            ax.resolvent_equation_residual(fam, 0.5j, 1j, grid20)
+        with pytest.raises(ExprError):
+            ax.series_resolvent(fam, fam, 0.5j, grid20, 3)
 
 
 class TestQuotientNormBounds:
