@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .families import (
     TailEstimate,
     default_vanish_tol,
     family_pair_stacks,
-    tail_limsup,
     tail_vanishes,
+    window_limsup,
 )
 from .linalg import spectral_norms
 
@@ -57,12 +58,26 @@ class EquivalenceVerdict:
 
 
 def _vanishing_verdict(
-    kind: VerdictKind, values: np.ndarray, grid: HGrid, tol: float | None
+    kind: VerdictKind,
+    sf: FamilySpec,
+    tf: FamilySpec,
+    grid: HGrid,
+    tol: float | None,
+    combine: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> EquivalenceVerdict:
-    """HOLDS when the tail of one norm per grid sample vanishes, else FAILS."""
+    """HOLDS when the norm of ``combine(S_h, T_h)`` vanishes in the tail,
+    else FAILS.
+
+    Both families are evaluated on the whole grid, so an evaluation error
+    anywhere still raises. ``combine`` and the norms run only where they are
+    read: on the tail window, and on the first sample when the tolerance
+    scales with it (default_vanish_tol).
+    """
+    sa, ta = family_pair_stacks(sf, tf, grid.samples)
     if tol is None:
-        tol = default_vanish_tol(values)
-    tail = tail_limsup(values, grid)
+        tol = default_vanish_tol(spectral_norms(combine(sa[:1], ta[:1])))
+    window = slice(-grid.tail_window, None)
+    tail = window_limsup(spectral_norms(combine(sa[window], ta[window])), grid)
     return EquivalenceVerdict(
         kind,
         VerdictResult.HOLDS if tail_vanishes(tail, tol) else VerdictResult.FAILS,
@@ -78,17 +93,18 @@ def asymptotic_equiv(
 
     The difference norm is symmetric, so one trace certifies both directions.
     """
-    sa, ta = family_pair_stacks(sf, tf, grid.samples)
-    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_EQUIV, spectral_norms(sa - ta), grid, tol)
+    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_EQUIV, sf, tf, grid, tol, np.subtract)
 
 
 def asymptotic_commuting(
     sf: FamilySpec, tf: FamilySpec, grid: HGrid, tol: float | None = None
 ) -> EquivalenceVerdict:
     """Does the commutator norm of (S_h, T_h) vanish in the tail?"""
-    sa, ta = family_pair_stacks(sf, tf, grid.samples)
-    values = spectral_norms(sa @ ta - ta @ sa)
-    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_COMMUTING, values, grid, tol)
+    return _vanishing_verdict(VerdictKind.ASYMPTOTIC_COMMUTING, sf, tf, grid, tol, _commutator)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
 
 
 def _roots_verdict(limits: list[RootClass]) -> VerdictResult:

@@ -406,11 +406,16 @@ def quotient_norm_bounds(sf: FamilySpec, grid: HGrid) -> NormBounds:
 
 
 def field_to_csv(field: ResolventField) -> str:
-    """CSV dump, header re,im,value, rows in y-major order matching values."""
-    xs = field.region.xs.tolist()
+    """CSV dump, header re,im,value, rows in y-major order matching values.
+
+    Each coordinate is formatted once (x per region, y per row); a cell
+    formats only its value. Every number is written as "%.17g".
+    """
+    xs = ["%.17g," % x for x in field.region.xs.tolist()]
     lines = ["re,im,value"]
     for y, row in zip(field.region.ys.tolist(), field.values.tolist()):
-        lines.extend("%.17g,%.17g,%.17g" % (x, y, v) for x, v in zip(xs, row))
+        y_part = "%.17g," % y
+        lines.extend(x + y_part + "%.17g" % v for x, v in zip(xs, row))
     return "\n".join(lines) + "\n"
 
 

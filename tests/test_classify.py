@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymspec as ax
-from asymspec import linalg
+from asymspec import families, linalg
 from asymspec.brackets import RootClass
 from asymspec.classify import VerdictKind, VerdictResult
 from asymspec.errors import DimensionMismatch
@@ -83,6 +85,74 @@ class TestAsymptoticCommuting:
         b = ComplexMatrix(rng.normal(size=(3, 3)) + 0j)
         tf = ax.family_sum(sf, ax.h_scaled(ax.constant_family(b)))
         assert ax.asymptotic_commuting(uf, tf, grid).result is VerdictResult.HOLDS
+
+
+@st.composite
+def vanishing_cases(draw):
+    """A random pair at dims 2-8 (T against T + hR, or T against T + R), a
+    grid (default, or with tail_window == count), and a tolerance: None, or
+    a multiple of the full-grid tail value so both verdicts occur."""
+    dim = draw(st.integers(2, 8))
+    scale = 0.3 / np.sqrt(dim)
+    tf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    rf = ax.random_family(dim, draw(st.integers(0, 2**31 - 1)), scale)
+    sf = ax.family_sum(tf, ax.h_scaled(rf) if draw(st.booleans()) else rf)
+    grid = draw(st.sampled_from([ax.geometric_grid(), ax.geometric_grid(1.0, 0.5, 6, 6)]))
+    tol_factor = draw(st.sampled_from([None, 0.5, 1.0, 2.0]))
+    return sf, tf, grid, tol_factor
+
+
+def full_grid_vanishing_reference(stack, grid, tol_factor):
+    """The verdict from norms at every grid sample, as computed before norms
+    were restricted to the samples the verdict reads."""
+    values = linalg.spectral_norms(stack)
+    tail = ax.tail_limsup(values, grid)
+    tol = families.default_vanish_tol(values) if tol_factor is None else tol_factor * tail.value
+    result = VerdictResult.HOLDS if ax.tail_vanishes(tail, tol) else VerdictResult.FAILS
+    return tol, result, tail
+
+
+class TestVanishingNormsWhereRead:
+    @settings(max_examples=40, deadline=None)
+    @given(vanishing_cases())
+    def test_equals_full_grid_reference(self, case):
+        sf, tf, grid, tol_factor = case
+        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        for classifier, kind, stack in (
+            (ax.asymptotic_equiv, VerdictKind.ASYMPTOTIC_EQUIV, sa - ta),
+            (ax.asymptotic_commuting, VerdictKind.ASYMPTOTIC_COMMUTING, sa @ ta - ta @ sa),
+        ):
+            tol, result, tail = full_grid_vanishing_reference(stack, grid, tol_factor)
+            verdict = classifier(sf, tf, grid, tol=None if tol_factor is None else tol)
+            assert verdict.kind is kind
+            assert verdict.result is result
+            assert verdict.tail == tail
+
+    def test_default_tol_reads_the_first_sample(self, grid):
+        # the tail (0.071) sits between the default tolerance taken at h = 1
+        # (1e-4 * 1001) and one taken inside the window (about 1e-4 * 1.07)
+        sf, tf = ax.diag_family(["1000*h + 0.01"]), ax.diag_family(["0"])
+        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        _, result, tail = full_grid_vanishing_reference(sa - ta, grid, None)
+        verdict = ax.asymptotic_equiv(sf, tf, grid)
+        assert verdict.result is result is VerdictResult.HOLDS
+        assert verdict.tail == tail
+
+    def test_norms_only_at_read_samples(self, grid, base_plus_h, monkeypatch):
+        sf, tf = base_plus_h
+        sizes = []
+        norms = linalg.spectral_norms
+
+        def counting(a):
+            sizes.append(len(a))
+            return norms(a)
+
+        monkeypatch.setattr("asymspec.classify.spectral_norms", counting)
+        ax.asymptotic_equiv(sf, tf, grid, tol=1e-3)
+        assert sizes == [grid.tail_window]
+        sizes.clear()
+        ax.asymptotic_commuting(sf, tf, grid)
+        assert sorted(sizes) == [1, grid.tail_window]
 
 
 class TestQuasinilpotentEquiv:

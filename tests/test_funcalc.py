@@ -101,6 +101,32 @@ class TestContourFuncalc:
         gap = linalg.sub(linalg.mul(ft, gt), linalg.mul(gt, ft))
         assert linalg.max_abs(gap) <= 1e-8
 
+    @pytest.mark.parametrize("nodes", [64, 256])
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    def test_matches_explicit_trapezoid_sum(self, rng, dim, nodes):
+        data = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        t = ComplexMatrix(data / np.sqrt(dim))
+        contour = ContourSpec(0.1 + 0.2j, linalg.operator_norm(t) + 1.0, nodes)
+        got = funcalc.contour_funcalc(t, cmath.exp, contour).array
+        want = np.zeros((dim, dim), dtype=np.complex128)
+        for k, lam in enumerate(contour.points()):
+            w = cmath.exp(2j * cmath.pi * k / nodes) * cmath.exp(lam)
+            want += w * np.linalg.inv(lam * np.eye(dim) - t.array)
+        want *= contour.radius / nodes
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_sum_makes_no_blas_product_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quadrature sum must not call a BLAS product")
+
+        monkeypatch.setattr(np, "tensordot", forbidden)
+        monkeypatch.setattr(np, "dot", forbidden)
+        t = ComplexMatrix(np.arange(16.0).reshape(4, 4) / 16.0)
+        contour = ContourSpec(0j, linalg.operator_norm(t) + 1.0, 128)
+        funcalc.contour_funcalc(t, cmath.exp, contour)
+        image = ax.family_funcalc(ax.constant_family(t), cmath.exp, contour)
+        ax.family_eval(image, 0.5)
+
     def test_eigenvalue_on_contour_rejected(self):
         t = ComplexMatrix.diagonal([1.0, 2.0])
         # node 0 sits at exactly 1+0j
@@ -135,7 +161,18 @@ class TestFamilyFuncalc:
         contour = ContourSpec(1.5 + 0j, 2.0, 64)
         image = ax.family_funcalc(ax.diag_family(["1", "2+h"]), counting, contour)
         ax.quasinilpotent_equiv(image, ax.diag_family(["1", "2"]), coarse_grid, n_max=8)
-        assert len(calls) == contour.nodes * coarse_grid.count
+        # the weights f(lambda_k) do not depend on h: one call per node for the family
+        assert len(calls) == contour.nodes
+
+    def test_error_from_f_raises_at_evaluation(self):
+        def failing(z):
+            raise ZeroDivisionError("f is undefined here")
+
+        contour = ContourSpec(1.5 + 0j, 2.0, 64)
+        image = ax.family_funcalc(ax.diag_family(["1", "2+h"]), failing, contour)
+        for h in (0.5, 0.25):
+            with pytest.raises(ZeroDivisionError):
+                ax.family_eval(image, h)
 
     def test_singular_h_reports_which_sample(self):
         # the eigenvalue 1+h crosses the radius-1.25 contour exactly at h=0.25

@@ -706,6 +706,18 @@ class TestSerializationHelpers:
             "-0.69999999999999996,-0.69999999999999996,4.9406564584124654e-324",
         ]
 
+    def test_field_csv_equals_per_cell_formula(self, rng):
+        region = ComplexRegion(0j, 1.6, 101)
+        values = np.exp(3.0 * rng.normal(size=(101, 101)))
+        values[50, 50] = values[0, 100] = values[37, :3] = math.inf
+        field = ax.ResolventField(region, values)
+        lines = ["re,im,value"]
+        for iy, y in enumerate(region.ys):
+            for ix, x in enumerate(region.xs):
+                lines.append("%.17g,%.17g,%.17g" % (x, y, values[iy, ix]))
+        want = ("\n".join(lines) + "\n").encode()
+        assert ax.field_to_csv(field).encode() == want
+
     def test_spectrum_dict_shape(self, expr_field):
         estimate = ax.spectrum_estimate(expr_field, 1e-3)
         data = ax.spectrum_to_dict(estimate)
