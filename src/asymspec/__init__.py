@@ -66,7 +66,6 @@ from .families import (
     h_scaled,
     jordan_family,
     random_family,
-    scalar_trace,
     tail_limsup,
     tail_vanishes,
     vanishes,

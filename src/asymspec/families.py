@@ -5,6 +5,13 @@ complex matrix of fixed dimension. Limits as ``h -> 0`` are replaced by
 statistics over a finite geometric sampling grid: the value of a trace "in
 the tail" is the maximum over the last ``tail_window`` samples, and its trend
 is the sign of the least-squares slope of those samples against ``log h``.
+
+Every recipe node evaluates a whole stack at once: ``_eval(hs)`` takes a 1-d
+float array of k samples of h and returns the (k, n, n) complex stack of the
+node's values at those samples, in the order of ``hs``. Fixed matrices
+broadcast, ``h_scaled`` multiplies by ``hs``, and sums and products combine
+their children's stacks. :func:`family_eval_stack` is the one evaluator: it
+alone checks that every h lies in (0, 1] and that every value is finite.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -166,17 +174,6 @@ def vanishes(values: Sequence[float], grid: HGrid, tol: float) -> bool:
     return tail_vanishes(tail_limsup(values, grid), tol)
 
 
-def scalar_trace(func: Callable[[float], float], grid: HGrid) -> list[float]:
-    """Evaluate a scalar function at every grid sample, in grid order."""
-    out = []
-    for h in grid.samples:
-        try:
-            out.append(float(func(h)))
-        except Exception as exc:
-            raise TraceError(h, str(exc)) from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Family recipe nodes
 
@@ -188,8 +185,14 @@ class FamilyNode:
     def dim(self) -> int:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _eval(self, h: float) -> np.ndarray:  # pragma: no cover - overridden
+    def _eval(self, hs: np.ndarray) -> np.ndarray:  # pragma: no cover - overridden
+        """The (k, n, n) stack of values at the k samples ``hs``. Do not mutate it."""
         raise NotImplementedError
+
+
+def _fixed(matrix: ComplexMatrix, hs: np.ndarray) -> np.ndarray:
+    """An h-independent matrix at every sample, as a read-only broadcast view."""
+    return np.broadcast_to(matrix.array, (len(hs), matrix.dim, matrix.dim))
 
 
 @dataclass(frozen=True)
@@ -200,8 +203,8 @@ class Constant(FamilyNode):
     def dim(self) -> int:
         return self.matrix.dim
 
-    def _eval(self, h: float) -> np.ndarray:
-        return self.matrix.array
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return _fixed(self.matrix, hs)
 
 
 @dataclass(frozen=True)
@@ -217,13 +220,17 @@ class Jordan(FamilyNode):
     def dim(self) -> int:
         return self.size
 
-    def _eval(self, h: float) -> np.ndarray:
-        return self._matrix.array
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return _fixed(self._matrix, hs)
 
 
 @dataclass(frozen=True)
 class DiagExpr(FamilyNode):
-    """Diagonal family whose entries are expressions in the free variable h."""
+    """Diagonal family whose entries are expressions in the free variable h.
+
+    The entries are scalar expressions, so they are evaluated one h at a
+    time, in the order of ``hs``; an error names the entry and the h.
+    """
 
     entries: tuple[str, ...]
     _asts: tuple[FuncExpr, ...] = field(init=False, repr=False, compare=False)
@@ -237,14 +244,19 @@ class DiagExpr(FamilyNode):
     def dim(self) -> int:
         return len(self.entries)
 
-    def _eval(self, h: float) -> np.ndarray:
-        values = []
-        for i, ast in enumerate(self._asts):
-            try:
-                values.append(eval_expr(ast, {"h": complex(h)}))
-            except Exception as exc:
-                raise ExprError(f"entry {i} ({self.entries[i]!r}) at h={h!r}: {exc}") from exc
-        return np.diag(np.asarray(values, dtype=np.complex128))
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        values = np.empty((len(hs), self.dim), dtype=np.complex128)
+        for k, h in enumerate(hs.tolist()):
+            for i, ast in enumerate(self._asts):
+                try:
+                    value = eval_expr(ast, {"h": complex(h)})
+                except Exception as exc:
+                    raise ExprError(f"entry {i} ({self.entries[i]!r}) at h={h!r}: {exc}") from exc
+                values[k, i] = value
+        out = np.zeros((len(hs), self.dim, self.dim), dtype=np.complex128)
+        diagonal = np.arange(self.dim)
+        out[:, diagonal, diagonal] = values
+        return out
 
 
 @dataclass(frozen=True)
@@ -255,8 +267,8 @@ class HScaled(FamilyNode):
     def dim(self) -> int:
         return self.inner.dim
 
-    def _eval(self, h: float) -> np.ndarray:
-        return h * self.inner._eval(h)
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return hs[:, None, None] * self.inner._eval(hs)
 
 
 @dataclass(frozen=True)
@@ -274,11 +286,8 @@ class Sum(FamilyNode):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, h: float) -> np.ndarray:
-        acc = self.children[0]._eval(h).copy()
-        for child in self.children[1:]:
-            acc += child._eval(h)
-        return acc
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return reduce(np.add, (child._eval(hs) for child in self.children))
 
 
 @dataclass(frozen=True)
@@ -296,11 +305,8 @@ class Product(FamilyNode):
     def dim(self) -> int:
         return self.children[0].dim
 
-    def _eval(self, h: float) -> np.ndarray:
-        acc = self.children[0]._eval(h)
-        for child in self.children[1:]:
-            acc = acc @ child._eval(h)
-        return acc
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return reduce(np.matmul, (child._eval(hs) for child in self.children))
 
 
 @dataclass(frozen=True)
@@ -329,8 +335,8 @@ class SeededRandom(FamilyNode):
     def dim(self) -> int:
         return self.size
 
-    def _eval(self, h: float) -> np.ndarray:
-        return self._matrix.array
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        return _fixed(self._matrix, hs)
 
 
 @dataclass(frozen=True)
@@ -347,27 +353,32 @@ class FamilySpec:
             )
 
 
+def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
+    """The family at each h in ``hs``, stacked along a new first axis. Do not
+    mutate it.
+
+    Raises BadParameter naming the first h outside (0, 1], and TraceError
+    naming the first h whose value has a non-finite entry (an overflow).
+    """
+    hs = np.asarray(hs, dtype=np.float64)
+    outside = ~((hs > 0.0) & (hs <= 1.0))
+    if outside.any():
+        raise BadParameter(f"h must lie in (0, 1], got {float(hs[outside.argmax()])!r}")
+    value = spec.node._eval(hs)
+    finite = np.isfinite(value).all(axis=(1, 2))
+    if not finite.all():
+        raise TraceError(float(hs[finite.argmin()]), "the family value has a non-finite entry")
+    return value
+
+
 def family_eval(spec: FamilySpec, h: float) -> ComplexMatrix:
     """Evaluate the family at a parameter value in (0, 1]."""
     return ComplexMatrix(family_eval_array(spec, h))
 
 
 def family_eval_array(spec: FamilySpec, h: float) -> np.ndarray:
-    """Like :func:`family_eval` but returns the raw array. Do not mutate it.
-
-    Raises TraceError when the value overflows to a non-finite entry.
-    """
-    if not 0.0 < h <= 1.0:
-        raise BadParameter(f"h must lie in (0, 1], got {h!r}")
-    value = spec.node._eval(float(h))
-    if not np.isfinite(value).all():
-        raise TraceError(h, "the family value has a non-finite entry")
-    return value
-
-
-def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
-    """The family at each h in ``hs``, stacked along a new first axis."""
-    return np.stack([family_eval_array(spec, h) for h in hs])
+    """Like :func:`family_eval` but returns the raw array. Do not mutate it."""
+    return family_eval_stack(spec, (h,))[0]
 
 
 def family_pair_stacks(

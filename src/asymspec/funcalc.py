@@ -128,8 +128,9 @@ class _Funcalc(FamilyNode):
 
     Not serializable to JSON; exists so functional-calculus images can be
     fed back into the classifiers and field sweeps like any other family.
-    The weights do not depend on h: they are computed on the first
-    evaluation (so errors from ``func`` surface there) and kept.
+    The inner family is evaluated once per call, as one stack. The weights
+    do not depend on h: they are computed on the first evaluation (so errors
+    from ``func`` surface there) and kept.
     """
 
     inner: FamilySpec
@@ -144,10 +145,16 @@ class _Funcalc(FamilyNode):
     def _weights(self) -> np.ndarray:
         return _contour_weights(self.func, self.contour)
 
-    def _eval(self, h: float) -> np.ndarray:
-        t = ComplexMatrix(self.inner.node._eval(h))
+    def _eval(self, hs: np.ndarray) -> np.ndarray:
+        # One stack of the inner family, then one quadrature per member, in
+        # _quadrature's batches of MIN_NODES nodes.
+        return np.stack(
+            [self._image(h, t) for h, t in zip(hs.tolist(), self.inner.node._eval(hs))]
+        )
+
+    def _image(self, h: float, t: np.ndarray) -> np.ndarray:
         try:
-            return _quadrature(t, self._weights, self.contour).array
+            return _quadrature(ComplexMatrix(t), self._weights, self.contour).array
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
 

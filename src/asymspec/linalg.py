@@ -63,9 +63,6 @@ class ComplexMatrix:
         """Read-only complex128 view of the entries."""
         return self._a
 
-    def adjoint(self) -> "ComplexMatrix":
-        return ComplexMatrix(self._a.conj().T)
-
     @staticmethod
     def identity(dim: int) -> "ComplexMatrix":
         return ComplexMatrix(np.eye(dim, dtype=np.complex128))
@@ -96,28 +93,10 @@ def jordan_block(dim: int, eigenvalue: complex) -> ComplexMatrix:
     return ComplexMatrix(a)
 
 
-def _check_same_dim(a: ComplexMatrix, b: ComplexMatrix) -> None:
+def sub(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-
-
-def add(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _check_same_dim(a, b)
-    return ComplexMatrix(a.array + b.array)
-
-
-def sub(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _check_same_dim(a, b)
     return ComplexMatrix(a.array - b.array)
-
-
-def mul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    _check_same_dim(a, b)
-    return ComplexMatrix(a.array @ b.array)
-
-
-def scale(a: ComplexMatrix, factor: complex) -> ComplexMatrix:
-    return ComplexMatrix(complex(factor) * a.array)
 
 
 def matrix_power(a: ComplexMatrix, n: int) -> ComplexMatrix:

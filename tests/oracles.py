@@ -8,9 +8,12 @@ fine; these only run on small fixtures.
 
 The per-sample resolvent references are the exception: they call the
 package's single-matrix kernels one grid sample at a time, so that the
-stacked sweeps can be held to them bit for bit. So is the SVD-rule
-inverse, which decides singularity by singular values alone, so that the
-certified inverse can be held to it bit for bit.
+stacked sweeps can be held to them bit for bit. So is the per-sample family
+evaluator, which walks a recipe tree one h at a time (the quadrature of a
+functional-calculus image included), so that the stacked evaluator can be
+held to it bit for bit. So is the SVD-rule inverse, which decides
+singularity by singular values alone, so that the certified inverse can be
+held to it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import math
 
 import numpy as np
 
-from asymspec import exprs
+from asymspec import exprs, families, funcalc
+from asymspec.errors import BadParameter, ExprError, SingularOnContour, TraceError
 from asymspec.families import family_eval_array
-from asymspec.linalg import SINGULAR_RTOL, operator_norm, solve_inverse
+from asymspec.linalg import SINGULAR_RTOL, ComplexMatrix, operator_norm, solve_inverse
 
 
 def matmul_loops(a, b):
@@ -143,6 +147,55 @@ def eval_rendered(node, bindings) -> complex:
     scope = {"cmath": cmath, "__builtins__": {}}
     scope.update({name: complex(value) for name, value in bindings.items()})
     return complex(eval(source, scope))
+
+
+def node_at(node, h: float) -> np.ndarray:
+    """One recipe node's value at one h, by recursion over the tree."""
+    if isinstance(node, families.Constant):
+        return node.matrix.array
+    if isinstance(node, (families.Jordan, families.SeededRandom)):
+        return node._matrix.array
+    if isinstance(node, families.DiagExpr):
+        values = []
+        for i, ast in enumerate(node._asts):
+            try:
+                values.append(exprs.eval_expr(ast, {"h": complex(h)}))
+            except Exception as exc:
+                raise ExprError(f"entry {i} ({node.entries[i]!r}) at h={h!r}: {exc}") from exc
+        return np.diag(np.asarray(values, dtype=np.complex128))
+    if isinstance(node, families.HScaled):
+        return h * node_at(node.inner, h)
+    if isinstance(node, families.Sum):
+        acc = node_at(node.children[0], h).copy()
+        for child in node.children[1:]:
+            acc += node_at(child, h)
+        return acc
+    if isinstance(node, families.Product):
+        acc = node_at(node.children[0], h)
+        for child in node.children[1:]:
+            acc = acc @ node_at(child, h)
+        return acc
+    if isinstance(node, funcalc._Funcalc):
+        t = ComplexMatrix(node_at(node.inner.node, h))
+        try:
+            return funcalc._quadrature(t, node._weights, node.contour).array
+        except SingularOnContour as exc:
+            raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
+    raise TypeError(f"unknown node {type(node).__name__}")
+
+
+def family_eval_per_sample(spec, hs) -> np.ndarray:
+    """The family at each h in ``hs``, one h at a time, stacked: range check,
+    tree recursion, then finiteness check, sample by sample."""
+    out = []
+    for h in hs:
+        if not 0.0 < h <= 1.0:
+            raise BadParameter(f"h must lie in (0, 1], got {h!r}")
+        value = node_at(spec.node, float(h))
+        if not np.isfinite(value).all():
+            raise TraceError(h, "the family value has a non-finite entry")
+        out.append(value)
+    return np.stack(out)
 
 
 def resolvent_at_per_sample(sf, lam, grid):

@@ -160,7 +160,7 @@ class TestQuasinilpotentEquiv:
         eye = ComplexMatrix.identity(3)
         nil = linalg.jordan_block(3, 0.0)
         tf = ax.constant_family(eye)
-        sf = ax.constant_family(linalg.add(eye, nil))
+        sf = ax.constant_family(eye.array + nil.array)
         verdict = ax.quasinilpotent_equiv(sf, tf, grid, n_max=10)
         assert verdict.result is VerdictResult.HOLDS
         assert verdict.both_directions
@@ -189,7 +189,7 @@ class TestQuasinilpotentEquiv:
         eye = ComplexMatrix.identity(3)
         nil = linalg.jordan_block(3, 0.0)
         tf = ax.constant_family(eye)
-        sf = ax.constant_family(linalg.add(eye, nil))
+        sf = ax.constant_family(eye.array + nil.array)
         st = ax.quasinilpotent_equiv(sf, tf, grid, n_max=10).result
         ts = ax.quasinilpotent_equiv(tf, sf, grid, n_max=10).result
         assert st == ts == VerdictResult.HOLDS
@@ -250,7 +250,7 @@ class TestStability:
         eye = ComplexMatrix.identity(3)
         nil = linalg.jordan_block(3, 0.0)
         tf = ax.constant_family(eye)
-        sf = ax.constant_family(linalg.add(eye, nil))
+        sf = ax.constant_family(eye.array + nil.array)
         return sf, tf
 
     def test_additive_perturbation_preserves_equivalence(self, grid, nilpotent_pair):
@@ -265,9 +265,7 @@ class TestStability:
         # any polynomial in the same Jordan block commutes with both members
         sf, tf = nilpotent_pair
         nil = linalg.jordan_block(3, 0.0)
-        factor = linalg.add(
-            linalg.scale(ComplexMatrix.identity(3), 0.7), linalg.scale(nil, 0.3)
-        )
+        factor = 0.7 * np.eye(3) + 0.3 * nil.array
         af = ax.constant_family(factor)
         scaled_s = ax.family_product(sf, af)
         scaled_t = ax.family_product(tf, af)

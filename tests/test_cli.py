@@ -257,7 +257,12 @@ class TestFuncalcCommand:
             "2",
         )
         assert code == 3
-        assert json.loads(err)["kind"] == "NonEnclosing"
+        assert json.loads(err) == {
+            "error": "contour does not enclose every spectrum cluster with margin 0.95; "
+            "widen the radius or recenter",
+            "kind": "NonEnclosing",
+        }
+        assert out == ""
 
 
 class TestSeriesCommand:

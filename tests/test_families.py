@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymspec as ax
+import oracles
 from asymspec import families, linalg
 from asymspec.errors import (
     BadParameter,
@@ -15,7 +18,9 @@ from asymspec.errors import (
     SchemaError,
     TraceError,
 )
+from asymspec.exprs import parse_expr
 from asymspec.families import Trend
+from asymspec.funcalc import ContourSpec, expr_function
 from asymspec.linalg import ComplexMatrix
 
 
@@ -68,15 +73,15 @@ class TestFamilyEval:
         b = ax.random_family(2, seed=3, scale=0.5)
         total = ax.family_sum(a, b)
         for h in (1.0, 0.5, 0.125):
-            want = linalg.add(ax.family_eval(a, h), ax.family_eval(b, h))
-            assert np.array_equal(ax.family_eval(total, h).array, want.array)
+            want = ax.family_eval(a, h).array + ax.family_eval(b, h).array
+            assert np.array_equal(ax.family_eval(total, h).array, want)
 
     def test_product_matches_ring_mul(self, rng):
         a = ax.constant_family(ComplexMatrix(rng.normal(size=(2, 2)) + 0j))
         b = ax.jordan_family(2, 0.5)
         prod = ax.family_product(a, b)
-        want = linalg.mul(ax.family_eval(a, 0.25), ax.family_eval(b, 0.25))
-        assert np.array_equal(ax.family_eval(prod, 0.25).array, want.array)
+        want = ax.family_eval(a, 0.25).array @ ax.family_eval(b, 0.25).array
+        assert np.array_equal(ax.family_eval(prod, 0.25).array, want)
 
     def test_jordan_family_is_constant_block(self):
         f = ax.jordan_family(3, 0.8)
@@ -108,36 +113,111 @@ class TestFamilyEval:
 
 
 class TestScalarTrace:
-    def test_identity_trace(self):
-        g = ax.geometric_grid(1.0, 0.5, 4, 2)
-        assert families.scalar_trace(lambda h: h, g) == [1.0, 0.5, 0.25, 0.125]
-
     def test_zero_difference_trace(self, coarse_grid):
         f = ax.diag_family(["h", "1"])
-        values = families.scalar_trace(
-            lambda h: linalg.max_abs(
-                linalg.sub(ax.family_eval(f, h), ax.family_eval(f, h))
-            ),
-            coarse_grid,
-        )
+        values = [
+            linalg.max_abs(linalg.sub(ax.family_eval(f, h), ax.family_eval(f, h)))
+            for h in coarse_grid.samples
+        ]
         assert values == [0.0] * coarse_grid.count
 
     def test_diag_h_norm_equals_samples(self, coarse_grid):
         f = ax.diag_family(["h"])
-        values = families.scalar_trace(
-            lambda h: linalg.operator_norm(ax.family_eval(f, h)), coarse_grid
-        )
+        values = [linalg.operator_norm(ax.family_eval(f, h)) for h in coarse_grid.samples]
         assert np.allclose(values, coarse_grid.samples, rtol=1e-12)
 
-    def test_failure_carries_offending_h(self, coarse_grid):
-        def boom(h):
-            if h < 0.2:
-                raise ValueError("nope")
-            return h
 
-        with pytest.raises(TraceError) as err:
-            families.scalar_trace(boom, coarse_grid)
-        assert err.value.h == 0.125
+# Random recipe trees: every node kind, depth <= 3, moderate entries so that
+# products of products stay finite.
+ENTRIES = ["1", "2+h", "h^2 - 3*h", "exp(h)", "(1+2*h)/(3-h)", "-h*exp(-2i*h)", "0.5i"]
+DEFAULT_GRID = ax.geometric_grid()
+LONG_GRID = ax.geometric_grid(count=36)
+
+
+def leaves(dim):
+    def constant(seed):
+        rng = np.random.default_rng(seed)
+        return ax.constant_family(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+    def random(seed, scale):
+        return ax.random_family(dim, seed, scale)
+
+    return st.one_of(
+        st.integers(0, 2**16).map(constant),
+        st.complex_numbers(max_magnitude=2.0).map(lambda z: ax.jordan_family(dim, z)),
+        st.lists(st.sampled_from(ENTRIES), min_size=dim, max_size=dim).map(ax.diag_family),
+        st.builds(random, st.integers(0, 2**16), st.floats(0.1, 1.0)),
+    )
+
+
+def trees(dim, depth=3):
+    if depth == 0:
+        return leaves(dim)
+    sub = trees(dim, depth - 1)
+    children = st.lists(sub, min_size=1, max_size=3)
+    return st.one_of(
+        leaves(dim),
+        sub.map(ax.h_scaled),
+        children.map(lambda c: ax.family_sum(*c)),
+        children.map(lambda c: ax.family_product(*c)),
+    )
+
+
+@st.composite
+def families_and_samples(draw):
+    spec = draw(st.integers(1, 6).flatmap(trees))
+    hs = draw(
+        st.one_of(
+            st.just(DEFAULT_GRID.samples),
+            st.just(LONG_GRID.samples),
+            st.lists(st.sampled_from(DEFAULT_GRID.samples), min_size=1, max_size=25),
+            st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=12),
+        )
+    )
+    if draw(st.booleans()):
+        # a functional-calculus image; the circle clears every inner value's norm
+        radius = 1.0 + max(linalg.operator_norm(oracles.node_at(spec.node, h)) for h in hs)
+        # exp of a far-out node would overflow
+        funcs = ["z^2", "z - 1"] + (["exp(z)"] if radius <= 20.0 else [])
+        f = expr_function(parse_expr(draw(st.sampled_from(funcs))))
+        spec = ax.family_funcalc(spec, f, ContourSpec(0j, radius, 64))
+    return spec, hs
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=150, deadline=None)
+    @given(families_and_samples())
+    def test_stack_is_the_per_sample_recursion_bit_for_bit(self, case):
+        spec, hs = case
+        got = families.family_eval_stack(spec, hs)
+        assert got.shape == (len(hs), spec.dim, spec.dim)
+        assert np.array_equal(got, oracles.family_eval_per_sample(spec, hs))
+
+    def test_h_outside_range_names_first_bad_h(self):
+        f = ax.diag_family(["h"])
+        for hs, bad in [((0.5, 1.5, 0.0), "1.5"), ((0.25, 0.0), "0.0"), ((-0.5,), "-0.5")]:
+            with pytest.raises(BadParameter) as err:
+                families.family_eval_stack(f, hs)
+            assert str(err.value).endswith(f"got {bad}")
+
+    def test_expression_overflow_keeps_type_and_h(self):
+        # exp(100), exp(500) are finite; exp(1000) overflows at the third h
+        f = ax.diag_family(["1", "exp(1000*h)"])
+        hs = (0.1, 0.5, 1.0, 0.7)
+        for evaluate in (families.family_eval_stack, oracles.family_eval_per_sample):
+            with pytest.raises(ExprError) as err:
+                evaluate(f, hs)
+            assert "entry 1 ('exp(1000*h)') at h=1.0:" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_product_overflow_keeps_type_and_h(self):
+        huge = ax.family_product(
+            ax.random_family(2, seed=1, scale=1e200), ax.random_family(2, seed=2, scale=1e200)
+        )
+        for evaluate in (families.family_eval_stack, oracles.family_eval_per_sample):
+            with pytest.raises(TraceError) as err:
+                evaluate(huge, (0.25, 0.5))
+            assert err.value.h == 0.25
 
 
 class TestTailLimsup:
