@@ -95,12 +95,10 @@ from .spectrum import (
     ResolventField,
     SeriesTransport,
     SpectrumEstimate,
-    cluster_near,
     clusters_match,
     default_epsilon,
     default_region,
     field_to_csv,
-    point_resolved,
     quotient_norm_bounds,
     resolvent_at,
     resolvent_commutation_residual,

@@ -2,11 +2,14 @@
 
 All operations are pure: inputs are never mutated and results are freshly
 allocated, so matrices can be shared freely. Inverses and norms are LAPACK
-calls through numpy, on one matrix or on a stack of them. One rule decides
-singularity everywhere: ``sigma_min <= SINGULAR_RTOL * sigma_max``. An
-inverse decides it without singular values where it can: a residual bound
-on the computed inverse certifies most members nonsingular, and only the
-members it leaves undecided get an SVD. Singularity is reported as a value
+calls through numpy, on one matrix or on a stack of them; the singular
+values of 2x2 matrices also have a closed form, for the resolvent field
+sweeps, which would otherwise spend their time in LAPACK's cost per call.
+One rule decides singularity everywhere:
+``sigma_min <= SINGULAR_RTOL * sigma_max``. An inverse decides it without
+singular values where it can: a residual bound on the computed inverse
+certifies most members nonsingular, and only the members it leaves
+undecided get an SVD. Singularity is reported as a value
 (``solve_inverse`` returns ``None``), not as an exception, because
 downstream resolvent scans treat it as data.
 """
@@ -121,13 +124,58 @@ def max_abs(a: ComplexMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# inverses and norms on LAPACK
+# singular values, inverses and norms
 
 
 def is_singular(s: np.ndarray) -> np.ndarray:
     """The singularity rule, applied to singular values ``s`` (..., n) in
     descending order: ``sigma_min <= SINGULAR_RTOL * sigma_max``."""
     return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
+
+
+def singular_values_2x2(a, b, c, d) -> np.ndarray:
+    """Singular values of the 2x2 matrices [[a, b], [c, d]], for complex entry
+    arrays that broadcast together, as (..., 2) in descending order like
+    ``np.linalg.svd(..., compute_uv=False)``. Closed form, no LAPACK call.
+
+    Each matrix is divided by the power of two just above its largest entry
+    magnitude, which is exact and leaves no product below able to overflow;
+    one that underflows feeds only a singular value far below the
+    singularity cutoff. A Givens rotation on the first column then leaves an
+    upper-triangular [[f, g], [0, h]] with f = hypot(|a|, |c|),
+    g = |conj(a) b + conj(c) d| / f and h = |a d - b c| / f, and LAPACK
+    dlas2's formulas (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990)
+    give its singular values.
+    """
+    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
+    _, exponent = np.frexp(np.maximum(np.maximum(ma, md), np.maximum(mb, mc)))
+    # the floor keeps 1 / scale finite when every entry is subnormal
+    inv = np.ldexp(1.0, -np.maximum(exponent, -1021))
+    a, b, c, d = a * inv, b * inv, c * inv, d * inv
+    f = np.hypot(ma * inv, mc * inv)
+    # A first column below 2^-1000 after the scaling counts as zero, since
+    # its products with the second column could lose bits below the normal
+    # range: sigma_max is then the second column's norm, off by less than
+    # 2^-1000 of itself, and sigma_min < 2^-997 sigma_max is singular.
+    negligible = f < 2.0**-1000
+    f[negligible] = 1.0
+    g = np.abs(a.conj() * b + c.conj() * d) / f
+    h = np.abs(a * d - b * c) / f
+    # dlas2 on (f, g, h). Its branches for ga < fhmx and ga >= fhmx are one
+    # formula normalised by t = max(fhmx, ga), so that one of p, q is 1; its
+    # fhmn = 0 branch is that formula at r = 0, and its branch for fhmx / ga
+    # underflowing gives a sigma_min that underflows after the scaling, as
+    # this formula's does.
+    fmin, fmax = np.minimum(f, h), np.maximum(f, h)
+    t = np.maximum(fmax, g)
+    p, q = fmax / t, g / t
+    r = fmin / fmax
+    q *= q
+    s = np.sqrt(((1.0 + r) * p) ** 2 + q) + np.sqrt(((1.0 - r) * p) ** 2 + q)
+    sigma = np.stack([0.5 * t * s, 2.0 * fmin * p / s], axis=-1)
+    sigma[negligible, 0] = np.hypot((mb * inv)[negligible], (md * inv)[negligible])
+    sigma /= inv[..., None]
+    return sigma
 
 
 def _frobenius_squared(a: np.ndarray) -> np.ndarray:

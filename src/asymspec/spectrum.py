@@ -18,7 +18,10 @@ just the window samples, once, in the calling thread. The points of the region a
 independent of one another: a sweep splits them into slices and, from
 dimension THREAD_MIN_DIM up, factors the slices on a thread pool sized to
 the CPUs available to the process, with the same kernel for every slice,
-so the field does not depend on the CPU count.
+so the field does not depend on the CPU count. Dimension-2 sweeps take no
+LAPACK call: a closed form (a Givens rotation, then LAPACK dlas2's
+formulas) gives the singular values of several rows of shifted matrices
+at once, in the calling thread, within a few eps sigma_max of LAPACK's.
 A full-grid sweep of a single point is still available through
 resolvent_at for diagnostics.
 """
@@ -46,7 +49,14 @@ from .families import (
     window_limsup,
     window_sup,
 )
-from .linalg import Inverse, inverse_stack, is_singular, solve_inverse_stack, spectral_norms
+from .linalg import (
+    Inverse,
+    inverse_stack,
+    is_singular,
+    singular_values_2x2,
+    solve_inverse_stack,
+    spectral_norms,
+)
 
 INF = float("inf")
 
@@ -120,11 +130,6 @@ def resolvent_at(sf: FamilySpec, lam: complex, grid: HGrid) -> ResolventSweep:
     return ResolventSweep(lam, inverses, norms, tail_limsup(norms, grid))
 
 
-def point_resolved(sweep: ResolventSweep) -> bool:
-    """True when the tail stays finite, i.e. the point sits in the resolvent set."""
-    return math.isfinite(sweep.tail.value)
-
-
 def resolvent_defect(
     sf: FamilySpec, rf: list[np.ndarray | None], lam: complex, grid: HGrid
 ) -> tuple[TailEstimate, TailEstimate]:
@@ -152,10 +157,19 @@ def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, T
 # field sweeps
 
 # Smallest family dimension whose field sweep runs on the thread pool. At
-# dims 2 and 3 a slice's SVDs are too short for the GIL-free LAPACK time to
+# dim 3 a slice's SVDs are too short for the GIL-free LAPACK time to
 # outweigh the hand-offs between threads: two threads ran no faster and
 # varied far more from one sweep to the next, while dim 4 ran 1.6x faster.
+# Dim 2 takes no LAPACK call at all (see ROWS_PER_SLICE_2X2).
 THREAD_MIN_DIM = 4
+
+# Region rows per slice of a dimension-2 sweep, which takes its singular
+# values in closed form (linalg.singular_values_2x2) in the calling thread.
+# That kernel makes a few dozen numpy passes per slice. On a 101^2 sweep with
+# a 6-sample window (2-vCPU x86-64), one row per slice took 10.6 ms, bound by
+# Python's per-call cost; eight rows took 5.5 ms with a 1.3 MB traced peak;
+# the whole field as one slice took 12.3 ms and 13 MB.
+ROWS_PER_SLICE_2X2 = 8
 
 
 def _cpu_count() -> int:
@@ -170,21 +184,35 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     """Sweep the tail resolvent norm max_h 1/sigma_min(lam I - S_h) over the region.
 
     Each tail-window matrix is evaluated once, in the calling thread. The
-    region's points, in y-major order, are cut into slices of
-    ceil(resolution / workers) points, one worker thread per available CPU
-    from dimension THREAD_MIN_DIM up; below it the calling thread sweeps
-    one row per slice. One batched SVD per slice gives sigma_min at every
-    (point, window sample) of the slice; a sample that is singular under
-    linalg.is_singular makes its point inf. Every point goes through the
-    same kernel whatever slice it lands in, so the field is the same for
-    any worker count, and the slices in flight at once hold one row's worth
-    of shifted matrices.
+    region's points, in y-major order, are cut into slices, and each slice
+    gets the singular values of lam I - S_h at every (point, window sample)
+    in one call; a sample that is singular under linalg.is_singular makes
+    its point inf. At dimension 2 that call is the closed form
+    linalg.singular_values_2x2, within a few eps sigma_max of LAPACK, on
+    slices of ROWS_PER_SLICE_2X2 rows in the calling thread. Otherwise it is
+    one batched SVD: from dimension THREAD_MIN_DIM up on slices of
+    ceil(resolution / workers) points, one worker thread per available CPU,
+    and below it on one row per slice in the calling thread. Every point
+    goes through the same kernel whatever slice it lands in, so the field is
+    the same for any worker count, and the slices in flight at once hold
+    about one row's worth of shifted matrices (eight rows at dimension 2).
     """
     window = family_eval_stack(sf, grid.window_samples)
-    eye = np.eye(sf.dim)
+    if sf.dim == 2:
+        s11, s22 = window[:, 0, 0], window[:, 1, 1]
+        b, c = -window[:, 0, 1], -window[:, 1, 0]
+
+        def singular_values(lams: np.ndarray) -> np.ndarray:
+            return singular_values_2x2(lams - s11, b, c, lams - s22)
+
+    else:
+        eye = np.eye(sf.dim)
+
+        def singular_values(lams: np.ndarray) -> np.ndarray:
+            return np.linalg.svd(lams[..., None, None] * eye - window, compute_uv=False)
 
     def tail_norms(lams: np.ndarray) -> np.ndarray:
-        s = np.linalg.svd(lams[:, None, None, None] * eye - window, compute_uv=False)
+        s = singular_values(lams[:, None])
         sigma_min = s[..., -1]
         norms = np.divide(1.0, sigma_min, out=np.full_like(sigma_min, INF), where=~is_singular(s))
         return norms.max(axis=1)
@@ -192,7 +220,7 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     n = region.resolution
     lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
     workers = _cpu_count() if sf.dim >= THREAD_MIN_DIM else 1
-    step = -(-n // workers)
+    step = n * ROWS_PER_SLICE_2X2 if sf.dim == 2 else -(-n // workers)
     slices = [lams[i : i + step] for i in range(0, lams.size, step)]
     if workers == 1:
         values = np.concatenate([tail_norms(chunk) for chunk in slices])
@@ -254,18 +282,6 @@ def spectrum_estimate(field: ResolventField, epsilon: float) -> SpectrumEstimate
         clusters.append(Cluster(centroid, radius, int(pts.size)))
     clusters.sort(key=lambda c: (c.centroid.real, c.centroid.imag))
     return SpectrumEstimate(field.region, epsilon, tuple(clusters), flagged)
-
-
-def cluster_near(estimate: SpectrumEstimate, point: complex, slack: float = 0.0) -> Cluster | None:
-    """Cluster whose centroid lies within radius + grid spacing + slack of the point."""
-    spacing = estimate.region.spacing
-    best = None
-    best_d = INF
-    for c in estimate.clusters:
-        d = abs(c.centroid - point)
-        if d <= c.radius + spacing + slack + 1e-9 and d < best_d:
-            best, best_d = c, d
-    return best
 
 
 def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate, slack: float = 0.0) -> bool:
@@ -449,13 +465,11 @@ __all__ = [
     "SeriesTransport",
     "NormBounds",
     "resolvent_at",
-    "point_resolved",
     "resolvent_defect",
     "resolvent_norm_field",
     "default_epsilon",
     "default_region",
     "spectrum_estimate",
-    "cluster_near",
     "clusters_match",
     "resolvent_equation_residual",
     "resolvent_commutation_residual",
