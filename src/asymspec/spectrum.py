@@ -18,12 +18,14 @@ just the window samples, once, in the calling thread. The points of the region a
 independent of one another: a sweep splits them into slices and, from
 dimension THREAD_MIN_DIM up, factors the slices on a thread pool sized to
 the CPUs available to the process, with the same kernel for every slice,
-so the field does not depend on the CPU count. Dimension-2 sweeps take no
-LAPACK call: a closed form (a Givens rotation, then LAPACK dlas2's
-formulas) gives the singular values of several rows of shifted matrices
-at once, in the calling thread, within a few eps sigma_max of LAPACK's.
-A full-grid sweep of a single point is still available through
-resolvent_at for diagnostics.
+so the field does not depend on the CPU count. Dimension-2 and dimension-3
+sweeps skip LAPACK's cost per call: a closed form (a Givens rotation, then
+LAPACK dlas2's formulas) at dimension 2, and one-sided Jacobi on a real
+bidiagonal form at dimension 3, give the singular values of several rows
+of shifted matrices at once, in the calling thread, within a few eps
+sigma_max of LAPACK's. Only a 3x3 matrix that the Jacobi sweeps leave
+unsettled goes to LAPACK. A full-grid sweep of a single point is still
+available through resolvent_at for diagnostics.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -54,6 +57,7 @@ from .linalg import (
     inverse_stack,
     is_singular,
     singular_values_2x2,
+    singular_values_3x3,
     solve_inverse_stack,
     spectral_norms,
 )
@@ -156,20 +160,26 @@ def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, T
 # ---------------------------------------------------------------------------
 # field sweeps
 
-# Smallest family dimension whose field sweep runs on the thread pool. At
-# dim 3 a slice's SVDs are too short for the GIL-free LAPACK time to
-# outweigh the hand-offs between threads: two threads ran no faster and
-# varied far more from one sweep to the next, while dim 4 ran 1.6x faster.
-# Dim 2 takes no LAPACK call at all (see ROWS_PER_SLICE_2X2).
+# Smallest family dimension whose field sweep runs on the thread pool.
+# Dimensions 2 and 3 take their singular values from numpy kernels in the
+# calling thread (see ROWS_PER_SLICE). Dimension 1 keeps the batched SVD, and
+# its SVDs are shorter than the 3x3 ones, whose GIL-free LAPACK time did not
+# outweigh the hand-offs between threads: two threads ran a dim-3 sweep no
+# faster and varied far more from one sweep to the next, while dim 4 ran
+# 1.6x faster.
 THREAD_MIN_DIM = 4
 
-# Region rows per slice of a dimension-2 sweep, which takes its singular
-# values in closed form (linalg.singular_values_2x2) in the calling thread.
-# That kernel makes a few dozen numpy passes per slice. On a 101^2 sweep with
-# a 6-sample window (2-vCPU x86-64), one row per slice took 10.6 ms, bound by
-# Python's per-call cost; eight rows took 5.5 ms with a 1.3 MB traced peak;
-# the whole field as one slice took 12.3 ms and 13 MB.
-ROWS_PER_SLICE_2X2 = 8
+# Region rows per slice of a dimension-2 or dimension-3 sweep, which takes its
+# singular values in closed form (linalg.singular_values_2x2) or by Jacobi
+# sweeps (linalg.singular_values_3x3) in the calling thread. Both kernels make
+# a few dozen to a few hundred numpy passes per slice, so a slice must be long
+# enough to amortise Python's cost per call. With a 6-sample window (2-vCPU
+# x86-64): on a 101^2 dim-2 sweep one row per slice took 10.6 ms, eight rows
+# 5.5 ms with a 1.3 MB traced peak, and the whole field as one slice 12.3 ms
+# and 13 MB; on a dim-3 Jordan-type sweep eight rows took 15-16 ms at 41^2
+# (two rows 21-23 ms, the whole field 12-15 ms) and 78 ms at 101^2 (sixteen
+# rows 88-90 ms).
+ROWS_PER_SLICE = 8
 
 
 def _cpu_count() -> int:
@@ -188,14 +198,17 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     gets the singular values of lam I - S_h at every (point, window sample)
     in one call; a sample that is singular under linalg.is_singular makes
     its point inf. At dimension 2 that call is the closed form
-    linalg.singular_values_2x2, within a few eps sigma_max of LAPACK, on
-    slices of ROWS_PER_SLICE_2X2 rows in the calling thread. Otherwise it is
+    linalg.singular_values_2x2 and at dimension 3 the Jacobi kernel
+    linalg.singular_values_3x3, each within a few eps sigma_max of LAPACK,
+    on slices of ROWS_PER_SLICE rows in the calling thread. Otherwise it is
     one batched SVD: from dimension THREAD_MIN_DIM up on slices of
     ceil(resolution / workers) points, one worker thread per available CPU,
-    and below it on one row per slice in the calling thread. Every point
-    goes through the same kernel whatever slice it lands in, so the field is
-    the same for any worker count, and the slices in flight at once hold
-    about one row's worth of shifted matrices (eight rows at dimension 2).
+    and at dimension 1 on one row per slice in the calling thread. Every
+    point goes through the same kernel whatever slice it lands in, and no
+    kernel lets one point's value depend on another's, so the field is the
+    same for any worker count or slice size. The slices in flight at once
+    hold about one row's worth of shifted matrices (ROWS_PER_SLICE rows at
+    dimensions 2 and 3).
     """
     window = family_eval_stack(sf, grid.window_samples)
     if sf.dim == 2:
@@ -207,9 +220,10 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
 
     else:
         eye = np.eye(sf.dim)
+        kernel = singular_values_3x3 if sf.dim == 3 else partial(np.linalg.svd, compute_uv=False)
 
         def singular_values(lams: np.ndarray) -> np.ndarray:
-            return np.linalg.svd(lams[..., None, None] * eye - window, compute_uv=False)
+            return kernel(lams[..., None, None] * eye - window)
 
     def tail_norms(lams: np.ndarray) -> np.ndarray:
         s = singular_values(lams[:, None])
@@ -220,7 +234,7 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     n = region.resolution
     lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
     workers = _cpu_count() if sf.dim >= THREAD_MIN_DIM else 1
-    step = n * ROWS_PER_SLICE_2X2 if sf.dim == 2 else -(-n // workers)
+    step = n * ROWS_PER_SLICE if sf.dim in (2, 3) else -(-n // workers)
     slices = [lams[i : i + step] for i in range(0, lams.size, step)]
     if workers == 1:
         values = np.concatenate([tail_norms(chunk) for chunk in slices])
@@ -424,15 +438,17 @@ def quotient_norm_bounds(sf: FamilySpec, grid: HGrid) -> NormBounds:
 def field_to_csv(field: ResolventField) -> str:
     """CSV dump, header re,im,value, rows in y-major order matching values.
 
-    Each coordinate is formatted once (x per region, y per row); a cell
-    formats only its value. Every number is written as "%.17g".
+    Every number is written as "%.17g". Each coordinate is formatted once (x
+    per region, y per row), and each region row is one template, the x parts
+    joined by the row's y part and a "%.17g" slot, filled by a single % over
+    the row's values.
     """
     xs = ["%.17g," % x for x in field.region.xs.tolist()]
-    lines = ["re,im,value"]
+    parts = ["re,im,value\n"]
     for y, row in zip(field.region.ys.tolist(), field.values.tolist()):
-        y_part = "%.17g," % y
-        lines.extend(x + y_part + "%.17g" % v for x, v in zip(xs, row))
-    return "\n".join(lines) + "\n"
+        cell = "%.17g,%%.17g\n" % y
+        parts.append((cell.join(xs) + cell) % tuple(row))
+    return "".join(parts)
 
 
 def spectrum_to_dict(estimate: SpectrumEstimate) -> dict:

@@ -293,6 +293,156 @@ class TestSingularValues2x2:
         assert (np.abs(got - want) <= 4 * np.finfo(float).eps * want[:, :1]).all()
 
 
+@st.composite
+def three_by_three_stacks(draw):
+    """Stacks of 3x3 matrices: Gaussian entries at scales from 1e-150 to
+    1e150, the same for the whole matrix or entry by entry; rank one and rank
+    two; a scalar times a unitary (a triple tie) and U diag(1, 1, r) V^H (a
+    double tie); a zero column; zero; entries of 1e300; and U diag(1, r, rho)
+    V^H with rho from 1e-17 to 1e-11, around the singularity cutoff."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(
+            ["scaled", "rank_one", "rank_two", "tie", "double_tie", "zero_column", "zero", "huge",
+             "near_cutoff"]
+        )
+    )
+    lo = draw(st.integers(-150, 150))
+    hi = draw(st.integers(lo, 150))
+    n = 4
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def unitaries():
+        return np.stack([random_unitary(rng, 3) for _ in range(n)])
+
+    def from_singular_values(sigma):
+        return (unitaries() * sigma[:, None, :]) @ unitaries().conj().transpose(0, 2, 1)
+
+    scaled = gaussian(n, 3, 3) * 10.0 ** rng.uniform(lo, hi, (n, 3, 3))
+    if kind == "scaled":
+        return scaled
+    if kind == "rank_one":
+        return gaussian(n, 3, 1) * gaussian(n, 1, 3) * 10.0**lo
+    if kind == "rank_two":
+        return gaussian(n, 3, 2) @ gaussian(n, 2, 3) * 10.0**lo
+    if kind == "tie":
+        return unitaries() * gaussian(n, 1, 1) * 10.0**lo
+    if kind == "double_tie":
+        return from_singular_values(np.stack([np.ones(n), np.ones(n), rng.uniform(0, 1, n)], -1))
+    if kind == "zero_column":
+        scaled[:, :, draw(st.integers(0, 2))] = 0.0
+        return scaled
+    if kind == "zero":
+        return np.zeros((n, 3, 3), dtype=np.complex128)
+    if kind == "huge":
+        return gaussian(n, 3, 3) * 1e300
+    rho = 10.0 ** rng.uniform(-17, -11, n)
+    return from_singular_values(np.stack([np.ones(n), 10.0 ** rng.uniform(-3, 0, n), rho], -1))
+
+
+# Largest |sigma - sigma_lapack| / sigma_max allowed, in units of eps. On 10^6
+# matrices of each kind of three_by_three_stacks the kernel came within
+# 8.1 eps of np.linalg.svd, and within 14.5 eps on double ties, where
+# np.linalg.svd itself was up to 13.5 eps off a 40-digit mpmath SVD and the
+# kernel at most 1 eps. Against that reference the kernel stayed within
+# 3.9 eps on 300 matrices of each kind.
+JACOBI_BOUND = 16
+
+
+class TestSingularValues3x3:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(three_by_three_stacks())
+    def test_matches_lapack(self, stack):
+        got = linalg.singular_values_3x3(stack)
+        want = np.linalg.svd(stack, compute_uv=False)
+        sigma_max = want[:, :1]
+        assert (np.abs(got - want) <= JACOBI_BOUND * np.finfo(float).eps * sigma_max).all()
+        # the rule may tip either way near the cutoff: 537 of 10^6 matrices
+        # with rho from 1e-15 to 1e-13 did, all within 2.1 % of it
+        cutoff = linalg.SINGULAR_RTOL * want[:, 0]
+        decided = ~(np.abs(want[:, -1] - cutoff) < 0.05 * cutoff)
+        assert np.array_equal(linalg.is_singular(got)[decided], linalg.is_singular(want)[decided])
+
+    def test_zero_matrix_and_zero_column_are_exactly_singular(self, rng):
+        stack = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        stack[0] = 0.0
+        for k in range(3):
+            stack[k + 1, :, k] = 0.0
+        got = linalg.singular_values_3x3(stack)
+        want = np.linalg.svd(stack, compute_uv=False)
+        assert np.array_equal(got[0], [0.0, 0.0, 0.0])
+        assert np.array_equal(got[:, 2], [0.0] * 4)
+        assert (np.abs(got - want) <= JACOBI_BOUND * np.finfo(float).eps * want[:, :1]).all()
+
+    @pytest.mark.parametrize("tiny", [1e-150, 1e-200, 1e-290, 1e-305, 1e-320])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_tiny_column_keeps_the_other_values(self, rng, tiny, column):
+        # the rotations that meet the tiny column have pivots whose squares
+        # lie below the normal range
+        stack = rng.normal(size=(8, 3, 3)) + 1j * rng.normal(size=(8, 3, 3))
+        stack[:, :, column] *= tiny
+        got = linalg.singular_values_3x3(stack)
+        want = np.linalg.svd(stack, compute_uv=False)
+        assert (np.abs(got - want) <= JACOBI_BOUND * np.finfo(float).eps * want[:, :1]).all()
+
+    def test_values_do_not_depend_on_the_rest_of_the_stack(self, rng):
+        # members that settle after different numbers of sweeps: diagonal,
+        # Gaussian, rank two and nearly singular
+        stack = np.concatenate(
+            [
+                np.diag([3.0, 2.0j, 1.0])[None],
+                rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)),
+                rng.normal(size=(2, 3, 2)) @ rng.normal(size=(2, 2, 3)),
+                (random_unitary(rng, 3) * [1.0, 1e-3, 1e-15]) @ random_unitary(rng, 3)[None],
+            ]
+        )
+        together = linalg.singular_values_3x3(stack)
+        alone = np.concatenate([linalg.singular_values_3x3(m[None]) for m in stack])
+        assert np.array_equal(together, alone)
+        assert np.array_equal(together[0], [3.0, 2.0, 1.0])
+
+    def test_rank_deficient_matrices_settle_without_lapack(self, rng, monkeypatch):
+        # the rounding noise in a column that should vanish shrinks only by
+        # about eps per rotation; the negligible-column rule stops it
+        stack = np.concatenate(
+            [
+                rng.normal(size=(200, 3, 1)) * rng.normal(size=(200, 1, 3)),
+                rng.normal(size=(200, 3, 2)) @ rng.normal(size=(200, 2, 3)),
+                np.stack(
+                    [
+                        (random_unitary(rng, 3) * [1.0, 0.1, rho]) @ random_unitary(rng, 3)
+                        for rho in np.repeat([1e-17, 1e-16, 1e-15, 1e-14], 50)
+                    ]
+                ),
+            ]
+        )
+        want = np.linalg.svd(stack, compute_uv=False)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the kernel took an SVD")
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        got = linalg.singular_values_3x3(stack)
+        assert (np.abs(got - want) <= JACOBI_BOUND * np.finfo(float).eps * want[:, :1]).all()
+
+    def test_unsettled_matrices_get_lapack_values(self, rng, monkeypatch):
+        # one sweep settles no Gaussian matrix, since the sweep that proves a
+        # matrix settled must itself rotate nothing
+        stack = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+        got = linalg.singular_values_3x3(stack)
+        assert np.array_equal(got, np.linalg.svd(stack, compute_uv=False))
+
+    def test_stack_shapes(self, rng):
+        a = rng.normal(size=(2, 5, 3, 3)) + 0j
+        assert linalg.singular_values_3x3(a).shape == (2, 5, 3)
+        assert linalg.singular_values_3x3(a[0, 0]).shape == (3,)
+        with pytest.raises(BadParameter):
+            linalg.singular_values_3x3(np.zeros((4, 2, 2)))
+
+
 class TestConstruction:
     def test_rejects_nonsquare(self):
         with pytest.raises(BadParameter):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import types
 from itertools import islice
 
 import numpy as np
@@ -171,6 +172,20 @@ class TestNormField:
         field = ax.resolvent_norm_field(const_two_point, ComplexRegion(1.5 + 0j, 2.0, 41), grid20)
         assert np.isinf(field.values).sum() == 2
 
+    def test_dim_three_sweep_takes_no_lapack_svd(self, grid20, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the dim-3 sweep took an SVD")
+
+        # a non-normal family, whose shifted matrices take several Jacobi sweeps
+        fam = ax.family_sum(
+            ax.jordan_family(3, 0.5), ax.h_scaled(ax.random_family(3, seed=11, scale=0.8))
+        )
+        region = ComplexRegion(0.5 + 0j, 1.0, 41)
+        want = rowwise_field(fam, region, grid20)
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        assert_matches_rowwise(field.values, want, 3)
+
     def test_singular_value_tie_is_exact(self, grid20):
         # at 1.5 - 0.2i both diagonal entries of the resolvent have nearly the
         # same modulus for every window sample
@@ -197,9 +212,10 @@ def rowwise_field(sf, region, grid):
 
 
 def assert_matches_rowwise(values, want, dim):
-    """The LAPACK reference bit for bit; at dim 2, whose sweep takes singular
-    values in closed form, to rounding on finite cells with the same inf cells."""
-    if dim != 2:
+    """The LAPACK reference bit for bit; at dims 2 and 3, whose sweeps take
+    singular values without LAPACK, to rounding on finite cells with the same
+    inf cells."""
+    if dim not in (2, 3):
         assert np.array_equal(values, want)
         return
     infinite = np.isinf(want)
@@ -231,6 +247,32 @@ class TestThreadedSweep:
         for cpus, values in zip((2, 3, 8), fields[1:]):
             assert np.array_equal(values, fields[0]), cpus
         assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid), dim)
+
+    @pytest.mark.parametrize(
+        "fam, region",
+        [
+            (
+                ax.family_sum(
+                    ax.jordan_family(3, 0.5), ax.h_scaled(ax.random_family(3, seed=11, scale=0.8))
+                ),
+                ComplexRegion(0.4 + 0.1j, 1.5, 21),
+            ),
+            # singular matrices at the grid points 0 and 1, which settle by
+            # the Jacobi kernel's negligible-column rule, beside ordinary ones
+            (ax.diag_family(["0", "1", "0.5+0.5i+h"]), ComplexRegion(0j, 1.0, 21)),
+        ],
+        ids=["jordan", "singular"],
+    )
+    def test_dim_three_field_does_not_depend_on_slice_size(
+        self, grid20, monkeypatch, fam, region
+    ):
+        fields = []
+        for rows in (1, 3, spectrum.ROWS_PER_SLICE, region.resolution):
+            monkeypatch.setattr(spectrum, "ROWS_PER_SLICE", rows)
+            fields.append(ax.resolvent_norm_field(fam, region, grid20).values)
+        for rows, values in zip((3, spectrum.ROWS_PER_SLICE, region.resolution), fields[1:]):
+            assert np.array_equal(values, fields[0]), rows
+        assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid20), 3)
 
     def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch, threaded):
         fam = ax.diag_family(["0", "1"])
@@ -742,6 +784,21 @@ class TestSerializationHelpers:
                 lines.append("%.17g,%.17g,%.17g" % (x, y, values[iy, ix]))
         want = ("\n".join(lines) + "\n").encode()
         assert ax.field_to_csv(field).encode() == want
+
+    def test_field_csv_row_templates_match_per_cell_formatting(self, rng):
+        # coordinates no ComplexRegion produces today (inf, nan, negative
+        # zero) beside subnormal and huge ones: a row template must format
+        # every coordinate and value exactly as "%.17g" of the cell does
+        xs = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -math.inf, 0.1])
+        ys = np.array([-0.0, math.inf, math.nan, 1e-320, -1e300, 3.0, -7.25])
+        values = np.exp(3.0 * rng.normal(size=(7, 7)))
+        values[0, :4] = [math.inf, -0.0, 5e-324, 1e308]
+        values[3, 3] = math.nan
+        region = types.SimpleNamespace(xs=xs, ys=ys)
+        text = ax.field_to_csv(types.SimpleNamespace(region=region, values=values))
+        cells = [(x, y, v) for y, row in zip(ys, values) for x, v in zip(xs, row)]
+        want = "re,im,value\n" + "".join("%.17g,%.17g,%.17g\n" % cell for cell in cells)
+        assert text.encode() == want.encode()
 
     def test_spectrum_dict_shape(self, expr_field):
         estimate = ax.spectrum_estimate(expr_field, 1e-3)
