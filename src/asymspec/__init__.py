@@ -42,6 +42,7 @@ from .errors import (
     NonEnclosing,
     OutOfRange,
     ParseError,
+    QuadratureUnresolved,
     SchemaError,
     SingularOnContour,
     TraceError,
@@ -72,10 +73,13 @@ from .families import (
 )
 from .funcalc import (
     ContourSpec,
+    Quadrature,
     contour_encloses,
     contour_funcalc,
+    contour_quadrature,
     expr_function,
     family_funcalc,
+    image_quadratures,
 )
 from .linalg import (
     ComplexMatrix,

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (bad flags, files, or JSON; a JSON diagnostic naming the offending field
 goes to stderr), 3 numerical failure (singular contour, unresolved point,
-and similar; diagnostic JSON to stderr).
+quadrature estimate not met, and similar; diagnostic JSON to stderr).
 
 All artifacts are deterministic for a fixed configuration and seed: JSON
 is emitted with sorted keys and 17-significant-digit floats, CSV uses the
@@ -38,12 +38,18 @@ from .exprs import Var, parse_constant, parse_expr
 from .families import (
     FamilySpec,
     HGrid,
-    family_eval_stack,
     family_from_dict,
     geometric_grid,
     tail_vanishes,
 )
-from .funcalc import ContourSpec, expr_function, family_funcalc, require_enclosing
+from .funcalc import (
+    ContourSpec,
+    expr_function,
+    family_funcalc,
+    image_quadratures,
+    require_enclosing,
+    require_quadrature,
+)
 from .linalg import matrix_to_dict
 from .spectrum import (
     ComplexRegion,
@@ -279,11 +285,18 @@ def _cmd_funcalc(args) -> int:
     require_enclosing(contour, src_estimate.clusters)
 
     func = expr_function(ast)
-    image = family_funcalc(fam, func, contour)
     window = grid.window_samples
+    quads = image_quadratures(family_funcalc(fam, func, contour), window)
+    # a tail whose quadrature missed its tolerance at the cap is refused too
+    require_quadrature(quads)
     tail = [
-        {"h": h, "matrix": matrix_to_dict(m)}
-        for h, m in zip(window, family_eval_stack(image, window))
+        {
+            "h": h,
+            "matrix": matrix_to_dict(q.matrix),
+            "nodes": q.nodes,
+            "quadrature_error": q.error,
+        }
+        for h, q in zip(window, quads)
     ]
     mapped = [
         {
@@ -299,12 +312,14 @@ def _cmd_funcalc(args) -> int:
             "radius": contour.radius,
             "nodes": contour.nodes,
         },
-        "encloses_source_spectrum": True,
         "source_spectrum": spectrum_to_dict(src_estimate),
         "mapped_centroids": mapped,
         "tail": tail,
     }
-    summary = "encloses source spectrum: true"
+    summary = (
+        f"quadrature: up to {max(q.nodes for q in quads)} nodes, "
+        f"worst error estimate {max(q.error for q in quads):.3g}"
+    )
     return _emit(args, {"funcalc_report.json": canonical_json(payload)}, summary)
 
 
@@ -421,7 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expr", required=True, help="scalar expression in z, e.g. 'z^2' or 'exp(z)'")
     p.add_argument("--contour-center", required=True, help="complex literal")
     p.add_argument("--contour-radius", type=float, required=True)
-    p.add_argument("--nodes", type=int, default=256, help="quadrature nodes, power of two >= 64")
+    p.add_argument(
+        "--nodes",
+        type=int,
+        default=256,
+        help="cap on the adaptive quadrature's nodes, power of two >= 64 (default 256)",
+    )
     _add_grid_flags(p)
     _add_region_flags(p)
     _add_out_flag(p)

@@ -75,6 +75,10 @@ class NonEnclosing(AsymspecError):
     """The integration contour does not enclose the flagged spectrum."""
 
 
+class QuadratureUnresolved(AsymspecError):
+    """A contour quadrature's error estimate misses the tolerance at its node cap."""
+
+
 class SchemaError(AsymspecError):
     """A JSON document does not match the expected schema.
 

@@ -1,51 +1,88 @@
-"""Holomorphic functional calculus by contour quadrature.
+"""Holomorphic functional calculus by adaptive contour quadrature.
 
 f(T) is computed as the trapezoid discretization of the Cauchy integral
-over a circle: nodes lambda_k = c + r e^{i theta_k} at equispaced angles,
+over a circle: N nodes lambda_k = c + r e^{i theta_k} at the angles
+theta_k = 2 pi k / N,
 
-    f(T) ~ (r / N) * sum_k e^{i theta_k} f(lambda_k) (lambda_k I - T)^{-1}.
+    Q_N = (r / N) * sum_k e^{i theta_k} f(lambda_k) (lambda_k I - T)^{-1}.
 
 The trapezoid rule on a circle converges geometrically for holomorphic
-integrands, so modest node counts give near machine accuracy once the
-contour clears the spectrum. Whether the circle actually encloses the
-right eigenvalues is the caller's responsibility; contour_encloses checks
-a circle against a spectrum estimate.
+integrands (Trefethen and Weideman, SIAM Review 56, 2014, sections 2-3),
+so modest node counts give near machine accuracy once the contour clears
+the spectrum. Whether the circle actually encloses the right eigenvalues
+is the caller's responsibility; contour_encloses checks a circle against a
+spectrum estimate.
+
+Node counts are powers of two, so the node sets nest: the even nodes of
+level 2N are the nodes of level N, bit for bit. The quadrature first sums
+the MIN_NODES nodes of level 64, whose even nodes give Q_32 for free. While
+the estimate max |Q_N - Q_{N/2}| misses QUADRATURE_RTOL and N is below
+contour.nodes, it inverts only the N odd nodes of level 2N and adds their
+sum to level N's. contour.nodes is therefore a cap, not a count. The result
+carries N and the estimate. Under geometric convergence the estimate is
+about the error of Q_{N/2}, so it overstates the error of Q_N.
 
 The weights e^{i theta_k} f(lambda_k) do not depend on T, so a family
-image computes them once. The weighted sum of each batch of inverses is an
-einsum loop, not a BLAS call. numpy and scipy each load their own OpenBLAS,
-each with its own thread pool, and on two CPUs the pools contend: an
-np.tensordot gemv of 64 weights with a (64, 16, 16) stack took 16 us in a
-loop but about 4 ms right after a scipy expm of an 8x8 matrix. The einsum
-loop costs under 5 % of its batch's inverse_stack at d = 2-64 and wakes
-neither pool.
+image computes each level's once, on first use. The weighted sum of each
+batch of inverses is an einsum loop, not a BLAS call. numpy and scipy each
+load their own OpenBLAS, each with its own thread pool, and on two CPUs the
+pools contend: an np.tensordot gemv of 64 weights with a (64, 16, 16) stack
+took 16 us in a loop but about 4 ms right after a scipy expm of an 8x8
+matrix. The einsum loop costs under 5 % of its batch's inverse_stack at
+d = 2-64 and wakes neither pool.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, NonEnclosing, SingularOnContour, TraceError
+from .errors import (
+    BadParameter,
+    NonEnclosing,
+    QuadratureUnresolved,
+    SingularOnContour,
+    TraceError,
+)
 from .exprs import FuncExpr, eval_expr
-from .families import FamilyNode, FamilySpec
+from .families import FamilyNode, FamilySpec, family_eval_stack
 from .linalg import ComplexMatrix, inverse_stack
 
 MIN_NODES = 64
 DEFAULT_NODES = 256
+# Doubling stops once the estimate is at most this fraction of the terms'
+# size (Quadrature.scale), and require_quadrature refuses a quadrature that
+# reached its cap without that. Under geometric convergence the error of Q_N
+# is about the square of the estimate of Q_{N/2}'s, so sqrt(eps) leaves Q_N
+# at rounding level; ||T|| <= r/2 meets it at 64 nodes for f = exp.
+QUADRATURE_RTOL = math.sqrt(np.finfo(np.float64).eps)
+# The estimate is at least this fraction of scale per dimension: the
+# allowance for rounding in the inverses and the sum. On 600 random
+# matrices of dimension 1-8 the rounding error stayed below 2 eps scale.
+ROUNDING_RTOL = 8 * np.finfo(np.float64).eps
+
+
+def _circle(center: complex, radius: float, k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points c + r e^{i theta} at theta = 2 pi k / n, and the e^{i theta}.
+
+    2 pi (2k) / (2n) rounds to the same double as 2 pi k / n, so level 2n's
+    even points are level n's points bit for bit.
+    """
+    unit = np.exp(1j * (2.0 * np.pi * k / n))
+    return center + radius * unit, unit
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Circle |z - center| = radius discretized at ``nodes`` equispaced points.
+    """Circle |z - center| = radius, summed at up to ``nodes`` equispaced points.
 
-    nodes must be a power of two, at least 64: powers of two keep the node
-    sets nested when refining, which makes convergence checks cheap.
+    nodes is the cap of the adaptive quadrature: a power of two, at least
+    MIN_NODES. Powers of two keep the node sets nested, so each doubling
+    reuses every node already inverted.
     """
 
     center: complex
@@ -61,8 +98,8 @@ class ContourSpec:
             raise BadParameter(f"nodes must be a power of two >= {MIN_NODES}")
 
     def points(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-        return self.center + self.radius * np.exp(1j * angles)
+        """All ``nodes`` points of the cap level."""
+        return _circle(self.center, self.radius, np.arange(self.nodes), self.nodes)[0]
 
 
 ScalarFunc = Callable[[complex], complex]
@@ -80,46 +117,115 @@ def expr_function(ast: FuncExpr, extra: dict[str, complex] | None = None) -> Sca
     return f
 
 
-def _contour_weights(f: ScalarFunc, contour: ContourSpec) -> np.ndarray:
-    """The quadrature weights e^{i theta_k} f(lambda_k), one per node."""
-    return np.array(
-        [
-            cmath.exp(2j * cmath.pi * k / contour.nodes) * f(lam)
-            for k, lam in enumerate(contour.points())
-        ],
-        dtype=np.complex128,
-    )
+@dataclass(frozen=True)
+class Quadrature:
+    """One adaptive quadrature: Q_N, the node count N, and its error estimate.
+
+    ``error`` is max |Q_N - Q_{N/2}| over the entries, raised to the
+    rounding allowance ROUNDING_RTOL * dim * scale where it falls below.
+    ``scale`` is (r / N) sum_k |w_k| max|R_k|, the size of the terms summed,
+    where R_k = (lambda_k I - T)^{-1}: rounding grows with it, not with Q_N,
+    so the tolerances are fractions of it.
+    """
+
+    matrix: ComplexMatrix
+    nodes: int
+    error: float
+    scale: float
+
+    @property
+    def converged(self) -> bool:
+        return self.error <= QUADRATURE_RTOL * self.scale
 
 
-def _quadrature(t: ComplexMatrix, weights: np.ndarray, contour: ContourSpec) -> ComplexMatrix:
-    """The trapezoid sum (r / N) sum_k w_k (lambda_k I - T)^{-1}."""
+class _Levels:
+    """The level indices k, points and weights e^{i theta_k} f(lambda_k) of
+    each quadrature level, computed on first use and kept.
+
+    Entry 0 holds all MIN_NODES nodes of level 64; entry i > 0 holds the
+    odd nodes of level 64 * 2^i, the ones the levels below it lack.
+    """
+
+    def __init__(self, f: ScalarFunc, contour: ContourSpec) -> None:
+        self.f = f
+        self.contour = contour
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if i not in self._levels:
+            n = MIN_NODES << i
+            k = np.arange(n) if i == 0 else np.arange(1, n, 2)
+            points, unit = _circle(self.contour.center, self.contour.radius, k, n)
+            weights = unit * np.array([self.f(lam) for lam in points], dtype=np.complex128)
+            self._levels[i] = (k, points, weights)
+        return self._levels[i]
+
+
+def _inverses(ta: np.ndarray, k: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
+    """(lambda I - T)^{-1} at the given nodes of level n, as one stack."""
+    invs, singular = inverse_stack(points[:, None, None] * np.eye(ta.shape[0]) - ta)
+    if singular.any():
+        j = int(np.argmax(singular))
+        raise SingularOnContour(
+            f"contour node {k[j]} of {n} at {points[j]:.6g} lies in the spectrum; "
+            "adjust the radius"
+        )
+    return invs
+
+
+def _weighted_sum(weights: np.ndarray, invs: np.ndarray) -> np.ndarray:
+    # einsum's own loop, not a BLAS gemv: see the module docstring.
+    return np.einsum("k,kij->ij", weights, invs)
+
+
+def _term_size(weights: np.ndarray, invs: np.ndarray) -> float:
+    """sum_k |w_k| max|R_k|, the size of the terms w_k R_k."""
+    return float(np.sum(np.abs(weights) * np.abs(invs).max(axis=(1, 2))))
+
+
+def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
+    """Q_N over the nested levels, doubling N from MIN_NODES while the
+    estimate misses QUADRATURE_RTOL and N is below contour.nodes."""
     ta = t.array
-    eye = np.eye(ta.shape[0])
-    nodes = contour.points()
-    total = np.zeros_like(ta)
-    # MIN_NODES nodes per batch bound the memory of the stacked (lambda I - T)
-    # whatever the node count; node counts are multiples of MIN_NODES.
-    for start in range(0, contour.nodes, MIN_NODES):
-        batch = slice(start, start + MIN_NODES)
-        invs, singular = inverse_stack(nodes[batch, None, None] * eye - ta)
-        if singular.any():
-            k = start + int(np.argmax(singular))
-            raise SingularOnContour(
-                f"contour node {k} at {nodes[k]:.6g} lies in the spectrum; adjust the radius"
-            )
-        # einsum's own loop, not a BLAS gemv: see the module docstring.
-        total += np.einsum("k,kij->ij", weights[batch], invs)
-    return ComplexMatrix(total * (contour.radius / contour.nodes))
+    radius = levels.contour.radius
+    k, points, weights = levels.level(0)
+    invs = _inverses(ta, k, points, MIN_NODES)
+    even = _weighted_sum(weights[::2], invs[::2])
+    total = even + _weighted_sum(weights[1::2], invs[1::2])
+    size = _term_size(weights, invs)
+    n = MIN_NODES
+    q_half, q = even * (2.0 * radius / n), total * (radius / n)
+    while True:
+        scale = size * radius / n
+        error = max(float(np.abs(q - q_half).max()), ROUNDING_RTOL * ta.shape[0] * scale)
+        result = Quadrature(ComplexMatrix(q), n, error, scale)
+        if n >= levels.contour.nodes or result.converged:
+            return result
+        k, points, weights = levels.level((n // MIN_NODES).bit_length())
+        n *= 2
+        # the N new nodes in batches of MIN_NODES bound the stacked memory
+        for start in range(0, len(points), MIN_NODES):
+            batch = slice(start, start + MIN_NODES)
+            invs = _inverses(ta, k[batch], points[batch], n)
+            total = total + _weighted_sum(weights[batch], invs)
+            size += _term_size(weights[batch], invs)
+        q_half, q = q, total * (radius / n)
 
 
-def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
-    """Evaluate f(T) for one matrix by contour quadrature.
+def contour_quadrature(t, f: ScalarFunc, contour: ContourSpec) -> Quadrature:
+    """f(T) for one matrix by adaptive contour quadrature, with the node
+    count it took and its error estimate.
 
     Raises SingularOnContour when a quadrature node hits the spectrum of T;
     the caller should nudge the radius, not this routine.
     """
     tm = t if isinstance(t, ComplexMatrix) else ComplexMatrix(t)
-    return _quadrature(tm, _contour_weights(f, contour), contour)
+    return _quadrature(tm, _Levels(f, contour))
+
+
+def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
+    """Evaluate f(T) for one matrix: the matrix of :func:`contour_quadrature`."""
+    return contour_quadrature(t, f, contour).matrix
 
 
 @dataclass(frozen=True)
@@ -129,8 +235,8 @@ class _Funcalc(FamilyNode):
     Not serializable to JSON; exists so functional-calculus images can be
     fed back into the classifiers and field sweeps like any other family.
     The inner family is evaluated once per call, as one stack. The weights
-    do not depend on h: they are computed on the first evaluation (so errors
-    from ``func`` surface there) and kept.
+    do not depend on h: each level's are computed on its first use (so
+    errors from ``func`` surface at the first evaluation) and kept.
     """
 
     inner: FamilySpec
@@ -142,19 +248,19 @@ class _Funcalc(FamilyNode):
         return self.inner.dim
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        return _contour_weights(self.func, self.contour)
+    def _levels(self) -> _Levels:
+        return _Levels(self.func, self.contour)
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        # One stack of the inner family, then one quadrature per member, in
-        # _quadrature's batches of MIN_NODES nodes.
-        return np.stack(
-            [self._image(h, t) for h, t in zip(hs.tolist(), self.inner.node._eval(hs))]
-        )
+        return np.stack([q.matrix.array for q in self._quadratures(hs, self.inner.node._eval(hs))])
 
-    def _image(self, h: float, t: np.ndarray) -> np.ndarray:
+    def _quadratures(self, hs: np.ndarray, ts: np.ndarray) -> list[Quadrature]:
+        # one adaptive quadrature per member, each stopping at its own level
+        return [self._image(h, t) for h, t in zip(hs.tolist(), ts)]
+
+    def _image(self, h: float, t: np.ndarray) -> Quadrature:
         try:
-            return _quadrature(ComplexMatrix(t), self._weights, self.contour).array
+            return _quadrature(ComplexMatrix(t), self._levels)
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
 
@@ -162,6 +268,30 @@ class _Funcalc(FamilyNode):
 def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> FamilySpec:
     """The image family h -> f(T_h), evaluated by quadrature at each h asked for."""
     return FamilySpec(tf.dim, _Funcalc(tf, f, contour))
+
+
+def image_quadratures(image: FamilySpec, hs: Sequence[float]) -> list[Quadrature]:
+    """The quadrature behind a :func:`family_funcalc` image at each h in
+    ``hs``: f(T_h), the node count it took and its error estimate.
+
+    Checks the samples as :func:`family_eval_stack` does.
+    """
+    node = image.node
+    if not isinstance(node, _Funcalc):
+        raise BadParameter("image_quadratures needs a family_funcalc image")
+    hs = np.asarray(hs, dtype=np.float64)
+    return node._quadratures(hs, family_eval_stack(node.inner, hs))
+
+
+def require_quadrature(quads: Sequence[Quadrature]) -> None:
+    """Refuse quadratures that reached their node cap unconverged."""
+    for q in quads:
+        if not q.converged:
+            raise QuadratureUnresolved(
+                f"quadrature error estimate {q.error:.3g} at the {q.nodes}-node cap exceeds "
+                f"{QUADRATURE_RTOL:.3g} of the terms' size {q.scale:.3g}; "
+                "raise the node cap, widen the radius or recenter"
+            )
 
 
 def contour_encloses(contour: ContourSpec, clusters, margin: float = 0.95) -> bool:
@@ -186,12 +316,18 @@ def require_enclosing(contour: ContourSpec, clusters, margin: float = 0.95) -> N
 
 __all__ = [
     "ContourSpec",
+    "Quadrature",
     "ScalarFunc",
     "expr_function",
+    "contour_quadrature",
     "contour_funcalc",
     "family_funcalc",
+    "image_quadratures",
+    "require_quadrature",
     "contour_encloses",
     "require_enclosing",
     "MIN_NODES",
     "DEFAULT_NODES",
+    "QUADRATURE_RTOL",
+    "ROUNDING_RTOL",
 ]

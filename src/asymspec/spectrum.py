@@ -85,6 +85,10 @@ class ComplexRegion:
             raise BadParameter("region center must be finite")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise BadParameter("region half_width must be finite and positive")
+        c, w = self.center, self.half_width
+        # the grid's extremes and its width, which must not overflow
+        if not all(map(math.isfinite, (c.real - w, c.real + w, c.imag - w, c.imag + w, 2.0 * w))):
+            raise BadParameter("region center +- half_width overflows")
         if self.resolution < 21 or self.resolution % 2 == 0:
             raise BadParameter("region resolution must be odd and at least 21")
 

@@ -178,7 +178,7 @@ def node_at(node, h: float) -> np.ndarray:
     if isinstance(node, funcalc._Funcalc):
         t = ComplexMatrix(node_at(node.inner.node, h))
         try:
-            return funcalc._quadrature(t, node._weights, node.contour).array
+            return funcalc._quadrature(t, node._levels).matrix.array
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
     raise TypeError(f"unknown node {type(node).__name__}")

@@ -237,7 +237,41 @@ class TestFuncalcCommand:
         assert len(mapped) == 2
         assert abs(mapped[0] - 1.0) <= 0.2
         assert abs(mapped[1] - 4.0) <= 0.2
-        assert report["encloses_source_spectrum"] is True
+        keys = ["contour", "expr", "mapped_centroids", "source_spectrum", "tail"]
+        assert sorted(report) == keys
+        for entry in report["tail"]:
+            assert sorted(entry) == ["h", "matrix", "nodes", "quadrature_error"]
+            # a square on a circle of radius 1.8 around eigenvalues within 0.5
+            assert entry["nodes"] == 64
+            assert 0.0 < entry["quadrature_error"] <= 1e-12
+
+    @pytest.mark.parametrize("nodes, code", [("64", 3), ("256", 3), ("512", 0)])
+    def test_unconverged_quadrature_is_numerical_error(self, capsys, tmp_path, nodes, code):
+        # exp([[0.9, 1], [0, -0.3]]) on the unit circle needs 512 nodes
+        path = tmp_path / "upper.json"
+        matrix = {"dim": 2, "re": [0.9, 1, 0, -0.3], "im": [0, 0, 0, 0]}
+        path.write_text(json.dumps({"dim": 2, "node": {"kind": "constant", "matrix": matrix}}))
+        got, out, err = run(
+            capsys,
+            "funcalc",
+            "--family",
+            str(path),
+            "--expr",
+            "exp(z)",
+            "--contour-center",
+            "0",
+            "--contour-radius",
+            "1",
+            "--nodes",
+            nodes,
+        )
+        assert got == code
+        if code == 3:
+            assert out == ""
+            assert json.loads(err)["kind"] == "QuadratureUnresolved"
+            assert f"at the {nodes}-node cap" in json.loads(err)["error"]
+        else:
+            assert {entry["nodes"] for entry in json.loads(out)["tail"]} == {512}
 
     def test_non_enclosing_contour_is_numerical_error(self, capsys, two_point):
         code, out, err = run(

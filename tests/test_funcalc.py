@@ -5,11 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import asymspec as ax
 import oracles
 from asymspec import funcalc, linalg
-from asymspec.errors import BadParameter, NonEnclosing, SingularOnContour, TraceError
+from asymspec.errors import (
+    BadParameter,
+    NonEnclosing,
+    QuadratureUnresolved,
+    SingularOnContour,
+    TraceError,
+)
 from asymspec.exprs import parse_expr
 from asymspec.funcalc import ContourSpec
 from asymspec.linalg import ComplexMatrix
@@ -107,13 +116,17 @@ class TestContourFuncalc:
         data = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         t = ComplexMatrix(data / np.sqrt(dim))
         contour = ContourSpec(0.1 + 0.2j, linalg.operator_norm(t) + 1.0, nodes)
-        got = funcalc.contour_funcalc(t, cmath.exp, contour).array
+        quad = funcalc.contour_quadrature(t, cmath.exp, contour)
+        # the explicit sum at the node count the quadrature stopped at
+        used = quad.nodes
         want = np.zeros((dim, dim), dtype=np.complex128)
-        for k, lam in enumerate(contour.points()):
-            w = cmath.exp(2j * cmath.pi * k / nodes) * cmath.exp(lam)
+        for k, lam in enumerate(ContourSpec(contour.center, contour.radius, used).points()):
+            w = cmath.exp(2j * cmath.pi * k / used) * cmath.exp(lam)
             want += w * np.linalg.inv(lam * np.eye(dim) - t.array)
-        want *= contour.radius / nodes
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        want *= contour.radius / used
+        np.testing.assert_allclose(quad.matrix.array, want, rtol=1e-13, atol=0)
+        same = funcalc.contour_funcalc(t, cmath.exp, contour)
+        assert np.array_equal(same.array, quad.matrix.array)
 
     def test_sum_makes_no_blas_product_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -132,6 +145,138 @@ class TestContourFuncalc:
         # node 0 sits at exactly 1+0j
         with pytest.raises(SingularOnContour):
             funcalc.contour_funcalc(t, lambda z: z, ContourSpec(0j, 1.0, 64))
+
+    def test_eigenvalue_on_a_refined_node_rejected(self):
+        # node 1 of 128 is no node of level 64: the first level misses it,
+        # fails to converge, and the doubling hits it
+        mu = ContourSpec(0j, 1.0, 128).points()[1]
+        t = ComplexMatrix.diagonal([mu, 0.0])
+        with pytest.raises(SingularOnContour, match="node 1 of 128"):
+            funcalc.contour_funcalc(t, cmath.exp, ContourSpec(0j, 1.0, 256))
+
+
+def upper_triangular_exp(a: float, b: float = -0.3) -> np.ndarray:
+    """exp([[a, 1], [0, b]]) in closed form."""
+    return np.array([[math.exp(a), (math.exp(a) - math.exp(b)) / (a - b)], [0.0, math.exp(b)]])
+
+
+class CountingInverses:
+    """Wraps funcalc.inverse_stack and counts the matrices it inverts."""
+
+    def __init__(self, monkeypatch):
+        self.members = 0
+        real = funcalc.inverse_stack
+
+        def counting(a):
+            self.members += len(a)
+            return real(a)
+
+        monkeypatch.setattr(funcalc, "inverse_stack", counting)
+
+
+@st.composite
+def enclosed_matrices(draw):
+    """A circle and a matrix whose spectrum lies within 0.9 of its radius
+    around its center: Gaussian, strongly non-normal triangular, or normal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["gaussian", "triangular", "normal"]))
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if kind == "triangular":
+        raw = np.triu(raw) + 9.0 * np.triu(raw, 1)
+    elif kind == "normal":
+        q = np.linalg.qr(raw)[0]
+        raw = (q * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))) @ q.conj().T
+    center = complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 4.0]))
+    ratio = draw(st.floats(0.0, 0.9))
+    rho = np.abs(np.linalg.eigvals(raw)).max()
+    t = center * np.eye(dim) + raw * (ratio * radius / rho)
+    return t, ContourSpec(center, radius, 256)
+
+
+class TestAdaptiveQuadrature:
+    @pytest.mark.parametrize("nodes", [64, 128, 256])
+    def test_refined_level_keeps_every_coarse_node_bit_for_bit(self, nodes):
+        contour = ContourSpec(0.3 - 1.1j, 1.7, nodes)
+        fine = ContourSpec(contour.center, contour.radius, 2 * nodes).points()
+        assert np.array_equal(fine[::2], contour.points())
+        # the levels the doubling inverts, interleaved, are the cap's points
+        levels = funcalc._Levels(cmath.exp, ContourSpec(contour.center, contour.radius, 2 * nodes))
+        k, points, weights = levels.level(0)
+        for i in range(1, (2 * nodes // funcalc.MIN_NODES).bit_length()):
+            odd_k, odd_points, odd_weights = levels.level(i)
+            merged = np.empty(2 * len(points), dtype=np.complex128)
+            merged[::2], merged[1::2] = points, odd_points
+            assert np.array_equal(odd_k, np.arange(1, len(merged), 2))
+            points = merged
+        assert np.array_equal(points, fine)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8, 16])
+    @pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 4.0])
+    def test_benign_contours_invert_64_nodes(self, monkeypatch, rng, dim, radius):
+        # spectral radius exactly r/2, for a normal and a non-normal matrix
+        # with ||T|| <= r/2, and a square as well as exp
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q = np.linalg.qr(raw)[0]
+        normal = (q * (0.5 * radius * np.exp(2j * np.pi * rng.random(dim)))) @ q.conj().T
+        nonnormal = 0.5 * radius * raw / np.linalg.norm(raw, 2)
+        for t in (normal, nonnormal):
+            for f in (cmath.exp, lambda z: z * z):
+                calls = []
+                inverses = CountingInverses(monkeypatch)
+                quad = funcalc.contour_quadrature(
+                    t, lambda z: calls.append(z) or f(z), ContourSpec(0j, radius, 256)
+                )
+                assert (quad.nodes, len(calls), inverses.members) == (64, 64, 64)
+                assert quad.converged
+
+    def test_hard_contour_doubles_up_to_its_need(self, monkeypatch):
+        # a = 0.9 on the unit circle needs 512 nodes; each doubling inverts
+        # only the new odd nodes
+        inverses = CountingInverses(monkeypatch)
+        t = np.array([[0.9, 1.0], [0.0, -0.3]])
+        quad = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 1024))
+        assert (quad.nodes, inverses.members, quad.converged) == (512, 512, True)
+
+    @pytest.mark.parametrize("a", [0.9, 0.94])
+    def test_estimate_bounds_the_true_error_at_every_cap(self, a):
+        t = np.array([[a, 1.0], [0.0, -0.3]])
+        want = upper_triangular_exp(a)
+        estimates = []
+        for cap in (64, 128, 256, 512):
+            quad = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, cap))
+            assert quad.nodes == cap
+            assert np.abs(quad.matrix.array - want).max() <= quad.error
+            estimates.append(quad.error)
+        assert estimates == sorted(estimates, reverse=True)
+        # a = 0.9 converges at 512 nodes, a = 0.94 not yet
+        assert quad.converged is (a == 0.9)
+
+    # the estimate includes ROUNDING_RTOL's allowance, which covers the
+    # rounding of the quadrature and of scipy's expm, the reference here
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(enclosed_matrices())
+    def test_estimate_bounds_the_true_error_for_exp(self, case):
+        t, contour = case
+        quad = funcalc.contour_quadrature(t, cmath.exp, contour)
+        assert np.abs(quad.matrix.array - expm(t)).max() <= quad.error
+
+    def test_rounding_allowance_floors_the_estimate(self):
+        # a polynomial of low degree is summed exactly up to rounding, so the
+        # level difference alone could read 0 or below the true error
+        t = ComplexMatrix.diagonal([0.25, -0.5])
+        quad = funcalc.contour_quadrature(t, lambda z: z, ContourSpec(0j, 2.0, 256))
+        assert quad.nodes == 64
+        assert quad.error == funcalc.ROUNDING_RTOL * 2 * quad.scale
+
+    def test_refusal_at_the_cap(self):
+        t = np.array([[0.9, 1.0], [0.0, -0.3]])
+        short = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 64))
+        enough = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 512))
+        with pytest.raises(QuadratureUnresolved, match="64-node cap"):
+            funcalc.require_quadrature([enough, short])
+        funcalc.require_quadrature([enough])
 
 
 class TestFamilyFuncalc:
@@ -163,6 +308,34 @@ class TestFamilyFuncalc:
         ax.quasinilpotent_equiv(image, ax.diag_family(["1", "2"]), coarse_grid, n_max=8)
         # the weights f(lambda_k) do not depend on h: one call per node for the family
         assert len(calls) == contour.nodes
+
+    def test_weights_of_each_level_are_computed_once(self):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return cmath.exp(z)
+
+        # eigenvalue 0.7 on the unit circle converges at 128 nodes
+        image = ax.family_funcalc(
+            ax.diag_family(["0.7", "-0.3+h"]), counting, ContourSpec(0j, 1.0, 256)
+        )
+        quads = funcalc.image_quadratures(image, [0.125, 0.0625, 0.03125])
+        assert [q.nodes for q in quads] == [128, 128, 128]
+        assert len(calls) == 128
+
+    def test_image_quadratures_are_the_family_values(self, coarse_grid):
+        image = ax.family_funcalc(
+            ax.diag_family(["1", "2+h"]), cmath.exp, ContourSpec(1.5 + 0j, 2.0, 256)
+        )
+        hs = coarse_grid.window_samples
+        quads = funcalc.image_quadratures(image, hs)
+        got = np.stack([q.matrix.array for q in quads])
+        assert np.array_equal(got, ax.families.family_eval_stack(image, hs))
+        with pytest.raises(BadParameter):
+            funcalc.image_quadratures(ax.diag_family(["1"]), hs)
+        with pytest.raises(BadParameter):
+            funcalc.image_quadratures(image, [0.0])
 
     def test_error_from_f_raises_at_evaluation(self):
         def failing(z):

@@ -66,6 +66,19 @@ class TestComplexRegion:
         with pytest.raises(BadParameter):
             ComplexRegion(0j, -1.0, 41)
 
+    @pytest.mark.parametrize(
+        "center, half_width", [(1.7e308 + 0j, 1e308), (-1.7e308j, 1e308), (0j, 1e308)]
+    )
+    def test_overflowing_grid_rejected(self, center, half_width):
+        # finite inputs whose grid extremes or grid width overflow to inf
+        with pytest.raises(BadParameter, match="overflows"):
+            ComplexRegion(center, half_width, 21)
+
+    def test_widest_finite_grid_accepted(self):
+        region = ComplexRegion(8e307 + 8e307j, 8e307, 21)
+        assert np.isfinite(region.xs).all() and np.isfinite(region.ys).all()
+        assert math.isfinite(region.spacing)
+
     def test_center_sits_on_the_grid(self):
         region = ComplexRegion(1.5 + 0.5j, 2.0, 41)
         assert region.xs[20] == pytest.approx(1.5)
