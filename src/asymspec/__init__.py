@@ -73,13 +73,11 @@ from .families import (
 )
 from .funcalc import (
     ContourSpec,
-    Quadrature,
     contour_encloses,
     contour_funcalc,
-    contour_quadrature,
     expr_function,
     family_funcalc,
-    image_quadratures,
+    family_quadratures,
 )
 from .linalg import (
     ComplexMatrix,

@@ -45,8 +45,7 @@ from .families import (
 from .funcalc import (
     ContourSpec,
     expr_function,
-    family_funcalc,
-    image_quadratures,
+    family_quadratures,
     require_enclosing,
     require_quadrature,
 )
@@ -286,7 +285,7 @@ def _cmd_funcalc(args) -> int:
 
     func = expr_function(ast)
     window = grid.window_samples
-    quads = image_quadratures(family_funcalc(fam, func, contour), window)
+    quads = family_quadratures(fam, func, contour, window)
     # a tail whose quadrature missed its tolerance at the cap is refused too
     require_quadrature(quads)
     tail = [

@@ -16,14 +16,23 @@ spectrum estimate.
 Node counts are powers of two, so the node sets nest: the even nodes of
 level 2N are the nodes of level N, bit for bit. The quadrature first sums
 the MIN_NODES nodes of level 64, whose even nodes give Q_32 for free. While
-the estimate max |Q_N - Q_{N/2}| misses QUADRATURE_RTOL and N is below
-contour.nodes, it inverts only the N odd nodes of level 2N and adds their
-sum to level N's. contour.nodes is therefore a cap, not a count. The result
-carries N and the estimate. Under geometric convergence the estimate is
-about the error of Q_{N/2}, so it overstates the error of Q_N.
+the estimate misses QUADRATURE_RTOL and N is below contour.nodes, it
+inverts only the N odd nodes of level 2N and adds their sum to level N's.
+contour.nodes is therefore a cap, not a count. The result carries N and the
+estimate.
 
-The weights e^{i theta_k} f(lambda_k) do not depend on T, so a family
-image computes each level's once, on first use. The weighted sum of each
+The estimate has two parts. max |Q_N - Q_{N/2}| sees the integrand's
+Fourier modes at odd multiples of N/2; under geometric convergence it is
+about the error of Q_{N/2}, so it overstates the error of Q_N. Both rules
+are blind to modes at multiples of N, and f can put its mass exactly there
+(z^64 at level 64 sums to r^64 I plus f(T)). So before it stops, the
+quadrature also samples f alone, no inverses, at level N's points turned by
+ALIAS_SHIFT of a node spacing, and compares them with the level-N
+interpolant of f: the difference is f's Taylor mass at degree N and above,
+which level N folds onto lower degrees.
+
+The weights e^{i theta_k} f(lambda_k) and the alias check read f alone,
+not T, so a family image computes each level's once, on first use. The weighted sum of each
 batch of inverses is an einsum loop, not a BLAS call. numpy and scipy each
 load their own OpenBLAS, each with its own thread pool, and on two CPUs the
 pools contend: an np.tensordot gemv of 64 weights with a (64, 16, 16) stack
@@ -64,6 +73,14 @@ QUADRATURE_RTOL = math.sqrt(np.finfo(np.float64).eps)
 # allowance for rounding in the inverses and the sum. On 600 random
 # matrices of dimension 1-8 the rounding error stayed below 2 eps scale.
 ROUNDING_RTOL = 8 * np.finfo(np.float64).eps
+# The alias check's points sit this fraction of a node spacing past level
+# N's. A mode q N degrees above its level-N alias shows with gain
+# |e^{2 pi i q ALIAS_SHIFT} - 1|, never 0 as sqrt(2) - 1 is irrational. A
+# shift of 1/2 (level 2N's odd nodes) would miss every even q, z^128 at
+# level 64 among them. ALIAS_GAIN is the least gain for q <= 8 (0.44, at
+# q = 5); the check divides by it, so it bounds f's mass below degree 9N.
+ALIAS_SHIFT = math.sqrt(2.0) - 1.0
+ALIAS_GAIN = min(2.0 * abs(math.sin(math.pi * q * ALIAS_SHIFT)) for q in range(1, 9))
 
 
 def _circle(center: complex, radius: float, k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,10 +114,6 @@ class ContourSpec:
         if self.nodes < MIN_NODES or self.nodes & (self.nodes - 1):
             raise BadParameter(f"nodes must be a power of two >= {MIN_NODES}")
 
-    def points(self) -> np.ndarray:
-        """All ``nodes`` points of the cap level."""
-        return _circle(self.center, self.radius, np.arange(self.nodes), self.nodes)[0]
-
 
 ScalarFunc = Callable[[complex], complex]
 
@@ -121,11 +134,13 @@ def expr_function(ast: FuncExpr, extra: dict[str, complex] | None = None) -> Sca
 class Quadrature:
     """One adaptive quadrature: Q_N, the node count N, and its error estimate.
 
-    ``error`` is max |Q_N - Q_{N/2}| over the entries, raised to the
-    rounding allowance ROUNDING_RTOL * dim * scale where it falls below.
-    ``scale`` is (r / N) sum_k |w_k| max|R_k|, the size of the terms summed,
-    where R_k = (lambda_k I - T)^{-1}: rounding grows with it, not with Q_N,
-    so the tolerances are fractions of it.
+    ``error`` is the larger of max |Q_N - Q_{N/2}| over the entries and the
+    alias check's bound r max|R_k| |D|_2 / ALIAS_GAIN (see _Levels.aliased),
+    taken only where the quadrature stops, and is raised to the rounding
+    allowance ROUNDING_RTOL * dim * scale where it falls below. ``scale`` is
+    (r / N) sum_k |w_k| max|R_k|, the size of the terms summed, where
+    R_k = (lambda_k I - T)^{-1}: rounding grows with it, not with Q_N, so
+    the tolerances are fractions of it.
     """
 
     matrix: ComplexMatrix
@@ -139,10 +154,9 @@ class Quadrature:
 
 
 class _Levels:
-    """The level indices k, points and weights e^{i theta_k} f(lambda_k) of
-    each quadrature level, computed on first use and kept.
+    """What each quadrature level needs of f, computed on first use and kept.
 
-    Entry 0 holds all MIN_NODES nodes of level 64; entry i > 0 holds the
+    level(0) holds all MIN_NODES nodes of level 64; level(i > 0) holds the
     odd nodes of level 64 * 2^i, the ones the levels below it lack.
     """
 
@@ -150,15 +164,55 @@ class _Levels:
         self.f = f
         self.contour = contour
         self._levels: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._values: dict[int, np.ndarray] = {}
+        self._aliased: dict[int, float] = {}
+
+    def _f_at(self, points: np.ndarray) -> np.ndarray:
+        return np.array([self.f(lam) for lam in points], dtype=np.complex128)
 
     def level(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The indices k, points and weights e^{i theta_k} f(lambda_k)."""
         if i not in self._levels:
             n = MIN_NODES << i
             k = np.arange(n) if i == 0 else np.arange(1, n, 2)
             points, unit = _circle(self.contour.center, self.contour.radius, k, n)
-            weights = unit * np.array([self.f(lam) for lam in points], dtype=np.complex128)
-            self._levels[i] = (k, points, weights)
+            values = self._f_at(points)
+            self._levels[i], self._values[i] = (k, points, unit * values), values
         return self._levels[i]
+
+    def _level_values(self, i: int) -> np.ndarray:
+        """f at all nodes of level i, in order of k."""
+        self.level(i)
+        if i == 0:
+            return self._values[0]
+        values = np.empty(MIN_NODES << i, dtype=np.complex128)
+        values[::2], values[1::2] = self._level_values(i - 1), self._values[i]
+        return values
+
+    def aliased(self, i: int) -> float:
+        """(sum_m |D_m|^2)^{1/2} / ALIAS_GAIN, a bound on f's Taylor mass that
+        level N = 64 * 2^i folds onto lower degrees.
+
+        On the circle f = sum_n c_n e^{i n theta} with c_n = a_n r^n, and
+        level N sees only C_m = sum_q c_{m + qN} for m < N. Sampling f at the
+        same points turned by ALIAS_SHIFT of a spacing gives
+        D_m = sum_{q >= 1} c_{m + qN} (e^{2 pi i q ALIAS_SHIFT} - 1), which
+        is 0 exactly when f has no mass at degree N or above. Those degrees
+        put sum_{q >= 1} c_{m + qN} (T - c)^m / r^m into Q_N. The
+        (T - c)^m / r^m are Fourier coefficients of r e^{i theta} R, so by
+        Parseval their squared entries sum to at most (r max|R|)^2, and by
+        Cauchy-Schwarz r max|R| times this bounds that error entrywise.
+        """
+        if i not in self._aliased:
+            n = MIN_NODES << i
+            k = np.arange(n)
+            turned = _circle(self.contour.center, self.contour.radius, k + ALIAS_SHIFT, n)[0]
+            # FFTs, not a BLAS product: see the module docstring
+            shift = np.exp(-2j * np.pi * ALIAS_SHIFT * k / n)
+            d = np.fft.fft(self._f_at(turned)) * shift - np.fft.fft(self._level_values(i))
+            # hypot scales, so the squares neither underflow nor overflow
+            self._aliased[i] = math.hypot(*np.abs(d).tolist()) / (n * ALIAS_GAIN)
+        return self._aliased[i]
 
 
 def _inverses(ta: np.ndarray, k: np.ndarray, points: np.ndarray, n: int) -> np.ndarray:
@@ -178,11 +232,6 @@ def _weighted_sum(weights: np.ndarray, invs: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", weights, invs)
 
 
-def _term_size(weights: np.ndarray, invs: np.ndarray) -> float:
-    """sum_k |w_k| max|R_k|, the size of the terms w_k R_k."""
-    return float(np.sum(np.abs(weights) * np.abs(invs).max(axis=(1, 2))))
-
-
 def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
     """Q_N over the nested levels, doubling N from MIN_NODES while the
     estimate misses QUADRATURE_RTOL and N is below contour.nodes."""
@@ -192,40 +241,53 @@ def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
     invs = _inverses(ta, k, points, MIN_NODES)
     even = _weighted_sum(weights[::2], invs[::2])
     total = even + _weighted_sum(weights[1::2], invs[1::2])
-    size = _term_size(weights, invs)
-    n = MIN_NODES
+    largest = np.abs(invs).max(axis=(1, 2))
+    size, r_max = float(np.sum(np.abs(weights) * largest)), float(largest.max())
+    i, n = 0, MIN_NODES
     q_half, q = even * (2.0 * radius / n), total * (radius / n)
     while True:
         scale = size * radius / n
         error = max(float(np.abs(q - q_half).max()), ROUNDING_RTOL * ta.shape[0] * scale)
+        last = n >= levels.contour.nodes
+        if last or error <= QUADRATURE_RTOL * scale:
+            # about to stop: add the error of f's mass that both rules fold
+            error = max(error, radius * r_max * levels.aliased(i))
         result = Quadrature(ComplexMatrix(q), n, error, scale)
-        if n >= levels.contour.nodes or result.converged:
+        if last or result.converged:
             return result
-        k, points, weights = levels.level((n // MIN_NODES).bit_length())
+        i += 1
+        k, points, weights = levels.level(i)
         n *= 2
         # the N new nodes in batches of MIN_NODES bound the stacked memory
         for start in range(0, len(points), MIN_NODES):
             batch = slice(start, start + MIN_NODES)
             invs = _inverses(ta, k[batch], points[batch], n)
             total = total + _weighted_sum(weights[batch], invs)
-            size += _term_size(weights[batch], invs)
+            largest = np.abs(invs).max(axis=(1, 2))
+            size += float(np.sum(np.abs(weights[batch]) * largest))
+            r_max = max(r_max, float(largest.max()))
         q_half, q = q, total * (radius / n)
 
 
-def contour_quadrature(t, f: ScalarFunc, contour: ContourSpec) -> Quadrature:
-    """f(T) for one matrix by adaptive contour quadrature, with the node
-    count it took and its error estimate.
+def _member_quadratures(levels: _Levels, hs: np.ndarray, ts: np.ndarray) -> list[Quadrature]:
+    # one adaptive quadrature per member, each stopping at its own level
+    quads = []
+    for h, t in zip(hs.tolist(), ts):
+        try:
+            quads.append(_quadrature(ComplexMatrix(t), levels))
+        except SingularOnContour as exc:
+            raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
+    return quads
+
+
+def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
+    """Evaluate f(T) for one matrix by adaptive contour quadrature.
 
     Raises SingularOnContour when a quadrature node hits the spectrum of T;
     the caller should nudge the radius, not this routine.
     """
     tm = t if isinstance(t, ComplexMatrix) else ComplexMatrix(t)
-    return _quadrature(tm, _Levels(f, contour))
-
-
-def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
-    """Evaluate f(T) for one matrix: the matrix of :func:`contour_quadrature`."""
-    return contour_quadrature(t, f, contour).matrix
+    return _quadrature(tm, _Levels(f, contour)).matrix
 
 
 @dataclass(frozen=True)
@@ -234,9 +296,10 @@ class _Funcalc(FamilyNode):
 
     Not serializable to JSON; exists so functional-calculus images can be
     fed back into the classifiers and field sweeps like any other family.
-    The inner family is evaluated once per call, as one stack. The weights
-    do not depend on h: each level's are computed on its first use (so
-    errors from ``func`` surface at the first evaluation) and kept.
+    The inner family is evaluated once per call, as one stack. What the
+    quadrature needs of ``func`` does not depend on h: each level's is
+    computed on its first use (so errors from ``func`` surface at the first
+    evaluation) and kept.
     """
 
     inner: FamilySpec
@@ -252,17 +315,8 @@ class _Funcalc(FamilyNode):
         return _Levels(self.func, self.contour)
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return np.stack([q.matrix.array for q in self._quadratures(hs, self.inner.node._eval(hs))])
-
-    def _quadratures(self, hs: np.ndarray, ts: np.ndarray) -> list[Quadrature]:
-        # one adaptive quadrature per member, each stopping at its own level
-        return [self._image(h, t) for h, t in zip(hs.tolist(), ts)]
-
-    def _image(self, h: float, t: np.ndarray) -> Quadrature:
-        try:
-            return _quadrature(ComplexMatrix(t), self._levels)
-        except SingularOnContour as exc:
-            raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
+        quads = _member_quadratures(self._levels, hs, self.inner.node._eval(hs))
+        return np.stack([q.matrix.array for q in quads])
 
 
 def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> FamilySpec:
@@ -270,17 +324,16 @@ def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> Famil
     return FamilySpec(tf.dim, _Funcalc(tf, f, contour))
 
 
-def image_quadratures(image: FamilySpec, hs: Sequence[float]) -> list[Quadrature]:
-    """The quadrature behind a :func:`family_funcalc` image at each h in
-    ``hs``: f(T_h), the node count it took and its error estimate.
+def family_quadratures(
+    tf: FamilySpec, f: ScalarFunc, contour: ContourSpec, hs: Sequence[float]
+) -> list[Quadrature]:
+    """f(T_h) at each h in ``hs``, with the node count it took and its error
+    estimate: the values of the :func:`family_funcalc` image at ``hs``.
 
     Checks the samples as :func:`family_eval_stack` does.
     """
-    node = image.node
-    if not isinstance(node, _Funcalc):
-        raise BadParameter("image_quadratures needs a family_funcalc image")
     hs = np.asarray(hs, dtype=np.float64)
-    return node._quadratures(hs, family_eval_stack(node.inner, hs))
+    return _member_quadratures(_Levels(f, contour), hs, family_eval_stack(tf, hs))
 
 
 def require_quadrature(quads: Sequence[Quadrature]) -> None:
@@ -319,15 +372,12 @@ __all__ = [
     "Quadrature",
     "ScalarFunc",
     "expr_function",
-    "contour_quadrature",
     "contour_funcalc",
     "family_funcalc",
-    "image_quadratures",
+    "family_quadratures",
     "require_quadrature",
     "contour_encloses",
     "require_enclosing",
     "MIN_NODES",
     "DEFAULT_NODES",
-    "QUADRATURE_RTOL",
-    "ROUNDING_RTOL",
 ]

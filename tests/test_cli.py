@@ -273,6 +273,36 @@ class TestFuncalcCommand:
         else:
             assert {entry["nodes"] for entry in json.loads(out)["tail"]} == {512}
 
+    @pytest.mark.parametrize("nodes, code", [("128", 3), ("256", 0)])
+    def test_mass_at_the_node_count_is_not_folded_away(self, capsys, tmp_path, nodes, code):
+        # z^64 on the unit circle: level 64 reads T^64 + I and agrees with
+        # level 32, so only the alias check sends it on to 256 nodes
+        path = tmp_path / "quarter.json"
+        matrix = {"dim": 1, "re": [0.25], "im": [0]}
+        path.write_text(json.dumps({"dim": 1, "node": {"kind": "constant", "matrix": matrix}}))
+        got, out, err = run(
+            capsys,
+            "funcalc",
+            "--family",
+            str(path),
+            "--expr",
+            "z^64",
+            "--contour-center",
+            "0",
+            "--contour-radius",
+            "1",
+            "--nodes",
+            nodes,
+        )
+        assert got == code
+        if code == 3:
+            assert json.loads(err)["kind"] == "QuadratureUnresolved"
+        else:
+            for entry in json.loads(out)["tail"]:
+                assert entry["nodes"] == 256
+                # 0.25^64 is about 3e-39
+                assert max(map(abs, entry["matrix"]["re"] + entry["matrix"]["im"])) <= 1e-13
+
     def test_non_enclosing_contour_is_numerical_error(self, capsys, two_point):
         code, out, err = run(
             capsys,

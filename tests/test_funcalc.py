@@ -29,6 +29,11 @@ def entry_gap(a: ComplexMatrix, b) -> float:
     return float(np.max(np.abs(a.array - np.asarray(b))))
 
 
+def quadrature(t, f, contour: ContourSpec) -> funcalc.Quadrature:
+    """The adaptive quadrature of f(T) for one matrix T."""
+    return funcalc.family_quadratures(ax.constant_family(t), f, contour, [1.0])[0]
+
+
 class TestContourSpec:
     def test_nodes_must_be_power_of_two(self):
         for nodes in (100, 32, 0, 65):
@@ -42,7 +47,7 @@ class TestContourSpec:
 
     def test_points_lie_on_the_circle(self):
         contour = ContourSpec(1.0 + 2.0j, 0.5, 64)
-        pts = contour.points()
+        pts = funcalc._Levels(cmath.exp, contour).level(0)[1]
         assert len(pts) == 64
         assert all(abs(abs(p - (1 + 2j)) - 0.5) <= 1e-12 for p in pts)
 
@@ -116,13 +121,14 @@ class TestContourFuncalc:
         data = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         t = ComplexMatrix(data / np.sqrt(dim))
         contour = ContourSpec(0.1 + 0.2j, linalg.operator_norm(t) + 1.0, nodes)
-        quad = funcalc.contour_quadrature(t, cmath.exp, contour)
+        quad = quadrature(t, cmath.exp, contour)
         # the explicit sum at the node count the quadrature stopped at
         used = quad.nodes
         want = np.zeros((dim, dim), dtype=np.complex128)
-        for k, lam in enumerate(ContourSpec(contour.center, contour.radius, used).points()):
-            w = cmath.exp(2j * cmath.pi * k / used) * cmath.exp(lam)
-            want += w * np.linalg.inv(lam * np.eye(dim) - t.array)
+        for k in range(used):
+            unit = cmath.exp(2j * cmath.pi * k / used)
+            lam = contour.center + contour.radius * unit
+            want += unit * cmath.exp(lam) * np.linalg.inv(lam * np.eye(dim) - t.array)
         want *= contour.radius / used
         np.testing.assert_allclose(quad.matrix.array, want, rtol=1e-13, atol=0)
         same = funcalc.contour_funcalc(t, cmath.exp, contour)
@@ -149,7 +155,7 @@ class TestContourFuncalc:
     def test_eigenvalue_on_a_refined_node_rejected(self):
         # node 1 of 128 is no node of level 64: the first level misses it,
         # fails to converge, and the doubling hits it
-        mu = ContourSpec(0j, 1.0, 128).points()[1]
+        mu = funcalc._circle(0j, 1.0, np.arange(128), 128)[0][1]
         t = ComplexMatrix.diagonal([mu, 0.0])
         with pytest.raises(SingularOnContour, match="node 1 of 128"):
             funcalc.contour_funcalc(t, cmath.exp, ContourSpec(0j, 1.0, 256))
@@ -199,8 +205,9 @@ class TestAdaptiveQuadrature:
     @pytest.mark.parametrize("nodes", [64, 128, 256])
     def test_refined_level_keeps_every_coarse_node_bit_for_bit(self, nodes):
         contour = ContourSpec(0.3 - 1.1j, 1.7, nodes)
-        fine = ContourSpec(contour.center, contour.radius, 2 * nodes).points()
-        assert np.array_equal(fine[::2], contour.points())
+        fine = funcalc._circle(contour.center, contour.radius, np.arange(2 * nodes), 2 * nodes)[0]
+        coarse = funcalc._circle(contour.center, contour.radius, np.arange(nodes), nodes)[0]
+        assert np.array_equal(fine[::2], coarse)
         # the levels the doubling inverts, interleaved, are the cap's points
         levels = funcalc._Levels(cmath.exp, ContourSpec(contour.center, contour.radius, 2 * nodes))
         k, points, weights = levels.level(0)
@@ -225,10 +232,11 @@ class TestAdaptiveQuadrature:
             for f in (cmath.exp, lambda z: z * z):
                 calls = []
                 inverses = CountingInverses(monkeypatch)
-                quad = funcalc.contour_quadrature(
+                quad = quadrature(
                     t, lambda z: calls.append(z) or f(z), ContourSpec(0j, radius, 256)
                 )
-                assert (quad.nodes, len(calls), inverses.members) == (64, 64, 64)
+                # f at the 64 nodes and at the alias check's 64 turned points
+                assert (quad.nodes, len(calls), inverses.members) == (64, 128, 64)
                 assert quad.converged
 
     def test_hard_contour_doubles_up_to_its_need(self, monkeypatch):
@@ -236,7 +244,7 @@ class TestAdaptiveQuadrature:
         # only the new odd nodes
         inverses = CountingInverses(monkeypatch)
         t = np.array([[0.9, 1.0], [0.0, -0.3]])
-        quad = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 1024))
+        quad = quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 1024))
         assert (quad.nodes, inverses.members, quad.converged) == (512, 512, True)
 
     @pytest.mark.parametrize("a", [0.9, 0.94])
@@ -245,7 +253,7 @@ class TestAdaptiveQuadrature:
         want = upper_triangular_exp(a)
         estimates = []
         for cap in (64, 128, 256, 512):
-            quad = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, cap))
+            quad = quadrature(t, cmath.exp, ContourSpec(0j, 1.0, cap))
             assert quad.nodes == cap
             assert np.abs(quad.matrix.array - want).max() <= quad.error
             estimates.append(quad.error)
@@ -259,24 +267,72 @@ class TestAdaptiveQuadrature:
     @given(enclosed_matrices())
     def test_estimate_bounds_the_true_error_for_exp(self, case):
         t, contour = case
-        quad = funcalc.contour_quadrature(t, cmath.exp, contour)
+        quad = quadrature(t, cmath.exp, contour)
         assert np.abs(quad.matrix.array - expm(t)).max() <= quad.error
 
     def test_rounding_allowance_floors_the_estimate(self):
         # a polynomial of low degree is summed exactly up to rounding, so the
         # level difference alone could read 0 or below the true error
         t = ComplexMatrix.diagonal([0.25, -0.5])
-        quad = funcalc.contour_quadrature(t, lambda z: z, ContourSpec(0j, 2.0, 256))
+        quad = quadrature(t, lambda z: z, ContourSpec(0j, 2.0, 256))
         assert quad.nodes == 64
         assert quad.error == funcalc.ROUNDING_RTOL * 2 * quad.scale
 
     def test_refusal_at_the_cap(self):
         t = np.array([[0.9, 1.0], [0.0, -0.3]])
-        short = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 64))
-        enough = funcalc.contour_quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 512))
+        short = quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 64))
+        enough = quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 512))
         with pytest.raises(QuadratureUnresolved, match="64-node cap"):
             funcalc.require_quadrature([enough, short])
         funcalc.require_quadrature([enough])
+
+    # z^n on the circle |z| = r is a single Fourier mode of degree n. A level
+    # N dividing n folds it onto degree 0, so Q_N and Q_{N/2} both read
+    # f(T) + r^n I and agree; only the alias check sees the difference
+    @pytest.mark.parametrize(
+        "expr, degree, needs",
+        [("z^64", 64, 256), ("(z^8)^8", 64, 256), ("z^64*z^64", 128, 512), ("(z^32)^6", 192, 256)],
+    )
+    def test_mass_at_a_multiple_of_the_node_count_is_seen(self, expr, degree, needs):
+        f = funcalc.expr_function(parse_expr(expr))
+        # ||T|| <= r/2 for both, the second non-normal
+        for t in (np.array([[0.25]]), np.array([[0.25, 0.25], [0.0, -0.1]])):
+            want = np.linalg.matrix_power(t, degree)
+            for cap in (64, needs // 2):
+                short = quadrature(t, f, ContourSpec(0j, 1.0, cap))
+                assert not short.converged
+                assert np.abs(short.matrix.array - want).max() <= short.error
+            quad = quadrature(t, f, ContourSpec(0j, 1.0, 4 * needs))
+            assert (quad.nodes, quad.converged) == (needs, True)
+            assert np.abs(quad.matrix.array - want).max() <= 1e-13
+
+    # f = sum_j a_j ((z - c) / r)^{n_j} puts f's mass at the degrees n_j
+    # exactly, below nine times the first level's node count: the degrees
+    # for which ALIAS_GAIN bounds the alias check's gain
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        enclosed_matrices(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 9 * funcalc.MIN_NODES - 1),
+                st.complex_numbers(min_magnitude=1e-3, max_magnitude=1.0),
+                st.integers(-10, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_estimate_bounds_the_true_error_for_polynomials(self, case, terms):
+        t, contour = case
+        c, r = contour.center, contour.radius
+        scaled = (t - c * np.eye(len(t))) / r
+        terms = [(n, a * 10.0**e) for n, a, e in terms]
+        want = sum(a * np.linalg.matrix_power(scaled, n) for n, a in terms)
+        for cap in (64, 256, 1024):
+            quad = quadrature(
+                t, lambda z: sum(a * ((z - c) / r) ** n for n, a in terms), ContourSpec(c, r, cap)
+            )
+            assert np.abs(quad.matrix.array - want).max() <= quad.error
 
 
 class TestFamilyFuncalc:
@@ -306,8 +362,9 @@ class TestFamilyFuncalc:
         contour = ContourSpec(1.5 + 0j, 2.0, 64)
         image = ax.family_funcalc(ax.diag_family(["1", "2+h"]), counting, contour)
         ax.quasinilpotent_equiv(image, ax.diag_family(["1", "2"]), coarse_grid, n_max=8)
-        # the weights f(lambda_k) do not depend on h: one call per node for the family
-        assert len(calls) == contour.nodes
+        # f(lambda_k) and the alias check do not depend on h: f is called at
+        # each node and at each of the check's turned points once for the family
+        assert len(calls) == 2 * contour.nodes
 
     def test_weights_of_each_level_are_computed_once(self):
         calls = []
@@ -317,25 +374,26 @@ class TestFamilyFuncalc:
             return cmath.exp(z)
 
         # eigenvalue 0.7 on the unit circle converges at 128 nodes
-        image = ax.family_funcalc(
-            ax.diag_family(["0.7", "-0.3+h"]), counting, ContourSpec(0j, 1.0, 256)
-        )
-        quads = funcalc.image_quadratures(image, [0.125, 0.0625, 0.03125])
+        tf, contour = ax.diag_family(["0.7", "-0.3+h"]), ContourSpec(0j, 1.0, 256)
+        hs = [0.125, 0.0625, 0.03125]
+        ax.families.family_eval_stack(ax.family_funcalc(tf, counting, contour), hs)
+        # level 64 (64 nodes), level 128's 64 odd nodes and the alias check
+        # at 128 (128 points), once for all three members
+        assert len(calls) == 256
+        calls.clear()
+        quads = funcalc.family_quadratures(tf, counting, contour, hs)
         assert [q.nodes for q in quads] == [128, 128, 128]
-        assert len(calls) == 128
+        assert len(calls) == 256
 
-    def test_image_quadratures_are_the_family_values(self, coarse_grid):
-        image = ax.family_funcalc(
-            ax.diag_family(["1", "2+h"]), cmath.exp, ContourSpec(1.5 + 0j, 2.0, 256)
-        )
+    def test_family_quadratures_are_the_image_values(self, coarse_grid):
+        tf, contour = ax.diag_family(["1", "2+h"]), ContourSpec(1.5 + 0j, 2.0, 256)
         hs = coarse_grid.window_samples
-        quads = funcalc.image_quadratures(image, hs)
+        quads = funcalc.family_quadratures(tf, cmath.exp, contour, hs)
         got = np.stack([q.matrix.array for q in quads])
+        image = ax.family_funcalc(tf, cmath.exp, contour)
         assert np.array_equal(got, ax.families.family_eval_stack(image, hs))
         with pytest.raises(BadParameter):
-            funcalc.image_quadratures(ax.diag_family(["1"]), hs)
-        with pytest.raises(BadParameter):
-            funcalc.image_quadratures(image, [0.0])
+            funcalc.family_quadratures(tf, cmath.exp, contour, [0.0])
 
     def test_error_from_f_raises_at_evaluation(self):
         def failing(z):
