@@ -32,13 +32,13 @@ interpolant of f: the difference is f's Taylor mass at degree N and above,
 which level N folds onto lower degrees.
 
 The weights e^{i theta_k} f(lambda_k) and the alias check read f alone,
-not T, so a family image computes each level's once, on first use. The weighted sum of each
-batch of inverses is an einsum loop, not a BLAS call. numpy and scipy each
-load their own OpenBLAS, each with its own thread pool, and on two CPUs the
-pools contend: an np.tensordot gemv of 64 weights with a (64, 16, 16) stack
-took 16 us in a loop but about 4 ms right after a scipy expm of an 8x8
-matrix. The einsum loop costs under 5 % of its batch's inverse_stack at
-d = 2-64 and wakes neither pool.
+not T, so a family image computes each level's once, on first use. The
+weighted sum of each batch of inverses is an einsum loop, not a BLAS call.
+numpy and scipy each load their own OpenBLAS, each with its own thread
+pool, and on two CPUs the pools contend: an np.tensordot gemv of 64 weights
+with a (64, 16, 16) stack took 16 us in a loop but about 4 ms right after
+a scipy expm of an 8x8 matrix. The einsum loop costs under 5 % of its
+batch's inverse_stack at d = 2-64 and wakes neither pool.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ class Quadrature:
 
     @property
     def converged(self) -> bool:
-        return self.error <= QUADRATURE_RTOL * self.scale
+        # an overflowing sum makes both error and scale inf
+        return math.isfinite(self.error) and self.error <= QUADRATURE_RTOL * self.scale
 
 
 class _Levels:

@@ -286,6 +286,13 @@ class TestAdaptiveQuadrature:
             funcalc.require_quadrature([enough, short])
         funcalc.require_quadrature([enough])
 
+    def test_overflowing_sum_is_not_converged(self):
+        # 4^511 is finite, but the terms' size and the estimate overflow to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = quadrature(np.zeros((1, 1)), lambda z: z**511, ContourSpec(0j, 4.0, 64))
+        assert quad.error == quad.scale == math.inf
+        assert not quad.converged
+
     # z^n on the circle |z| = r is a single Fourier mode of degree n. A level
     # N dividing n folds it onto degree 0, so Q_N and Q_{N/2} both read
     # f(T) + r^n I and agree; only the alias check sees the difference
