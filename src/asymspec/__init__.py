@@ -20,7 +20,6 @@ from .brackets import (
     commuting_collapse_residual,
     power_norm_sequence,
     root_limit,
-    sequence_to_csv,
 )
 from .classify import (
     EquivalenceVerdict,

@@ -172,16 +172,6 @@ def root_limit(sequence: BracketSequence, tol: float) -> RootLimit:
     return RootLimit(RootClass.INCONCLUSIVE, None)
 
 
-def sequence_to_csv(sequence: BracketSequence) -> str:
-    """CSV with columns n, a_n, a_n^(1/n)."""
-    lines = ["n,a_n,a_n^(1/n)"]
-    for n in range(1, sequence.n_max + 1):
-        a = sequence.norms[n - 1]
-        r = sequence.roots[n - 1]
-        lines.append("%d,%.17g,%.17g" % (n, a, r))
-    return "\n".join(lines) + "\n"
-
-
 # Re-exported convenience: the collapse comparison used by tests.
 
 
@@ -204,6 +194,5 @@ __all__ = [
     "RootClass",
     "RootLimit",
     "root_limit",
-    "sequence_to_csv",
     "commuting_collapse_residual",
 ]

@@ -29,6 +29,7 @@ from .errors import (
     AsymspecError,
     BadParameter,
     DimensionMismatch,
+    ExprError,
     LengthMismatch,
     OutOfRange,
     ParseError,
@@ -141,7 +142,7 @@ def _emit(args, artifacts: dict[str, str], summary: str | None = None) -> int:
 def _parse_complex_flag(text: str, flag: str) -> complex:
     try:
         return parse_constant(text)
-    except ParseError as exc:
+    except (ParseError, ExprError) as exc:
         raise SchemaError(f"bad complex literal: {exc}", path=flag) from exc
 
 

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import DivisionNearZero, ParseError, UnboundVariable
+from .errors import DivisionNearZero, ExprError, ParseError, UnboundVariable
 
 DENOM_FLOOR = 1e-300
 MAX_EXPONENT = 64
@@ -218,7 +218,10 @@ def parse_expr(src: str) -> FuncExpr:
 
 
 def eval_expr(expr: FuncExpr, bindings: Mapping[str, complex]) -> complex:
-    """Evaluate an expression tree under variable bindings (keys "z", "h")."""
+    """Evaluate an expression tree under variable bindings (keys "z", "h").
+
+    A power or exp that overflows raises ExprError.
+    """
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Var):
@@ -240,9 +243,17 @@ def eval_expr(expr: FuncExpr, bindings: Mapping[str, complex]) -> complex:
     if isinstance(expr, Neg):
         return -eval_expr(expr.operand, bindings)
     if isinstance(expr, IntPow):
-        return eval_expr(expr.base, bindings) ** expr.exponent
+        base = eval_expr(expr.base, bindings)
+        try:
+            return base**expr.exponent
+        except OverflowError:
+            raise ExprError(f"({base:.6g})^{expr.exponent} overflows") from None
     if isinstance(expr, Exp):
-        return cmath.exp(eval_expr(expr.operand, bindings))
+        operand = eval_expr(expr.operand, bindings)
+        try:
+            return cmath.exp(operand)
+        except OverflowError:
+            raise ExprError(f"exp({operand:.6g}) overflows") from None
     raise TypeError(f"not an expression node: {expr!r}")
 
 

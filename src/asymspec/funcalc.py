@@ -81,6 +81,8 @@ ROUNDING_RTOL = 8 * np.finfo(np.float64).eps
 # q = 5); the check divides by it, so it bounds f's mass below degree 9N.
 ALIAS_SHIFT = math.sqrt(2.0) - 1.0
 ALIAS_GAIN = min(2.0 * abs(math.sin(math.pi * q * ALIAS_SHIFT)) for q in range(1, 9))
+# contour_encloses admits a cluster only inside this fraction of the radius.
+ENCLOSE_MARGIN = 0.95
 
 
 def _circle(center: complex, radius: float, k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,14 +120,11 @@ class ContourSpec:
 ScalarFunc = Callable[[complex], complex]
 
 
-def expr_function(ast: FuncExpr, extra: dict[str, complex] | None = None) -> ScalarFunc:
-    """Close an expression AST over ``z``; extra bindings (e.g. h) are fixed."""
-    fixed = dict(extra) if extra else {}
+def expr_function(ast: FuncExpr) -> ScalarFunc:
+    """Close an expression AST over ``z``."""
 
     def f(z: complex) -> complex:
-        bindings = dict(fixed)
-        bindings["z"] = z
-        return eval_expr(ast, bindings)
+        return eval_expr(ast, {"z": z})
 
     return f
 
@@ -150,7 +149,7 @@ class Quadrature:
 
     @property
     def converged(self) -> bool:
-        # an overflowing sum makes both error and scale inf
+        # an alias check that overflows makes the error inf
         return math.isfinite(self.error) and self.error <= QUADRATURE_RTOL * self.scale
 
 
@@ -233,9 +232,14 @@ def _weighted_sum(weights: np.ndarray, invs: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", weights, invs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
     """Q_N over the nested levels, doubling N from MIN_NODES while the
-    estimate misses QUADRATURE_RTOL and N is below contour.nodes."""
+    estimate misses QUADRATURE_RTOL and N is below contour.nodes.
+
+    Raises QuadratureUnresolved when the sum or the terms' size overflows;
+    numpy's warnings on the way there are silenced, the refusal says it.
+    """
     ta = t.array
     radius = levels.contour.radius
     k, points, weights = levels.level(0)
@@ -248,6 +252,11 @@ def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
     q_half, q = even * (2.0 * radius / n), total * (radius / n)
     while True:
         scale = size * radius / n
+        if not (math.isfinite(scale) and np.isfinite(q).all()):
+            raise QuadratureUnresolved(
+                f"the quadrature sum overflows at {n} nodes: f(z) times the resolvent "
+                "leaves the float range on the contour; shrink the radius or recenter"
+            )
         error = max(float(np.abs(q - q_half).max()), ROUNDING_RTOL * ta.shape[0] * scale)
         last = n >= levels.contour.nodes
         if last or error <= QUADRATURE_RTOL * scale:
@@ -343,28 +352,27 @@ def require_quadrature(quads: Sequence[Quadrature]) -> None:
         if not q.converged:
             raise QuadratureUnresolved(
                 f"quadrature error estimate {q.error:.3g} at the {q.nodes}-node cap exceeds "
-                f"{QUADRATURE_RTOL:.3g} of the terms' size {q.scale:.3g}; "
-                "raise the node cap, widen the radius or recenter"
+                f"{QUADRATURE_RTOL:.3g} of the terms' size {q.scale:.3g}; raise the node "
+                "cap, widen the radius or recenter; if no cap converges, f may not be "
+                "holomorphic inside the contour"
             )
 
 
-def contour_encloses(contour: ContourSpec, clusters, margin: float = 0.95) -> bool:
-    """Do all cluster blobs sit strictly inside the circle (with slack)?
+def contour_encloses(contour: ContourSpec, clusters) -> bool:
+    """Do all cluster blobs sit inside ENCLOSE_MARGIN times the circle?
 
-    margin < 1 shrinks the admissible disc so blobs hugging the contour
+    The margin shrinks the admissible disc so blobs hugging the contour
     count as NOT enclosed; quadrature accuracy degrades there anyway.
     """
-    if not 0 < margin <= 1:
-        raise BadParameter("margin must lie in (0, 1]")
-    limit = margin * contour.radius
+    limit = ENCLOSE_MARGIN * contour.radius
     return all(abs(c.centroid - contour.center) + c.radius <= limit for c in clusters)
 
 
-def require_enclosing(contour: ContourSpec, clusters, margin: float = 0.95) -> None:
-    if not contour_encloses(contour, clusters, margin):
+def require_enclosing(contour: ContourSpec, clusters) -> None:
+    if not contour_encloses(contour, clusters):
         raise NonEnclosing(
             "contour does not enclose every spectrum cluster with margin "
-            f"{margin:g}; widen the radius or recenter"
+            f"{ENCLOSE_MARGIN:g}; widen the radius or recenter"
         )
 
 

@@ -71,19 +71,8 @@ class ComplexMatrix:
         return self._a
 
     @staticmethod
-    def identity(dim: int) -> "ComplexMatrix":
-        return ComplexMatrix(np.eye(dim, dtype=np.complex128))
-
-    @staticmethod
     def zeros(dim: int) -> "ComplexMatrix":
         return ComplexMatrix(np.zeros((dim, dim), dtype=np.complex128))
-
-    @staticmethod
-    def diagonal(entries) -> "ComplexMatrix":
-        values = np.asarray(entries, dtype=np.complex128)
-        if values.ndim != 1 or values.size < 1:
-            raise BadParameter("diagonal wants a nonempty 1-d entry list")
-        return ComplexMatrix(np.diag(values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComplexMatrix(dim={self.dim})"

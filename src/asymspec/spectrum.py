@@ -14,18 +14,12 @@ resolvent identities and defects invert and take norms there only, and the
 series transport, whose partial sums cover the whole grid, takes its norms
 there. They still evaluate the family at every grid sample, so an
 evaluation error anywhere on the grid raises; the field sweeps evaluate
-just the window samples, once, in the calling thread. The points of the region are
-independent of one another: a sweep splits them into slices and, from
-dimension THREAD_MIN_DIM up, factors the slices on a thread pool sized to
-the CPUs available to the process, with the same kernel for every slice,
-so the field does not depend on the CPU count. Dimension-2 and dimension-3
-sweeps skip LAPACK's cost per call: a closed form (a Givens rotation, then
-LAPACK dlas2's formulas) at dimension 2, and one-sided Jacobi on a real
-bidiagonal form at dimension 3, give the singular values of several rows
-of shifted matrices at once, in the calling thread, within a few eps
-sigma_max of LAPACK's. Only a 3x3 matrix that the Jacobi sweeps leave
-unsettled goes to LAPACK. A full-grid sweep of a single point is still
-available through resolvent_at for diagnostics.
+just the window samples, once, in the calling thread. A sweep slices the
+region's points by one rule (see resolvent_norm_field): numpy kernels in
+the calling thread up to dimension 3, batched LAPACK SVDs on a thread pool
+from dimension 4 up, and the field does not depend on the CPU count. A
+full-grid sweep of a single point is still available through resolvent_at
+for diagnostics.
 """
 
 from __future__ import annotations
@@ -104,9 +98,6 @@ class ComplexRegion:
     def ys(self) -> np.ndarray:
         return self.center.imag + np.linspace(-self.half_width, self.half_width, self.resolution)
 
-    def point(self, ix: int, iy: int) -> complex:
-        return complex(self.xs[ix], self.ys[iy])
-
 
 @dataclass(frozen=True)
 class ResolventField:
@@ -164,19 +155,8 @@ def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, T
 # ---------------------------------------------------------------------------
 # field sweeps
 
-# Smallest family dimension whose field sweep runs on the thread pool.
-# Dimensions 2 and 3 take their singular values from numpy kernels in the
-# calling thread (see ROWS_PER_SLICE). Dimension 1 keeps the batched SVD, and
-# its SVDs are shorter than the 3x3 ones, whose GIL-free LAPACK time did not
-# outweigh the hand-offs between threads: two threads ran a dim-3 sweep no
-# faster and varied far more from one sweep to the next, while dim 4 ran
-# 1.6x faster.
-THREAD_MIN_DIM = 4
-
-# Region rows per slice of a dimension-2 or dimension-3 sweep, which takes its
-# singular values in closed form (linalg.singular_values_2x2) or by Jacobi
-# sweeps (linalg.singular_values_3x3) in the calling thread. Both kernels make
-# a few dozen to a few hundred numpy passes per slice, so a slice must be long
+# Region rows per slice of a sweep up to dimension 3, whose numpy kernels
+# make a few dozen to a few hundred passes per slice, so a slice must be long
 # enough to amortise Python's cost per call. With a 6-sample window (2-vCPU
 # x86-64): on a 101^2 dim-2 sweep one row per slice took 10.6 ms, eight rows
 # 5.5 ms with a 1.3 MB traced peak, and the whole field as one slice 12.3 ms
@@ -201,21 +181,25 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     region's points, in y-major order, are cut into slices, and each slice
     gets the singular values of lam I - S_h at every (point, window sample)
     in one call; a sample that is singular under linalg.is_singular makes
-    its point inf. At dimension 2 that call is the closed form
-    linalg.singular_values_2x2 and at dimension 3 the Jacobi kernel
-    linalg.singular_values_3x3, each within a few eps sigma_max of LAPACK,
-    on slices of ROWS_PER_SLICE rows in the calling thread. Otherwise it is
-    one batched SVD: from dimension THREAD_MIN_DIM up on slices of
-    ceil(resolution / workers) points, one worker thread per available CPU,
-    and at dimension 1 on one row per slice in the calling thread. Every
-    point goes through the same kernel whatever slice it lands in, and no
-    kernel lets one point's value depend on another's, so the field is the
-    same for any worker count or slice size. The slices in flight at once
-    hold about one row's worth of shifted matrices (ROWS_PER_SLICE rows at
-    dimensions 2 and 3).
+    its point inf. One rule schedules the slices. Up to dimension 3 the call
+    is a numpy kernel, within a few eps sigma_max of LAPACK: |lam - s_h| at
+    dimension 1, the closed form linalg.singular_values_2x2 at dimension 2,
+    the Jacobi kernel linalg.singular_values_3x3 at dimension 3. It runs on
+    slices of ROWS_PER_SLICE rows in the calling thread. From dimension 4 up
+    it is one batched SVD, on slices of ceil(resolution / workers) points,
+    one worker thread per available CPU, so the slices in flight hold about
+    one row's worth of shifted matrices. No kernel lets one point's value
+    depend on another's, so the field is the same for any worker count or
+    slice size.
     """
     window = family_eval_stack(sf, grid.window_samples)
-    if sf.dim == 2:
+    if sf.dim == 1:
+        s11 = window[:, 0, 0]
+
+        def singular_values(lams: np.ndarray) -> np.ndarray:
+            return np.abs(lams - s11)[..., None]
+
+    elif sf.dim == 2:
         s11, s22 = window[:, 0, 0], window[:, 1, 1]
         b, c = -window[:, 0, 1], -window[:, 1, 0]
 
@@ -237,15 +221,16 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
 
     n = region.resolution
     lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
-    workers = _cpu_count() if sf.dim >= THREAD_MIN_DIM else 1
-    step = n * ROWS_PER_SLICE if sf.dim in (2, 3) else -(-n // workers)
-    slices = [lams[i : i + step] for i in range(0, lams.size, step)]
-    if workers == 1:
-        values = np.concatenate([tail_norms(chunk) for chunk in slices])
+    if sf.dim <= 3:
+        step = n * ROWS_PER_SLICE
+        values = [tail_norms(lams[i : i + step]) for i in range(0, lams.size, step)]
     else:
+        workers = _cpu_count()
+        step = -(-n // workers)
+        slices = [lams[i : i + step] for i in range(0, lams.size, step)]
         with ThreadPoolExecutor(workers) as pool:
-            values = np.concatenate(list(pool.map(tail_norms, slices)))
-    return ResolventField(region, values.reshape(n, n))
+            values = list(pool.map(tail_norms, slices))
+    return ResolventField(region, np.concatenate(values).reshape(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +287,13 @@ def spectrum_estimate(field: ResolventField, epsilon: float) -> SpectrumEstimate
     return SpectrumEstimate(field.region, epsilon, tuple(clusters), flagged)
 
 
-def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate, slack: float = 0.0) -> bool:
+def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate) -> bool:
     """Same cluster count and pairwise-close centroids, up to one grid spacing."""
     if len(a.clusters) != len(b.clusters):
         return False
     spacing = max(a.region.spacing, b.region.spacing)
     return all(
-        abs(ca.centroid - cb.centroid) <= spacing + slack + 1e-9
+        abs(ca.centroid - cb.centroid) <= spacing + 1e-9
         for ca, cb in zip(a.clusters, b.clusters)
     )
 

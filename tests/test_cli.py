@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -303,6 +304,43 @@ class TestFuncalcCommand:
                 # 0.25^64 is about 3e-39
                 assert max(map(abs, entry["matrix"]["re"] + entry["matrix"]["im"])) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "entry, expr, radius, kind, message",
+        [
+            # 4^511 is finite in f, but the quadrature's sum overflows
+            ("0", "(z^64)^7*z^63", "4", "QuadratureUnresolved", "overflows at 64 nodes"),
+            ("0.1", "1/(z - 0.5)", "1", "QuadratureUnresolved", "may not be holomorphic"),
+            ("0", "exp(z)", "800", "ExprError", "exp(800+0j) overflows"),
+        ],
+        ids=["overflowing-sum", "pole", "overflowing-f"],
+    )
+    def test_quadrature_failure_names_its_cause(
+        self, capsys, tmp_path, entry, expr, radius, kind, message
+    ):
+        path = tmp_path / "scalar.json"
+        matrix = {"dim": 1, "re": [float(entry)], "im": [0]}
+        path.write_text(json.dumps({"dim": 1, "node": {"kind": "constant", "matrix": matrix}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run(
+                capsys,
+                "funcalc",
+                "--family",
+                str(path),
+                "--expr",
+                expr,
+                "--contour-center",
+                "0",
+                "--contour-radius",
+                radius,
+            )
+        assert (got, out, caught) == (3, "", [])
+        # the JSON diagnostic is all of stderr
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["kind"] == kind
+        assert message in payload["error"]
+
     def test_non_enclosing_contour_is_numerical_error(self, capsys, two_point):
         code, out, err = run(
             capsys,
@@ -451,10 +489,15 @@ class TestConfigErrors:
                         "--contour-center", "0.5", "--contour-radius", "2.2"]),
             ("--region-center", ["spectrum", "--family", "{family}", "--region-center",
                                  "1.5+*2i", "--region-half-width", "2", "--resolution", "21"]),
+            ("--region-center", ["spectrum", "--family", "{family}", "--region-center",
+                                 "exp(1000)"]),
+            ("--contour-center", ["funcalc", "--family", "{family}", "--expr", "z",
+                                  "--contour-center", "(1e200)^2", "--contour-radius", "2.2"]),
             ("--family", ["qnil", "--family", "{missing}"]),
             ("--family", ["qnil", "--family", "{not_json}"]),
         ],
-        ids=["bad-expr", "bad-region-center", "missing-family", "non-json-family"],
+        ids=["bad-expr", "bad-region-center", "overflowing-region-center",
+             "overflowing-contour-center", "missing-family", "non-json-family"],
     )
     def test_error_names_the_flag_once(self, capsys, two_point, tmp_path, flag, argv):
         not_json = tmp_path / "not_json.json"

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from asymspec import exprs
-from asymspec.errors import DivisionNearZero, ParseError, UnboundVariable
+from asymspec.errors import DivisionNearZero, ExprError, ParseError, UnboundVariable
 
 
 def value(src, **bindings):
@@ -90,6 +90,15 @@ class TestEvaluation:
     def test_unbound_variable_raises(self):
         with pytest.raises(UnboundVariable):
             value("z+h", z=1.0)
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [("exp(z)", r"exp\(800\+0j\) overflows"), ("(z^64)^2", r"\^2 overflows")],
+    )
+    def test_overflow_raises_expr_error(self, src, message):
+        # cmath.exp and complex ** raise OverflowError, which is no diagnostic
+        with pytest.raises(ExprError, match=message):
+            value(src, z=800.0)
 
 
 class TestParseErrors:

@@ -25,7 +25,7 @@ def grid20():
 
 @pytest.fixture(scope="module")
 def const_two_point():
-    return ax.constant_family(ComplexMatrix.diagonal([1.0, 2.0]))
+    return ax.constant_family(ComplexMatrix(np.diag([1.0, 2.0])))
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ class TestNormField:
         field = ax.resolvent_norm_field(fam, region, grid20)
         for iy in range(0, region.resolution, 4):
             for ix in range(0, region.resolution, 4):
-                lam = region.point(ix, iy)
+                lam = region.xs[ix] + 1j * region.ys[iy]
                 shifted = [
                     lam * np.eye(3) - families.family_eval_array(fam, h)
                     for h in grid20.window_samples
@@ -184,6 +184,30 @@ class TestNormField:
         monkeypatch.setattr(spectrum.np.linalg, "svd", no_svd)
         field = ax.resolvent_norm_field(const_two_point, ComplexRegion(1.5 + 0j, 2.0, 41), grid20)
         assert np.isinf(field.values).sum() == 2
+
+    def test_dim_one_sweep_takes_no_lapack_svd(self, grid20, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the dim-1 sweep took an SVD")
+
+        fam = ax.diag_family(["0.5+0.25i+h*(1-i)"])
+        region = ComplexRegion(0.5 + 0.25j, 1.0, 41)
+        want = rowwise_field(fam, region, grid20)
+        monkeypatch.setattr(linalg.np.linalg, "svd", no_svd)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        assert_matches_rowwise(field.values, want, 1)
+
+    @pytest.mark.parametrize("entry", ["1", "0.5+0.25i+h*(1-i)"])
+    def test_dim_one_field_is_inverse_distance(self, grid20, entry):
+        # exactly 1 / min_h |lam - s_h|, inf where lam is a window sample's s_h
+        fam = ax.diag_family([entry])
+        region = ComplexRegion(1.0 + 0j, 1.0, 21)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        s = families.family_eval_stack(fam, grid20.window_samples)[:, 0, 0]
+        lams = region.xs[None, :, None] + 1j * region.ys[:, None, None]
+        with np.errstate(divide="ignore"):
+            want = 1.0 / np.abs(lams - s).min(axis=-1)
+        assert np.array_equal(field.values, want)
+        assert np.isinf(want).sum() == (entry == "1")
 
     def test_dim_three_sweep_takes_no_lapack_svd(self, grid20, monkeypatch):
         def no_svd(*args, **kwargs):
@@ -204,7 +228,7 @@ class TestNormField:
         # same modulus for every window sample
         region = ComplexRegion(1.5 + 0j, 2.0, 21)
         field = ax.resolvent_norm_field(ax.diag_family(["1", "2+h"]), region, grid20)
-        assert region.point(10, 9) == pytest.approx(1.5 - 0.2j)
+        assert region.xs[10] + 1j * region.ys[9] == pytest.approx(1.5 - 0.2j)
         assert field.values[9, 10] == pytest.approx(1.8569533817705184, rel=1e-12)
 
 
@@ -225,10 +249,10 @@ def rowwise_field(sf, region, grid):
 
 
 def assert_matches_rowwise(values, want, dim):
-    """The LAPACK reference bit for bit; at dims 2 and 3, whose sweeps take
-    singular values without LAPACK, to rounding on finite cells with the same
-    inf cells."""
-    if dim not in (2, 3):
+    """The LAPACK reference bit for bit from dim 4 up; at dims 1-3, whose
+    sweeps take singular values without LAPACK, to rounding on finite cells
+    with the same inf cells."""
+    if dim >= 4:
         assert np.array_equal(values, want)
         return
     infinite = np.isinf(want)
@@ -237,16 +261,9 @@ def assert_matches_rowwise(values, want, dim):
 
 
 class TestThreadedSweep:
-    @pytest.fixture
-    def threaded(self, monkeypatch):
-        # put every dimension on the thread pool, the small ones included
-        monkeypatch.setattr(spectrum, "THREAD_MIN_DIM", 1)
-
     @pytest.mark.parametrize("resolution", [21, 101])
     @pytest.mark.parametrize("dim", [2, 3, 16])
-    def test_field_is_bit_identical_for_any_cpu_count(
-        self, monkeypatch, threaded, dim, resolution
-    ):
+    def test_field_is_bit_identical_for_any_cpu_count(self, monkeypatch, dim, resolution):
         # a two-sample window keeps the dim-16, 101-point case cheap
         grid = ax.geometric_grid(1.0, 0.5, 8, 2)
         fam = ax.family_sum(
@@ -261,44 +278,40 @@ class TestThreadedSweep:
             assert np.array_equal(values, fields[0]), cpus
         assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid), dim)
 
-    @pytest.mark.parametrize(
-        "fam, region",
-        [
-            (
-                ax.family_sum(
-                    ax.jordan_family(3, 0.5), ax.h_scaled(ax.random_family(3, seed=11, scale=0.8))
-                ),
-                ComplexRegion(0.4 + 0.1j, 1.5, 21),
-            ),
-            # singular matrices at the grid points 0 and 1, which settle by
-            # the Jacobi kernel's negligible-column rule, beside ordinary ones
-            (ax.diag_family(["0", "1", "0.5+0.5i+h"]), ComplexRegion(0j, 1.0, 21)),
-        ],
-        ids=["jordan", "singular"],
-    )
-    def test_dim_three_field_does_not_depend_on_slice_size(
-        self, grid20, monkeypatch, fam, region
-    ):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["jordan", "singular"])
+    def test_small_dim_field_does_not_depend_on_slice_size(self, grid20, monkeypatch, kind, dim):
+        if kind == "jordan":
+            fam = ax.family_sum(
+                ax.jordan_family(dim, 0.5), ax.h_scaled(ax.random_family(dim, seed=11, scale=0.8))
+            )
+            region = ComplexRegion(0.4 + 0.1j, 1.5, 21)
+        else:
+            # singular matrices at the grid points 0 and 1 (at dim 3 they
+            # settle by the Jacobi kernel's negligible-column rule), beside
+            # ordinary ones
+            fam = ax.diag_family(["0", "1", "0.5+0.5i+h"][:dim])
+            region = ComplexRegion(0j, 1.0, 21)
         fields = []
         for rows in (1, 3, spectrum.ROWS_PER_SLICE, region.resolution):
             monkeypatch.setattr(spectrum, "ROWS_PER_SLICE", rows)
             fields.append(ax.resolvent_norm_field(fam, region, grid20).values)
         for rows, values in zip((3, spectrum.ROWS_PER_SLICE, region.resolution), fields[1:]):
             assert np.array_equal(values, fields[0]), rows
-        assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid20), 3)
+        assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid20), dim)
 
-    def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch, threaded):
-        fam = ax.diag_family(["0", "1"])
+    def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch):
+        fam = ax.diag_family(["0", "1", "0.5+0.5i+h", "2"])
         region = ComplexRegion(0j, 2.0, 21)
         infinite = []
         for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(spectrum, "_cpu_count", lambda: cpus)
             infinite.append(np.isinf(ax.resolvent_norm_field(fam, region, grid20).values))
-        assert set(zip(*np.nonzero(infinite[0]))) == {(10, 10), (10, 15)}
+        assert set(zip(*np.nonzero(infinite[0]))) == {(10, 10), (10, 15), (10, 20)}
         for mask in infinite[1:]:
             assert np.array_equal(mask, infinite[0])
 
-    def test_window_is_evaluated_once_in_the_calling_thread(self, grid20, monkeypatch, threaded):
+    def test_window_is_evaluated_once_in_the_calling_thread(self, grid20, monkeypatch):
         calls = []
         real_eval = funcalc._Funcalc._eval
 
@@ -308,14 +321,17 @@ class TestThreadedSweep:
 
         monkeypatch.setattr(funcalc._Funcalc, "_eval", recording_eval)
         monkeypatch.setattr(spectrum, "_cpu_count", lambda: 3)
+        # dimension 4, so the sweep runs on the thread pool
         image = ax.family_funcalc(
-            ax.diag_family(["1", "2+h"]), lambda z: z * z, ax.ContourSpec(1.5 + 0j, 1.2, 256)
+            ax.diag_family(["1", "2+h", "1.2", "1.8+h"]),
+            lambda z: z * z,
+            ax.ContourSpec(1.5 + 0j, 1.2, 256),
         )
         ax.resolvent_norm_field(image, ComplexRegion(2.5 + 0j, 2.0, 21), grid20)
         caller = threading.get_ident()
         assert calls == [(grid20.window_samples, caller)]
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_small_dims_sweep_in_the_calling_thread(self, grid20, monkeypatch, dim):
         def no_pool(*args, **kwargs):
             raise AssertionError("thread pool started")
@@ -607,7 +623,7 @@ class TestSeriesResolvent:
     def test_term_norms_respect_envelope(self, grid20):
         # summand n is bounded by a_n * M^(n+1): a_n the tail bracket norm,
         # M the tail resolvent norm of the source family
-        tf = ax.constant_family(ComplexMatrix.diagonal([0.5, 0.5, 0.5]))
+        tf = ax.constant_family(ComplexMatrix(np.diag([0.5, 0.5, 0.5])))
         sf = ax.jordan_family(3, 0.5)
         lam = 1.7 + 0j
         measured = ax.series_resolvent(sf, tf, lam, grid20, 6).term_tails
@@ -731,7 +747,7 @@ class TestQuotientNormBounds:
         assert abs(bounds.upper - norm) <= 1e-12 * norm
 
     def test_h_scaled_family_collapses_to_zero(self, grid20):
-        a = ComplexMatrix.diagonal([2.0, -1.0])
+        a = ComplexMatrix(np.diag([2.0, -1.0]))
         bounds = ax.quotient_norm_bounds(ax.h_scaled(ax.constant_family(a)), grid20)
         window_edge = grid20.samples[-grid20.tail_window]
         assert bounds.upper == pytest.approx(2.0)
@@ -840,7 +856,7 @@ class TestClusterHelpers:
 
     def test_clusters_match_detects_disagreement(self, expr_field, grid20):
         a = ax.spectrum_estimate(expr_field, 1e-3)
-        shifted = ax.constant_family(ComplexMatrix.diagonal([1.0, 2.7]))
+        shifted = ax.constant_family(ComplexMatrix(np.diag([1.0, 2.7])))
         field = ax.resolvent_norm_field(shifted, expr_field.region, grid20)
         b = ax.spectrum_estimate(field, 1e-3)
         assert not ax.clusters_match(a, b)
