@@ -29,11 +29,13 @@ from .errors import (
     AsymspecError,
     BadParameter,
     DimensionMismatch,
+    DivisionNearZero,
     ExprError,
     LengthMismatch,
     OutOfRange,
     ParseError,
     SchemaError,
+    UnboundVariable,
 )
 from .exprs import Var, parse_constant, parse_expr
 from .families import (
@@ -142,7 +144,7 @@ def _emit(args, artifacts: dict[str, str], summary: str | None = None) -> int:
 def _parse_complex_flag(text: str, flag: str) -> complex:
     try:
         return parse_constant(text)
-    except (ParseError, ExprError) as exc:
+    except (ParseError, ExprError, UnboundVariable, DivisionNearZero) as exc:
         raise SchemaError(f"bad complex literal: {exc}", path=flag) from exc
 
 
@@ -288,7 +290,7 @@ def _cmd_funcalc(args) -> int:
     window = grid.window_samples
     quads = family_quadratures(fam, func, contour, window)
     # a tail whose quadrature missed its tolerance at the cap is refused too
-    require_quadrature(quads)
+    require_quadrature(quads, window)
     tail = [
         {
             "h": h,

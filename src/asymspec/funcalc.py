@@ -34,11 +34,16 @@ which level N folds onto lower degrees.
 The weights e^{i theta_k} f(lambda_k) and the alias check read f alone,
 not T, so a family image computes each level's once, on first use. The
 weighted sum of each batch of inverses is an einsum loop, not a BLAS call.
-numpy and scipy each load their own OpenBLAS, each with its own thread
-pool, and on two CPUs the pools contend: an np.tensordot gemv of 64 weights
-with a (64, 16, 16) stack took 16 us in a loop but about 4 ms right after
-a scipy expm of an 8x8 matrix. The einsum loop costs under 5 % of its
-batch's inverse_stack at d = 2-64 and wakes neither pool.
+This package loads no scipy, but a caller that does gets two OpenBLAS
+copies, numpy's and scipy's, each with its own thread pool, and on two
+CPUs the pools contend: an np.tensordot gemv of 64 weights with a
+(64, 16, 16) stack took 16 us in a loop but about 4 ms right after a scipy
+expm of an 8x8 matrix. The einsum loop costs under 5 % of its batch's
+inverse_stack at d = 2-64 and wakes neither pool.
+
+contour_funcalc and the family_funcalc image refuse a quadrature that
+reached its cap unconverged with QuadratureUnresolved; family_quadratures
+returns it with its estimate, for require_quadrature or a report to judge.
 """
 
 from __future__ import annotations
@@ -251,7 +256,8 @@ def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
     i, n = 0, MIN_NODES
     q_half, q = even * (2.0 * radius / n), total * (radius / n)
     while True:
-        scale = size * radius / n
+        # radius / n first: size * radius can overflow where the scale does not
+        scale = size * (radius / n)
         if not (math.isfinite(scale) and np.isfinite(q).all()):
             raise QuadratureUnresolved(
                 f"the quadrature sum overflows at {n} nodes: f(z) times the resolvent "
@@ -294,10 +300,13 @@ def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
     """Evaluate f(T) for one matrix by adaptive contour quadrature.
 
     Raises SingularOnContour when a quadrature node hits the spectrum of T;
-    the caller should nudge the radius, not this routine.
+    the caller should nudge the radius, not this routine. Raises
+    QuadratureUnresolved when the estimate misses its tolerance at the cap.
     """
     tm = t if isinstance(t, ComplexMatrix) else ComplexMatrix(t)
-    return _quadrature(tm, _Levels(f, contour)).matrix
+    q = _quadrature(tm, _Levels(f, contour))
+    require_quadrature([q])
+    return q.matrix
 
 
 @dataclass(frozen=True)
@@ -326,6 +335,7 @@ class _Funcalc(FamilyNode):
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
         quads = _member_quadratures(self._levels, hs, self.inner.node._eval(hs))
+        require_quadrature(quads, hs.tolist())
         return np.stack([q.matrix.array for q in quads])
 
 
@@ -346,12 +356,14 @@ def family_quadratures(
     return _member_quadratures(_Levels(f, contour), hs, family_eval_stack(tf, hs))
 
 
-def require_quadrature(quads: Sequence[Quadrature]) -> None:
-    """Refuse quadratures that reached their node cap unconverged."""
-    for q in quads:
+def require_quadrature(quads: Sequence[Quadrature], hs: Sequence[float] | None = None) -> None:
+    """Refuse quadratures that reached their node cap unconverged; given the
+    h of each, the refusal names the first unconverged one's."""
+    for i, q in enumerate(quads):
         if not q.converged:
+            at = "" if hs is None else f" at h={hs[i]!r}"
             raise QuadratureUnresolved(
-                f"quadrature error estimate {q.error:.3g} at the {q.nodes}-node cap exceeds "
+                f"quadrature{at}: error estimate {q.error:.3g} at the {q.nodes}-node cap exceeds "
                 f"{QUADRATURE_RTOL:.3g} of the terms' size {q.scale:.3g}; raise the node "
                 "cap, widen the radius or recenter; if no cap converges, f may not be "
                 "holomorphic inside the contour"

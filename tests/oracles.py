@@ -178,9 +178,11 @@ def node_at(node, h: float) -> np.ndarray:
     if isinstance(node, funcalc._Funcalc):
         t = ComplexMatrix(node_at(node.inner.node, h))
         try:
-            return funcalc._quadrature(t, node._levels).matrix.array
+            q = funcalc._quadrature(t, node._levels)
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
+        funcalc.require_quadrature([q], [h])
+        return q.matrix.array
     raise TypeError(f"unknown node {type(node).__name__}")
 
 

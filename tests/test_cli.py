@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,18 @@ def scalar_half(tmp_path):
         )
     )
     return str(path)
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports asymspec from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def run(capsys, *argv):
@@ -493,11 +509,21 @@ class TestConfigErrors:
                                  "exp(1000)"]),
             ("--contour-center", ["funcalc", "--family", "{family}", "--expr", "z",
                                   "--contour-center", "(1e200)^2", "--contour-radius", "2.2"]),
+            ("--region-center", ["spectrum", "--family", "{family}", "--region-center", "z"]),
+            ("--region-center", ["spectrum", "--family", "{family}", "--region-center", "1/0"]),
+            ("--contour-center", ["funcalc", "--family", "{family}", "--expr", "z",
+                                  "--contour-center", "z", "--contour-radius", "2.2"]),
+            ("--contour-center", ["funcalc", "--family", "{family}", "--expr", "z",
+                                  "--contour-center", "1/0", "--contour-radius", "2.2"]),
+            ("--at", ["series", "--family", "{family}", "--family2", "{family}",
+                      "--at", "lambda"]),
             ("--family", ["qnil", "--family", "{missing}"]),
             ("--family", ["qnil", "--family", "{not_json}"]),
         ],
         ids=["bad-expr", "bad-region-center", "overflowing-region-center",
-             "overflowing-contour-center", "missing-family", "non-json-family"],
+             "overflowing-contour-center", "unbound-region-center", "zero-division-region-center",
+             "unbound-contour-center", "zero-division-contour-center", "unbound-at",
+             "missing-family", "non-json-family"],
     )
     def test_error_names_the_flag_once(self, capsys, two_point, tmp_path, flag, argv):
         not_json = tmp_path / "not_json.json"
@@ -542,3 +568,24 @@ class TestVerifyCommand:
         assert report["seed"] == 42
         assert report["all_passed"] is True
         assert [s["name"] for s in report["suites"]] == ["commuting_collapse"]
+
+
+class TestRuntimeDependencies:
+    def test_import_loads_no_scipy(self):
+        out = run_python("import sys, asymspec; print('scipy' in sys.modules)").stdout
+        assert out == "False\n"
+
+    def test_spectrum_runs_without_scipy(self, capsys, two_point, tmp_path):
+        # the README example, once here and once where scipy cannot be imported
+        argv = ["spectrum", "--family", two_point, "--region-center", "1.5",
+                "--region-half-width", "2", "--resolution", "41", "--epsilon", "1e-3"]
+        assert cli.main([*argv, "--out", str(tmp_path / "here")]) == 0
+        capsys.readouterr()
+        blocked = [*argv, "--out", str(tmp_path / "blocked")]
+        run_python(
+            "import sys; sys.modules['scipy'] = None\n"
+            f"from asymspec import cli; sys.exit(cli.main({blocked!r}))"
+        )
+        for name in ("spectrum.json", "field.csv"):
+            here = (tmp_path / "here" / name).read_bytes()
+            assert (tmp_path / "blocked" / name).read_bytes() == here

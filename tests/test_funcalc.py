@@ -153,6 +153,15 @@ class TestContourFuncalc:
         with pytest.raises(SingularOnContour):
             funcalc.contour_funcalc(t, lambda z: z, ContourSpec(0j, 1.0, 64))
 
+    def test_unconverged_quadrature_is_refused(self):
+        # exp([[0.9, 1], [0, -0.3]]) on the unit circle needs 512 nodes; at a
+        # cap of 64 the sum is 1.3e-3 off in relative 2-norm
+        t = ComplexMatrix(np.array([[0.9, 1.0], [0.0, -0.3]]))
+        with pytest.raises(QuadratureUnresolved, match="64-node cap"):
+            funcalc.contour_funcalc(t, cmath.exp, ContourSpec(0j, 1.0, 64))
+        got = funcalc.contour_funcalc(t, cmath.exp, ContourSpec(0j, 1.0, 512))
+        assert entry_gap(got, upper_triangular_exp(0.9)) <= 1e-12
+
     def test_eigenvalue_on_a_refined_node_rejected(self):
         # node 1 of 128 is no node of level 64: the first level misses it,
         # fails to converge, and the doubling hits it
@@ -295,6 +304,13 @@ class TestAdaptiveQuadrature:
             with pytest.raises(QuadratureUnresolved, match="overflows at 64 nodes"):
                 quadrature(np.zeros((1, 1)), f, ContourSpec(0j, 4.0, 64))
 
+    def test_scale_does_not_overflow_before_the_terms(self):
+        # size * radius = 6.4e306 * 100 overflows, size * (radius / n) = 1e307 does not
+        quad = quadrature(np.zeros((1, 1)), lambda z: 1e307, ContourSpec(0j, 100.0, 64))
+        assert quad.converged
+        assert quad.scale == pytest.approx(1e307, rel=1e-15)
+        assert quad.matrix.array[0, 0] == pytest.approx(1e307, rel=1e-15)
+
     # z^n on the circle |z| = r is a single Fourier mode of degree n. A level
     # N dividing n folds it onto degree 0, so Q_N and Q_{N/2} both read
     # f(T) + r^n I and agree; only the alias check sees the difference
@@ -368,7 +384,8 @@ class TestFamilyFuncalc:
             calls.append(z)
             return z
 
-        contour = ContourSpec(1.5 + 0j, 2.0, 64)
+        # eigenvalues within 1.5 of the center of a radius-4 circle: 64 nodes converge
+        contour = ContourSpec(1.5 + 0j, 4.0, 64)
         image = ax.family_funcalc(ax.diag_family(["1", "2+h"]), counting, contour)
         ax.quasinilpotent_equiv(image, ax.diag_family(["1", "2"]), coarse_grid, n_max=8)
         # f(lambda_k) and the alias check do not depend on h: f is called at
@@ -415,14 +432,24 @@ class TestFamilyFuncalc:
                 ax.family_eval(image, h)
 
     def test_singular_h_reports_which_sample(self):
-        # the eigenvalue 1+h crosses the radius-1.25 contour exactly at h=0.25
+        # the eigenvalue 1+h crosses the radius-1.25 contour exactly at h=0.25;
+        # at h=0.125 it sits at 0.9 of the radius, which takes 512 nodes
         fam = ax.family_funcalc(
-            ax.diag_family(["1+h"]), lambda z: z, ContourSpec(0j, 1.25, 256)
+            ax.diag_family(["1+h"]), lambda z: z, ContourSpec(0j, 1.25, 1024)
         )
         assert entry_gap(ax.family_eval(fam, 0.125), [[1.125]]) <= 1e-8
         with pytest.raises(TraceError) as err:
             ax.family_eval(fam, 0.25)
         assert err.value.h == 0.25
+
+    def test_unconverged_image_is_refused_naming_h(self):
+        # every member is exp([[0.9, 1], [0, -0.3]]), which needs 512 nodes
+        t = np.array([[0.9, 1.0], [0.0, -0.3]])
+        image = ax.family_funcalc(ax.constant_family(t), cmath.exp, ContourSpec(0j, 1.0, 64))
+        with pytest.raises(QuadratureUnresolved, match=r"at h=0\.5: .*64-node cap"):
+            ax.families.family_eval_stack(image, [0.5, 0.25])
+        image = ax.family_funcalc(ax.constant_family(t), cmath.exp, ContourSpec(0j, 1.0, 512))
+        assert entry_gap(ax.family_eval(image, 0.5), upper_triangular_exp(0.9)) <= 1e-12
 
     def test_derived_family_is_not_serializable(self):
         fam = ax.family_funcalc(

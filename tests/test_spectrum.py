@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import asymspec as ax
 import oracles
@@ -391,6 +392,110 @@ class TestSpectrumEstimate:
     def test_epsilon_must_be_positive(self, const_field):
         with pytest.raises(BadParameter):
             ax.spectrum_estimate(const_field, 0.0)
+
+
+def reference_labels(mask):
+    """scipy's 8-connected labelling, the reference for spectrum._label_cells."""
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
+
+
+def assert_labels_match(mask):
+    """spectrum._label_cells, spread back over the mask, equals ndimage's labels."""
+    cells, labels, count = spectrum._label_cells(mask)
+    got = np.zeros(mask.size, dtype=np.int32)
+    got[cells] = labels
+    want, want_count = reference_labels(mask)
+    assert count == want_count
+    assert np.array_equal(got.reshape(mask.shape), want)
+
+
+def reference_clusters(field, flagged):
+    """Clusters as scipy's labels and a per-blob scan give them."""
+    labels, count = reference_labels(flagged)
+    clusters = []
+    for blob in range(1, count + 1):
+        iys, ixs = np.nonzero(labels == blob)
+        pts = field.region.xs[ixs] + 1j * field.region.ys[iys]
+        centroid = complex(pts.mean())
+        clusters.append(spectrum.Cluster(centroid, float(np.abs(pts - centroid).max()), pts.size))
+    return tuple(sorted(clusters, key=lambda c: (c.centroid.real, c.centroid.imag)))
+
+
+def checkerboard(n):
+    return np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
+
+
+def snake(n):
+    """One path through every other row, joined at alternating ends."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[::2, 1:-1] = True
+    for row in range(1, n - 1, 2):
+        mask[row, -2 if row % 4 == 1 else 1] = True
+    return mask
+
+
+def diagonal_chains(n):
+    """Three chains whose cells touch only at corners: a diagonal, an
+    anti-diagonal and a two-row zigzag, one blank row apart."""
+    zigzag = np.zeros((2, n), dtype=bool)
+    zigzag[np.arange(n) % 2, np.arange(n)] = True
+    blank = np.zeros((1, n), dtype=bool)
+    eye = np.eye(n, dtype=bool)
+    return np.vstack([eye, blank, np.fliplr(eye), blank, zigzag])
+
+
+STRUCTURED = {
+    "checkerboard": checkerboard(101),
+    "snake": snake(101),
+    "single-row": np.random.default_rng(1).random((1, 101)) < 0.5,
+    "single-column": np.random.default_rng(2).random((101, 1)) < 0.5,
+    "diagonal-chains": diagonal_chains(41),
+    "full": np.ones((21, 21), dtype=bool),
+    "empty": np.zeros((21, 21), dtype=bool),
+}
+
+
+@st.composite
+def random_masks(draw):
+    """Masks of 21-101 rows and columns at any fill."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(21, 101)), draw(st.integers(21, 101)))
+    return rng.random(shape) < draw(st.floats(0.0, 1.0))
+
+
+class TestClusterLabelling:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(random_masks())
+    def test_labels_equal_ndimage(self, mask):
+        assert_labels_match(mask)
+
+    @pytest.mark.parametrize("name", STRUCTURED)
+    def test_structured_labels_equal_ndimage(self, name):
+        assert_labels_match(STRUCTURED[name])
+
+    def test_structured_masks_are_what_they_claim(self):
+        assert reference_labels(STRUCTURED["snake"])[1] == 1
+        assert reference_labels(STRUCTURED["checkerboard"])[1] == 1
+        assert reference_labels(STRUCTURED["diagonal-chains"])[1] == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(random_masks())
+    def test_clusters_are_bit_identical_to_the_reference(self, mask):
+        n = min(mask.shape)
+        n -= 1 - n % 2  # a square of odd resolution
+        flagged = mask[:n, :n]
+        region = ComplexRegion(0.3 - 0.2j, 1.7, n)
+        field = ax.ResolventField(region, np.where(flagged, 2.0, 0.5))
+        estimate = ax.spectrum_estimate(field, 1.0)
+        assert np.array_equal(estimate.flagged, flagged)
+        assert estimate.clusters == reference_clusters(field, flagged)
+
+    def test_five_hundred_blob_field(self):
+        values = np.random.default_rng(494).random((101, 101))
+        field = ax.ResolventField(ComplexRegion(0.3 - 0.2j, 1.5, 101), values)
+        estimate = ax.spectrum_estimate(field, 1.0 / 0.93)
+        assert len(estimate.clusters) > 500
+        assert estimate.clusters == reference_clusters(field, estimate.flagged)
 
 
 class TestFieldInvariants:
