@@ -1,7 +1,9 @@
 """Dense complex matrix arithmetic, inverses and the spectral norm.
 
 All operations are pure: inputs are never mutated and results are freshly
-allocated, so matrices can be shared freely. Inverses and norms are LAPACK
+allocated, so matrices can be shared freely; only a caller that passes the
+small-matrix kernels a Workspace gets results that the workspace's next
+use overwrites. Inverses and norms are LAPACK
 calls through numpy, on one matrix or on a stack of them. For the resolvent
 field sweeps, which would otherwise spend their time in LAPACK's cost per
 call, the singular values of 2x2 matrices also have a closed form, and
@@ -18,6 +20,7 @@ downstream resolvent scans treat it as data.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import cycle, islice
@@ -126,10 +129,37 @@ def is_singular(s: np.ndarray) -> np.ndarray:
     return s[..., -1] <= SINGULAR_RTOL * s[..., 0]
 
 
-def singular_values_2x2(a, b, c, d) -> np.ndarray:
+class Workspace:
+    """Named scratch arrays that a kernel keeps from call to call.
+
+    A field sweep calls its kernel on slice after slice of one size. With
+    fresh temporaries on every call, glibc's malloc hands the freed heap top
+    back to the OS after each slice (once more than its trim threshold,
+    128 KiB by default, lies free there) and faults the pages in again on
+    the next, which cost the dimension-2 101^2 sweep 40 % of its time. Each
+    large intermediate is therefore the array of its name here, made on
+    first use and reused by every later call of the same or a smaller size.
+    A kernel's result may be one of these arrays, valid until the
+    workspace's next use.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        a = self._arrays.get(name)
+        if a is None or a.size < size or a.dtype != dtype:
+            a = self._arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+def singular_values_2x2(a, b, c, d, work: Workspace | None = None) -> np.ndarray:
     """Singular values of the 2x2 matrices [[a, b], [c, d]], for complex entry
     arrays that broadcast together, as (..., 2) in descending order like
     ``np.linalg.svd(..., compute_uv=False)``. Closed form, no LAPACK call.
+    Intermediates of the broadcast shape, the result included, are ``work``'s
+    arrays (a fresh Workspace unless the caller passes one).
 
     Each matrix is divided by the power of two just above its largest entry
     magnitude, which is exact and leaves no product below able to overflow;
@@ -140,33 +170,66 @@ def singular_values_2x2(a, b, c, d) -> np.ndarray:
     dlas2's formulas (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 1990)
     give its singular values.
     """
-    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
-    _, exponent = np.frexp(np.maximum(np.maximum(ma, md), np.maximum(mb, mc)))
+    w = Workspace() if work is None else work
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(d))
+
+    def real(name: str) -> np.ndarray:
+        return w(name, shape)
+
+    def cplx(name: str) -> np.ndarray:
+        return w(name, shape, np.complex128)
+
+    # b and c are one matrix per window sample in a sweep, so theirs stay small
+    ma, mb, mc, md = np.abs(a, out=real("ma")), np.abs(b), np.abs(c), np.abs(d, out=real("md"))
+    big = np.maximum(ma, md, out=real("big"))
+    np.maximum(big, np.maximum(mb, mc), out=big)
+    exponent = np.frexp(big, out=(big, w("exponent", shape, np.intc)))[1]
     # the floor keeps 1 / scale finite when every entry is subnormal
-    inv = np.ldexp(1.0, -np.maximum(exponent, -1021))
-    a, b, c, d = a * inv, b * inv, c * inv, d * inv
-    f = np.hypot(ma * inv, mc * inv)
+    np.negative(np.maximum(exponent, -1021, out=exponent), out=exponent)
+    inv = np.ldexp(1.0, exponent, out=real("inv"))
+    # inv cast once, as each product would cast it
+    scale = cplx("scale")
+    np.copyto(scale, inv)
+    a, b, c, d = (np.multiply(x, scale, out=cplx(k)) for k, x in zip("abcd", (a, b, c, d)))
+    f = np.hypot(np.multiply(ma, inv, out=ma), np.multiply(mc, inv, out=real("mc")), out=ma)
     # A first column below 2^-1000 after the scaling counts as zero, since
     # its products with the second column could lose bits below the normal
     # range: sigma_max is then the second column's norm, off by less than
     # 2^-1000 of itself, and sigma_min < 2^-997 sigma_max is singular.
-    negligible = f < 2.0**-1000
+    negligible = np.less(f, 2.0**-1000, out=w("negligible", shape, np.bool_))
     f[negligible] = 1.0
-    g = np.abs(a.conj() * b + c.conj() * d) / f
-    h = np.abs(a * d - b * c) / f
+    u, v = cplx("u"), cplx("v")
+    np.multiply(np.conjugate(a, out=u), b, out=u)
+    u += np.multiply(np.conjugate(c, out=v), d, out=v)
+    g = np.divide(np.abs(u, out=real("g")), f, out=real("g"))
+    np.multiply(a, d, out=u)
+    u -= np.multiply(b, c, out=v)
+    h = np.divide(np.abs(u, out=real("h")), f, out=real("h"))
     # dlas2 on (f, g, h). Its branches for ga < fhmx and ga >= fhmx are one
     # formula normalised by t = max(fhmx, ga), so that one of p, q is 1; its
     # fhmn = 0 branch is that formula at r = 0, and its branch for fhmx / ga
     # underflowing gives a sigma_min that underflows after the scaling, as
     # this formula's does.
-    fmin, fmax = np.minimum(f, h), np.maximum(f, h)
-    t = np.maximum(fmax, g)
-    p, q = fmax / t, g / t
-    r = fmin / fmax
+    fmin, fmax = np.minimum(f, h, out=real("fmin")), np.maximum(f, h, out=h)
+    t = np.maximum(fmax, g, out=real("t"))
+    p, q = np.divide(fmax, t, out=real("p")), np.divide(g, t, out=g)
+    r = np.divide(fmin, fmax, out=fmax)
     q *= q
-    s = np.sqrt(((1.0 + r) * p) ** 2 + q) + np.sqrt(((1.0 - r) * p) ** 2 + q)
-    sigma = np.stack([0.5 * t * s, 2.0 * fmin * p / s], axis=-1)
-    sigma[negligible, 0] = np.hypot((mb * inv)[negligible], (md * inv)[negligible])
+    # s = sqrt(((1 + r) p)^2 + q) + sqrt(((1 - r) p)^2 + q)
+    s, s_minus = np.add(1.0, r, out=real("s")), np.subtract(1.0, r, out=r)
+    for x in (s, s_minus):
+        x *= p
+        np.sqrt(np.add(np.square(x, out=x), q, out=x), out=x)
+    s += s_minus
+    # sigma = (0.5 t s, 2 fmin p / s)
+    sigma = w("sigma", shape + (2,))
+    high, low = sigma[..., 0], sigma[..., 1]
+    np.multiply(np.multiply(0.5, t, out=high), s, out=high)
+    np.divide(np.multiply(np.multiply(2.0, fmin, out=low), p, out=low), s, out=low)
+    if negligible.any():
+        scale = inv[negligible]
+        mb_scaled = np.broadcast_to(mb, shape)[negligible] * scale
+        sigma[negligible, 0] = np.hypot(mb_scaled, md[negligible] * scale)
     sigma /= inv[..., None]
     return sigma
 
@@ -187,73 +250,96 @@ JACOBI_MAX_SWEEPS = 10
 _JACOBI_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _givens(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _givens(p: np.ndarray, q: np.ndarray, w: Workspace, name: str):
     """x, y and r^2 = |p|^2 + |q|^2 for the unitary [[x, y], [-conj(y), conj(x)]]
-    that takes the entry pair (p, q) to (r, 0). After the scaling no entry
-    reaches 3 in modulus, so r^2 cannot overflow. Where r < 2^-500 the
-    rotation is the identity up to 2^-500, since x and y computed from an r^2
-    that underflows would not make a unitary, and (r, 0) is off by less than
-    2^-500."""
-    pc, qc = p.conj(), q.conj()
-    r2 = (pc * p + qc * q).real
+    that takes the entry pair (p, q) to (r, 0), in ``w``'s arrays under
+    ``name``. After the scaling no entry reaches 3 in modulus, so r^2 cannot
+    overflow. Where r < 2^-500 the rotation is the identity up to 2^-500,
+    since x and y computed from an r^2 that underflows would not make a
+    unitary, and (r, 0) is off by less than 2^-500."""
+    pc = np.conjugate(p, out=w(name + ".x", p.shape, np.complex128))
+    qc = np.conjugate(q, out=w(name + ".y", p.shape, np.complex128))
+    squares = np.multiply(pc, p, out=w(name + ".r2", p.shape, np.complex128))
+    squares += np.multiply(qc, q, out=w("givens.scratch", p.shape, np.complex128))
+    r2 = squares.real
     tiny = r2 < 2.0**-1000
-    rinv = 1.0 / np.sqrt(r2 + tiny)
-    return pc * rinv + tiny, qc * rinv, r2
+    rinv = np.add(r2, tiny, out=w("givens.rinv", p.shape))
+    np.divide(1.0, np.sqrt(rinv, out=rinv), out=rinv)
+    return np.add(np.multiply(pc, rinv, out=pc), tiny, out=pc), np.multiply(qc, rinv, out=qc), r2
 
 
-def _rotate(x, y, u, v):
-    """Apply the rotation of :func:`_givens` to the entry pairs (u, v)."""
-    return x * u + y * v, x.conj() * v - y.conj() * u
+def _rotate(x, y, u, v, w: Workspace, name: str):
+    """Apply the rotation of :func:`_givens` to the entry pairs (u, v), into
+    ``w``'s arrays under ``name``."""
+    first = np.multiply(x, u, out=w(name + ".1", u.shape, np.complex128))
+    scratch = w("rotate.scratch", u.shape, np.complex128)
+    first += np.multiply(y, v, out=scratch)
+    xc = np.conjugate(x, out=w("rotate.conj", x.shape, np.complex128))
+    second = np.multiply(xc, v, out=w(name + ".2", u.shape, np.complex128))
+    second -= np.multiply(np.conjugate(y, out=xc), u, out=scratch)
+    return first, second
 
 
-def _column_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products of the columns of two (3, N) arrays, summed in one fixed
-    order: einsum sums a (3, 1) pair in another order than a (3, N) one, which
-    would make a matrix's values depend on the size of its stack."""
-    p = x * y
-    return p[0] + p[1] + p[2]
+def _column_dots(x: np.ndarray, y: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of two (3, N) arrays, into ``out``, with
+    ``products`` (3, N) as scratch. They are summed in one fixed order: einsum
+    sums a (3, 1) pair in another order than a (3, N) one, which would make a
+    matrix's values depend on the size of its stack."""
+    np.multiply(x, y, out=products)
+    return np.add(np.add(products[0], products[1], out=out), products[2], out=out)
 
 
-def _real_bidiagonal(flat: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+def _real_bidiagonal(flat: np.ndarray, w: Workspace) -> tuple[np.ndarray, list[np.ndarray]]:
     """For a stack (n, 3, 3): inv, the power of two just above the largest
-    real or imaginary entry part of each matrix, inverted, and the columns of
-    a real upper bidiagonal matrix with the singular values of the matrix
-    times inv. Four Givens rotations take the scaled matrix to upper
-    bidiagonal form, and the moduli of that form's entries, whose phases
-    diagonal unitaries can remove, make the real matrix. Only those two
-    results outlive the call."""
+    real or imaginary entry part of each matrix, inverted, and the columns
+    (3, n) of a real upper bidiagonal matrix with the singular values of the
+    matrix times inv, all in ``w``'s arrays. Four Givens rotations take the
+    scaled matrix to upper bidiagonal form, and the moduli of that form's
+    entries, whose phases diagonal unitaries can remove, make the real
+    matrix."""
     n = flat.shape[0]
     # m[i, j] holds entry (i, j) of every matrix, contiguously
-    m = np.moveaxis(flat, 0, -1).copy()
+    m = w("bidiagonal.m", (3, 3, n), np.complex128)
+    np.copyto(m, np.moveaxis(flat, 0, -1))
     parts = m.view(np.float64).reshape(9, n, 2)
-    big = np.maximum(parts.max(axis=0), -parts.min(axis=0))
-    _, exponent = np.frexp(np.maximum(big[:, 0], big[:, 1]))
+    top = np.max(parts, axis=0, out=w("bidiagonal.top", (n, 2)))
+    bottom = np.min(parts, axis=0, out=w("bidiagonal.bottom", (n, 2)))
+    np.maximum(top, np.negative(bottom, out=bottom), out=top)
+    big = np.maximum(top[:, 0], top[:, 1], out=w("bidiagonal.big", (n,)))
+    exponent = np.frexp(big, out=(big, w("bidiagonal.exponent", (n,), np.intc)))[1]
     # the floor keeps 1 / scale finite when every entry is subnormal
-    inv = np.ldexp(1.0, -np.maximum(exponent, -1021))
+    np.negative(np.maximum(exponent, -1021, out=exponent), out=exponent)
+    inv = np.ldexp(1.0, exponent, out=w("bidiagonal.inv", (n,)))
     m *= inv
     # rows 2, 3 then rows 1, 2 clear the first column below the diagonal,
     # columns 2, 3 clear entry (1, 3), and rows 2, 3 clear entry (3, 2)
-    x, y, _ = _givens(m[1, 0], m[2, 0])
-    row2, row3 = _rotate(x, y, m[1, 1:], m[2, 1:])
-    x, y, d1 = _givens(m[0, 0], x * m[1, 0] + y * m[2, 0])
-    row1, row2 = _rotate(x, y, m[0, 1:], row2)
-    # freeing the scaled copy and the rows once no rotation reads them cut
-    # the traced peak of a 1968-matrix stack from 1.10 to 0.88 MB
-    del m, parts
-    x, y, e1 = _givens(row1[0], row1[1])
-    col2, col3 = _rotate(x, y, np.stack([row2[0], row3[0]]), np.stack([row2[1], row3[1]]))
-    del row1, row2, row3
-    x, y, d2 = _givens(col2[0], col2[1])
-    e2, d3 = _rotate(x, y, col3[0], col3[1])
-    zero = np.zeros(n)
-    return inv, (
-        np.stack([np.sqrt(d1), zero, zero]),
-        np.stack([np.sqrt(e1), np.sqrt(d2), zero]),
-        np.stack([zero, np.abs(e2), np.abs(d3)]),
-    )
+    x, y, _ = _givens(m[1, 0], m[2, 0], w, "g1")
+    row2, row3 = _rotate(x, y, m[1, 1:], m[2, 1:], w, "r1")
+    pivot = np.multiply(x, m[1, 0], out=w("bidiagonal.pivot", (n,), np.complex128))
+    pivot += np.multiply(y, m[2, 0], out=w("bidiagonal.scratch", (n,), np.complex128))
+    x, y, d1 = _givens(m[0, 0], pivot, w, "g2")
+    row1, row2 = _rotate(x, y, m[0, 1:], row2, w, "r2")
+    x, y, e1 = _givens(row1[0], row1[1], w, "g3")
+    # pairs[k] holds column k + 2 of rows 2 and 3
+    pairs = w("bidiagonal.pairs", (2, 2, n), np.complex128)
+    np.copyto(pairs[:, 0], row2)
+    np.copyto(pairs[:, 1], row3)
+    col2, col3 = _rotate(x, y, pairs[0], pairs[1], w, "r3")
+    x, y, d2 = _givens(col2[0], col2[1], w, "g4")
+    e2, d3 = _rotate(x, y, col3[0], col3[1], w, "r4")
+    cols = [w(f"column{k}", (3, n)) for k in range(3)]
+    cols[0][1:] = 0.0
+    np.sqrt(d1, out=cols[0][0])
+    np.sqrt(e1, out=cols[1][0])
+    np.sqrt(d2, out=cols[1][1])
+    cols[1][2] = 0.0
+    cols[2][0] = 0.0
+    np.abs(e2, out=cols[2][1])
+    np.abs(d3, out=cols[2][2])
+    return inv, cols
 
 
-def singular_values_3x3(a) -> np.ndarray:
+def singular_values_3x3(a, work: Workspace | None = None) -> np.ndarray:
     """Singular values of a stack (..., 3, 3) of complex matrices, as (..., 3)
     in descending order like ``np.linalg.svd(..., compute_uv=False)``. It works
     on the nine entries of every matrix at once and takes no LAPACK call
@@ -273,18 +359,25 @@ def singular_values_3x3(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-2:] != (3, 3):
         raise BadParameter(f"expected a stack of 3x3 matrices, got shape {a.shape}")
+    w = Workspace() if work is None else work
     flat = a.reshape(-1, 3, 3)
-    inv, columns = _real_bidiagonal(flat)
-    cols = list(columns)
+    n = flat.shape[0]
+    inv, cols = _real_bidiagonal(flat, w)
+    spares = [w("column3", (3, n)), w("column4", (3, n))]
+    products = w("jacobi.products", (3, n))
+    names = ("alpha", "beta", "gamma", "g2", "bound", "diff", "root", "c")
+    alpha, beta, gamma, g2, bound, diff, root, c = (w("jacobi." + k, (n,)) for k in names)
     recent = deque(maxlen=3)  # the rotate masks of the latest three pair visits
     quiet = 0
     for p, q in islice(cycle(_JACOBI_PAIRS), 3 * JACOBI_MAX_SWEEPS):
         ap, aq = cols[p], cols[q]
-        alpha, beta, gamma = _column_dots(ap, ap), _column_dots(aq, aq), _column_dots(ap, aq)
-        g2 = gamma * gamma
+        _column_dots(ap, ap, alpha, products)
+        _column_dots(aq, aq, beta, products)
+        _column_dots(ap, aq, gamma, products)
+        np.multiply(gamma, gamma, out=g2)
         # written so that a NaN rotates, never settles, and goes to LAPACK
-        done = g2 <= JACOBI_TOL**2 * (alpha * beta)
-        done |= np.minimum(alpha, beta) < JACOBI_NEGLIGIBLE**2
+        done = g2 <= np.multiply(JACOBI_TOL**2, np.multiply(alpha, beta, out=bound), out=bound)
+        done |= np.minimum(alpha, beta, out=bound) < JACOBI_NEGLIGIBLE**2
         rotate = ~done
         recent.append(rotate)
         if not rotate.any():
@@ -297,19 +390,33 @@ def singular_values_3x3(a) -> np.ndarray:
         # the 2^-1000 keeps the denominator nonzero there and is below the
         # rounding of diff^2 + 4 gamma^2 everywhere else
         gamma *= rotate
-        diff = beta - alpha
-        root = np.sqrt(diff * diff + 4.0 * (gamma * gamma) + 2.0**-1000)
-        t = 2.0 * gamma / (diff + np.copysign(root, diff))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = c * t
-        cols[p], cols[q] = c * ap - s * aq, s * ap + c * aq
+        np.subtract(beta, alpha, out=diff)
+        np.multiply(diff, diff, out=root)
+        root += np.multiply(4.0, np.multiply(gamma, gamma, out=g2), out=g2)
+        root += 2.0**-1000
+        np.sqrt(root, out=root)
+        t = np.multiply(2.0, gamma, out=gamma)
+        t /= np.add(diff, np.copysign(root, diff, out=root), out=root)
+        np.multiply(t, t, out=c)
+        np.divide(1.0, np.sqrt(np.add(1.0, c, out=c), out=c), out=c)
+        s = np.multiply(c, t, out=t)
+        new_p, new_q = spares
+        np.multiply(c, ap, out=new_p)
+        new_p -= np.multiply(s, aq, out=products)
+        np.multiply(s, ap, out=new_q)
+        new_q += np.multiply(c, aq, out=products)
+        cols[p], cols[q], spares = new_p, new_q, [ap, aq]
 
-    s0, s1, s2 = (np.sqrt(_column_dots(col, col)) / inv for col in cols)
+    sigma = w("sigma", (n, 3))
+    for k, col in enumerate(cols):
+        norms = np.sqrt(_column_dots(col, col, sigma[:, k], products), out=sigma[:, k])
+        np.divide(norms, inv, out=norms)
     # a sorting network puts each triple in descending order
-    s0, s1 = np.maximum(s0, s1), np.minimum(s0, s1)
-    s0, s2 = np.maximum(s0, s2), np.minimum(s0, s2)
-    s1, s2 = np.maximum(s1, s2), np.minimum(s1, s2)
-    sigma = np.stack([s0, s1, s2], axis=-1)
+    larger = w("jacobi.larger", (n,))
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        np.maximum(sigma[:, i], sigma[:, j], out=larger)
+        np.minimum(sigma[:, i], sigma[:, j], out=sigma[:, j])
+        sigma[:, i] = larger
     unsettled = np.logical_or.reduce(recent)
     if unsettled.any():
         sigma[unsettled] = np.linalg.svd(flat[unsettled], compute_uv=False)

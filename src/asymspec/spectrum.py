@@ -21,22 +21,17 @@ from dimension 4 up, and the field does not depend on the CPU count. A
 full-grid sweep of a single point is still available through resolvent_at
 for diagnostics.
 
-The spectrum estimate groups the flagged points into 8-connected clusters
-with a run-based two-scan labelling in numpy (He, Chao and Suzuki, IEEE
-Trans. Image Process. 17(5), 2008): each row's flagged cells are cut into
-runs, each run is linked to the runs of the row above that it touches, and
-the linked runs are united. That takes O(runs + links) work and at most
-log2(runs) vectorized passes to find the roots, whatever the clusters'
-shapes, and the package needs nothing beyond numpy.
+The spectrum estimate clusters the flagged points with a numpy labelling
+(see _label_cells), so the package needs nothing beyond numpy.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -55,6 +50,7 @@ from .families import (
 )
 from .linalg import (
     Inverse,
+    Workspace,
     inverse_stack,
     is_singular,
     singular_values_2x2,
@@ -172,6 +168,12 @@ def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, T
 # rows 88-90 ms).
 ROWS_PER_SLICE = 8
 
+# Each thread's workspace for the sweeps up to dimension 3 (linalg.Workspace).
+# It outlives the sweep, so a process that sweeps again and again reuses its
+# pages instead of returning them to the OS and faulting them in anew; a
+# thread keeps the arrays of the largest slice it has swept.
+_thread_state = threading.local()
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -192,51 +194,67 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     is a numpy kernel, within a few eps sigma_max of LAPACK: |lam - s_h| at
     dimension 1, the closed form linalg.singular_values_2x2 at dimension 2,
     the Jacobi kernel linalg.singular_values_3x3 at dimension 3. It runs on
-    slices of ROWS_PER_SLICE rows in the calling thread. From dimension 4 up
-    it is one batched SVD, on slices of ceil(resolution / workers) points,
-    one worker thread per available CPU, so the slices in flight hold about
-    one row's worth of shifted matrices. No kernel lets one point's value
+    slices of ROWS_PER_SLICE rows in the calling thread, whose workspace
+    holds every large intermediate from slice to slice and from sweep to
+    sweep. From dimension 4 up it is one batched SVD, on slices of
+    ceil(resolution / workers) points, one worker thread per available CPU,
+    so the slices in flight hold about one row's worth of shifted matrices.
+    No kernel lets one point's value
     depend on another's, so the field is the same for any worker count or
     slice size.
     """
     window = family_eval_stack(sf, grid.window_samples)
+    samples = window.shape[0]
     if sf.dim == 1:
         s11 = window[:, 0, 0]
 
-        def singular_values(lams: np.ndarray) -> np.ndarray:
-            return np.abs(lams - s11)[..., None]
+        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
+            shape = (lams.shape[0], samples)
+            shifted = np.subtract(lams, s11, out=work("shifted", shape, np.complex128))
+            return np.abs(shifted, out=work("sigma", shape))[..., None]
 
     elif sf.dim == 2:
         s11, s22 = window[:, 0, 0], window[:, 1, 1]
         b, c = -window[:, 0, 1], -window[:, 1, 0]
 
-        def singular_values(lams: np.ndarray) -> np.ndarray:
-            return singular_values_2x2(lams - s11, b, c, lams - s22)
+        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
+            shape = (lams.shape[0], samples)
+            a = np.subtract(lams, s11, out=work("shifted11", shape, np.complex128))
+            d = np.subtract(lams, s22, out=work("shifted22", shape, np.complex128))
+            return singular_values_2x2(a, b, c, d, work)
 
     else:
         eye = np.eye(sf.dim)
-        kernel = singular_values_3x3 if sf.dim == 3 else partial(np.linalg.svd, compute_uv=False)
 
-        def singular_values(lams: np.ndarray) -> np.ndarray:
-            return kernel(lams[..., None, None] * eye - window)
+        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
+            shifted = work("shifted", (lams.shape[0],) + window.shape, np.complex128)
+            np.subtract(np.multiply(lams[..., None, None], eye, out=shifted), window, out=shifted)
+            if sf.dim == 3:
+                return singular_values_3x3(shifted, work)
+            return np.linalg.svd(shifted, compute_uv=False)
 
-    def tail_norms(lams: np.ndarray) -> np.ndarray:
-        s = singular_values(lams[:, None])
+    def tail_norms(lams: np.ndarray, work: Workspace) -> np.ndarray:
+        s = singular_values(lams[:, None], work)
         sigma_min = s[..., -1]
-        norms = np.divide(1.0, sigma_min, out=np.full_like(sigma_min, INF), where=~is_singular(s))
+        norms = work("norms", sigma_min.shape)
+        norms.fill(INF)
+        np.divide(1.0, sigma_min, out=norms, where=~is_singular(s))
         return norms.max(axis=1)
 
     n = region.resolution
     lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
     if sf.dim <= 3:
         step = n * ROWS_PER_SLICE
-        values = [tail_norms(lams[i : i + step]) for i in range(0, lams.size, step)]
+        if not hasattr(_thread_state, "work"):
+            _thread_state.work = Workspace()
+        work = _thread_state.work
+        values = [tail_norms(lams[i : i + step], work) for i in range(0, lams.size, step)]
     else:
         workers = _cpu_count()
         step = -(-n // workers)
         slices = [lams[i : i + step] for i in range(0, lams.size, step)]
         with ThreadPoolExecutor(workers) as pool:
-            values = list(pool.map(tail_norms, slices))
+            values = list(pool.map(lambda part: tail_norms(part, Workspace()), slices))
     return ResolventField(region, np.concatenate(values).reshape(n, n))
 
 
@@ -270,23 +288,23 @@ def default_region(upper: float) -> ComplexRegion:
     return ComplexRegion(0 + 0j, half, 101)
 
 
-def _label_cells(flagged: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """8-connected labelling of a boolean mask, in O(runs + links) work and
-    at most log2(runs) pointer-jumping passes.
+def _label_cells(flagged: np.ndarray) -> tuple[np.ndarray, int]:
+    """8-connected labelling of a boolean mask, as scipy.ndimage.label with a
+    3x3 structure gives it: the label image and the label count, labels
+    running from 1 in the raster order of each cluster's first cell.
 
-    Returns the flat indices of the flagged cells in raster order, each
-    cell's label and the label count. Labels run from 1 in the raster order
-    of each cluster's first cell, as scipy.ndimage.label numbers them.
-
-    A run is a maximal stretch of flagged cells in one row; runs are
-    numbered in raster order. A run [s, e) touches a run [s', e') of the
-    row above, diagonals included, when s' <= e and e' >= s, so the runs it
-    touches are consecutive and two searchsorted calls over the runs' raster
-    keys find them. Linking each run to the first of those gives a forest
-    whose parents precede their children; the other links are united one by
-    one, each root being the smaller of the two, so every cluster's root is
-    its first run. Every parent still precedes its child, so the forest is
-    at most runs deep, and each pointer-jumping pass halves its depth.
+    It follows the run-based two-scan design of He, Chao and Suzuki (IEEE
+    Trans. Image Process. 17(5), 2008), in O(runs + links) work and at most
+    log2(runs) pointer-jumping passes, whatever the clusters' shapes. A run
+    is a maximal stretch of flagged cells in one row; runs are numbered in
+    raster order. A run [s, e) touches a run [s', e') of the row above,
+    diagonals included, when s' <= e and e' >= s, so the runs it touches are
+    consecutive and two searchsorted calls over the runs' raster keys find
+    them. Linking each run to the first of those gives a forest whose
+    parents precede their children; the other links are united one by one,
+    each root being the smaller of the two, so every cluster's root is its
+    first run. Every parent still precedes its child, so the forest is at
+    most runs deep, and each pointer-jumping pass halves its depth.
     """
     ny, nx = flagged.shape
     padded = np.zeros((ny, nx + 2), dtype=np.int8)
@@ -324,38 +342,32 @@ def _label_cells(flagged: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         parent = grand
     is_root = parent == runs
     run_labels = np.cumsum(is_root)[parent]
-    return np.flatnonzero(flagged), np.repeat(run_labels, ends - starts), int(is_root.sum())
+    labels = np.zeros(flagged.shape, dtype=np.int32)
+    labels[flagged] = np.repeat(run_labels, ends - starts)
+    return labels, int(is_root.sum())
 
 
 def spectrum_estimate(field: ResolventField, epsilon: float) -> SpectrumEstimate:
     """Flag grid points whose tail resolvent norm reaches 1/epsilon; cluster them.
 
-    Clustering is 8-connected: diagonal neighbors belong to the same blob.
-    The labelling is run-based (see _label_cells) and its cost is bounded by
-    the flagged runs and their links for any blob shape; one stable sort of the cell labels then hands each
-    blob its points in raster order. Clusters come back sorted by centroid
-    (real part, then imaginary part).
+    Clustering is 8-connected, by _label_cells: diagonal neighbors belong to
+    the same blob. Clusters come back sorted by centroid (real part, then
+    imaginary part).
     """
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise BadParameter("epsilon must be finite and positive")
     threshold = 1.0 / epsilon
     flagged = field.values >= threshold
-    cells, labels, n_blobs = _label_cells(flagged)
-    order = np.argsort(labels, kind="stable")
-    iys, ixs = np.divmod(cells[order], field.region.resolution)
-    points = field.region.xs[ixs] + 1j * field.region.ys[iys]
-    counts = np.bincount(labels, minlength=n_blobs + 1)[1:]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # np.add.reduce per blob, divided as np.mean divides: pts.mean() bit for bit
-    sums = [np.add.reduce(points[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
-    centroids = np.array(sums, dtype=np.complex128) / counts
-    distances = np.abs(points - np.repeat(centroids, counts))
-    radii = np.maximum.reduceat(distances, starts) if n_blobs else distances
-    clusters = [
-        Cluster(c, r, n)
-        for c, r, n in zip(centroids.tolist(), radii.tolist(), counts.tolist())
-    ]
+    labels, n_blobs = _label_cells(flagged)
+    xs = field.region.xs
+    ys = field.region.ys
+    clusters = []
+    for blob in range(1, n_blobs + 1):
+        iys, ixs = np.nonzero(labels == blob)
+        pts = xs[ixs] + 1j * ys[iys]
+        centroid = complex(pts.mean())
+        radius = float(np.abs(pts - centroid).max())
+        clusters.append(Cluster(centroid, radius, int(pts.size)))
     clusters.sort(key=lambda c: (c.centroid.real, c.centroid.imag))
     return SpectrumEstimate(field.region, epsilon, tuple(clusters), flagged)
 

@@ -1,5 +1,7 @@
 """Matrix ring operations, LAPACK inversion, and the spectral norm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,6 +443,61 @@ class TestSingularValues3x3:
         assert linalg.singular_values_3x3(a[0, 0]).shape == (3,)
         with pytest.raises(BadParameter):
             linalg.singular_values_3x3(np.zeros((4, 2, 2)))
+
+
+class TestWorkspace:
+    """The small-matrix kernels as a field sweep calls them: slice after slice
+    into one Workspace, with a and d per point and window sample and b and c
+    per sample."""
+
+    @staticmethod
+    def slice_args(rng, points, samples=6):
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        a, d = gaussian(points, samples), gaussian(points, samples)
+        return (a, gaussian(samples), gaussian(samples), d), gaussian(points * samples, 3, 3)
+
+    def test_reused_workspace_gives_fresh_values(self, rng):
+        # a long slice, a shorter one, then the long one again; both kernels
+        # share the workspace, and its "sigma" array, as a sweep's thread does
+        work = linalg.Workspace()
+        for points in (40, 7, 40, 3):
+            entries, stack = self.slice_args(rng, points)
+            got = linalg.singular_values_2x2(*entries, work)
+            assert np.array_equal(got, linalg.singular_values_2x2(*entries))
+            got = linalg.singular_values_3x3(stack, work)
+            assert np.array_equal(got, linalg.singular_values_3x3(stack))
+
+    def test_warm_call_allocates_less_than_the_trim_threshold(self, rng):
+        # glibc's malloc hands the heap top back to the OS once more than
+        # 128 KiB lie free there; a slice of a 101^2 sweep allocates less
+        # than that into a warm workspace, so the next slice reuses its pages
+        entries, stack = self.slice_args(rng, 8 * 101)
+        work = linalg.Workspace()
+        calls = {
+            "2x2": lambda w: linalg.singular_values_2x2(*entries, w),
+            "3x3": lambda w: linalg.singular_values_3x3(stack, w),
+        }
+
+        def allocated(call, w):
+            """Bytes a call allocates at its peak beyond what lives already."""
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call(w)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            for name, call in calls.items():
+                fresh = allocated(call, None)
+                call(work)
+                assert allocated(call, work) < 128 * 1024 < fresh, name
+        finally:
+            if started:
+                tracemalloc.stop()
 
 
 class TestConstruction:

@@ -3,6 +3,7 @@
 import math
 import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -301,6 +302,37 @@ class TestThreadedSweep:
             assert np.array_equal(values, fields[0]), rows
         assert_matches_rowwise(fields[0], rowwise_field(fam, region, grid20), dim)
 
+    @staticmethod
+    def small_dim_sweeps():
+        """Sweeps of dimensions 1 to 3 at two resolutions, singular cells included."""
+        jordan3 = ax.family_sum(
+            ax.jordan_family(3, 0.5), ax.h_scaled(ax.random_family(3, seed=11, scale=0.8))
+        )
+        return [
+            (ax.diag_family(["0.5+h"]), ComplexRegion(0.4 + 0.1j, 1.5, 21)),
+            (jordan3, ComplexRegion(0.4 + 0.1j, 1.5, 41)),
+            (ax.diag_family(["0", "1"]), ComplexRegion(0j, 1.0, 21)),
+            (ax.random_family(2, seed=3, scale=1.0), ComplexRegion(0.1j, 2.0, 41)),
+            (jordan3, ComplexRegion(0.4 + 0.1j, 1.5, 21)),
+        ]
+
+    def test_sweeps_in_one_thread_equal_sweeps_in_fresh_threads(self, grid20):
+        # the thread's workspace carries over from sweep to sweep, across
+        # dimensions and resolutions; a fresh thread starts with an empty one
+        for fam, region in self.small_dim_sweeps():
+            with ThreadPoolExecutor(1) as pool:
+                fresh = pool.submit(ax.resolvent_norm_field, fam, region, grid20).result()
+            here = ax.resolvent_norm_field(fam, region, grid20)
+            assert np.array_equal(here.values, fresh.values)
+
+    def test_concurrent_sweeps_keep_their_own_workspaces(self, grid20):
+        sweeps = self.small_dim_sweeps()
+        want = [ax.resolvent_norm_field(fam, region, grid20).values for fam, region in sweeps]
+        with ThreadPoolExecutor(3) as pool:
+            got = pool.map(lambda case: ax.resolvent_norm_field(*case, grid20).values, sweeps * 3)
+            for values, expected in zip(got, want * 3):
+                assert np.array_equal(values, expected)
+
     def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch):
         fam = ax.diag_family(["0", "1", "0.5+0.5i+h", "2"])
         region = ComplexRegion(0j, 2.0, 21)
@@ -400,13 +432,11 @@ def reference_labels(mask):
 
 
 def assert_labels_match(mask):
-    """spectrum._label_cells, spread back over the mask, equals ndimage's labels."""
-    cells, labels, count = spectrum._label_cells(mask)
-    got = np.zeros(mask.size, dtype=np.int32)
-    got[cells] = labels
+    """spectrum._label_cells gives ndimage's labels, label for label."""
+    got, count = spectrum._label_cells(mask)
     want, want_count = reference_labels(mask)
     assert count == want_count
-    assert np.array_equal(got.reshape(mask.shape), want)
+    assert np.array_equal(got, want)
 
 
 def reference_clusters(field, flagged):
@@ -489,13 +519,6 @@ class TestClusterLabelling:
         estimate = ax.spectrum_estimate(field, 1.0)
         assert np.array_equal(estimate.flagged, flagged)
         assert estimate.clusters == reference_clusters(field, flagged)
-
-    def test_five_hundred_blob_field(self):
-        values = np.random.default_rng(494).random((101, 101))
-        field = ax.ResolventField(ComplexRegion(0.3 - 0.2j, 1.5, 101), values)
-        estimate = ax.spectrum_estimate(field, 1.0 / 0.93)
-        assert len(estimate.clusters) > 500
-        assert estimate.clusters == reference_clusters(field, estimate.flagged)
 
 
 class TestFieldInvariants:
