@@ -146,6 +146,10 @@ class Workspace:
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays.values())
+
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         a = self._arrays.get(name)

@@ -169,10 +169,13 @@ def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, T
 ROWS_PER_SLICE = 8
 
 # Each thread's workspace for the sweeps up to dimension 3 (linalg.Workspace).
-# It outlives the sweep, so a process that sweeps again and again reuses its
-# pages instead of returning them to the OS and faulting them in anew; a
-# thread keeps the arrays of the largest slice it has swept.
+# It outlives the sweep, because callers such as the CLI and a request loop
+# hold nothing from one sweep to the next, and a workspace made per sweep
+# returns its pages to the OS at the end and faults them in again in the
+# next. A thread keeps it while it holds at most KEPT_WORKSPACE_BYTES; a
+# dimension-3 sweep at resolution 101 with a 6-sample window needs 5.7 MB.
 _thread_state = threading.local()
+KEPT_WORKSPACE_BYTES = 16 * 2**20
 
 
 def _cpu_count() -> int:
@@ -245,10 +248,9 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
     if sf.dim <= 3:
         step = n * ROWS_PER_SLICE
-        if not hasattr(_thread_state, "work"):
-            _thread_state.work = Workspace()
-        work = _thread_state.work
+        work = getattr(_thread_state, "work", None) or Workspace()
         values = [tail_norms(lams[i : i + step], work) for i in range(0, lams.size, step)]
+        _thread_state.work = work if work.nbytes <= KEPT_WORKSPACE_BYTES else None
     else:
         workers = _cpu_count()
         step = -(-n // workers)

@@ -333,6 +333,20 @@ class TestThreadedSweep:
             for values, expected in zip(got, want * 3):
                 assert np.array_equal(values, expected)
 
+    def test_thread_keeps_its_workspace_up_to_the_cap(self, grid20, monkeypatch):
+        def kept_after_a_sweep(cap):
+            monkeypatch.setattr(spectrum, "KEPT_WORKSPACE_BYTES", cap)
+
+            def sweep():
+                ax.resolvent_norm_field(ax.diag_family(["0", "1"]), ComplexRegion(0j, 1.0, 21), grid20)
+                return getattr(spectrum._thread_state, "work", None)
+
+            with ThreadPoolExecutor(1) as pool:
+                return pool.submit(sweep).result()
+
+        assert kept_after_a_sweep(spectrum.KEPT_WORKSPACE_BYTES) is not None
+        assert kept_after_a_sweep(1024) is None
+
     def test_singular_cells_do_not_depend_on_cpu_count(self, grid20, monkeypatch):
         fam = ax.diag_family(["0", "1", "0.5+0.5i+h", "2"])
         region = ComplexRegion(0j, 2.0, 21)
