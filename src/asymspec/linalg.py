@@ -145,17 +145,24 @@ class Workspace:
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
+        # the views handed out so far, so that a repeated request costs one
+        # dict lookup: a sweep makes a few dozen per slice
+        self._views: dict[tuple, np.ndarray] = {}
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays.values())
 
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        a = self._arrays.get(name)
-        if a is None or a.size < size or a.dtype != dtype:
-            a = self._arrays[name] = np.empty(size, dtype)
-        return a[:size].reshape(shape)
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            size = math.prod(shape)
+            a = self._arrays.get(name)
+            if a is None or a.size < size or a.dtype != dtype:
+                a = self._arrays[name] = np.empty(size, dtype)
+                self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            view = self._views[name, shape, dtype] = a[:size].reshape(shape)
+        return view
 
 
 def singular_values_2x2(a, b, c, d, work: Workspace | None = None) -> np.ndarray:
@@ -175,7 +182,7 @@ def singular_values_2x2(a, b, c, d, work: Workspace | None = None) -> np.ndarray
     give its singular values.
     """
     w = Workspace() if work is None else work
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(d))
+    shape = np.broadcast(a, b, c, d).shape
 
     def real(name: str) -> np.ndarray:
         return w(name, shape)
