@@ -3,12 +3,12 @@
 All operations are pure: inputs are never mutated and results are freshly
 allocated, so matrices can be shared freely; only a caller that passes the
 small-matrix kernels a Workspace gets results that the workspace's next
-use overwrites. Inverses and norms are LAPACK
-calls through numpy, on one matrix or on a stack of them. For the resolvent
-field sweeps, which would otherwise spend their time in LAPACK's cost per
-call, the singular values of 2x2 matrices also have a closed form, and
-those of 3x3 matrices a Jacobi kernel that works on a whole stack at once
-in numpy and hands LAPACK only the matrices it leaves unsettled.
+use overwrites. Inverses and norms are LAPACK calls through numpy, on one
+matrix or on a stack of them. For the resolvent field sweeps, which would
+otherwise spend their time in LAPACK's cost per call, the singular values
+of 2x2 matrices also have a closed form, and those of 3x3 matrices a
+Jacobi kernel that works on a whole stack at once in numpy and hands
+LAPACK only the matrices it leaves unsettled.
 One rule decides singularity everywhere:
 ``sigma_min <= SINGULAR_RTOL * sigma_max``. An inverse decides it without
 singular values where it can: a residual bound on the computed inverse
@@ -136,11 +136,11 @@ class Workspace:
     fresh temporaries on every call, glibc's malloc hands the freed heap top
     back to the OS after each slice (once more than its trim threshold,
     128 KiB by default, lies free there) and faults the pages in again on
-    the next, which cost the dimension-2 101^2 sweep 40 % of its time. Each
-    large intermediate is therefore the array of its name here, made on
-    first use and reused by every later call of the same or a smaller size.
-    A kernel's result may be one of these arrays, valid until the
-    workspace's next use.
+    the next: a dimension-2 101^2 sweep took 13.0 ms that way and 8.8 ms
+    with this workspace (2-vCPU x86-64). Each large intermediate is
+    therefore the array of its name here, made on first use and reused by
+    every later call of the same or a smaller size. A kernel's result may
+    be one of these arrays, valid until the workspace's next use.
     """
 
     def __init__(self) -> None:
@@ -238,9 +238,9 @@ def singular_values_2x2(a, b, c, d, work: Workspace | None = None) -> np.ndarray
     np.multiply(np.multiply(0.5, t, out=high), s, out=high)
     np.divide(np.multiply(np.multiply(2.0, fmin, out=low), p, out=low), s, out=low)
     if negligible.any():
-        scale = inv[negligible]
-        mb_scaled = np.broadcast_to(mb, shape)[negligible] * scale
-        sigma[negligible, 0] = np.hypot(mb_scaled, md[negligible] * scale)
+        inv_negligible = inv[negligible]
+        mb_scaled = np.broadcast_to(mb, shape)[negligible] * inv_negligible
+        sigma[negligible, 0] = np.hypot(mb_scaled, md[negligible] * inv_negligible)
     sigma /= inv[..., None]
     return sigma
 
