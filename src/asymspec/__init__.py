@@ -67,8 +67,8 @@ from .families import (
     jordan_family,
     random_family,
     tail_limsup,
+    tail_to_dict,
     tail_vanishes,
-    vanishes,
 )
 from .funcalc import (
     ContourSpec,
@@ -97,7 +97,6 @@ from .spectrum import (
     SeriesTransport,
     SpectrumEstimate,
     clusters_match,
-    default_epsilon,
     default_region,
     field_to_csv,
     quotient_norm_bounds,
@@ -110,6 +109,6 @@ from .spectrum import (
     spectrum_estimate,
     spectrum_to_dict,
 )
-from .verification import SUITE_NAMES, SuiteResult, run_all_suites, run_suite
+from .verification import SUITE_NAMES, SuiteResult, run_all_suites
 
 __version__ = "0.1.0"

@@ -22,6 +22,10 @@ from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, 
 
 MAX_ORDER = 60
 MAX_SEQUENCE_ORDER = 40
+# The order n_max that bracket and power sequences and the classifiers read
+# by default: a constant quasinilpotent-equivalent pair of dimension d has
+# B_{2d-1} = 0, so 24 covers d <= 12.
+DEFAULT_SEQUENCE_ORDER = 24
 MAX_COMPOSE_ORDER = 30
 # Dead-band for the "roots are not increasing" reading in root_limit: the
 # classification accepts a window whose least-squares slope is non-positive.
@@ -107,7 +111,7 @@ class BracketSequence:
 
 
 def bracket_sequence(
-    sf: FamilySpec, tf: FamilySpec, grid: HGrid, n_max: int = 24
+    sf: FamilySpec, tf: FamilySpec, grid: HGrid, n_max: int = DEFAULT_SEQUENCE_ORDER
 ) -> BracketSequence:
     """Per-order tail norms of the brackets of (S_h, T_h) over the grid.
 
@@ -133,7 +137,9 @@ def stack_bracket_sequence(
     return BracketSequence(n_max, norms, roots)
 
 
-def power_norm_sequence(uf: FamilySpec, grid: HGrid, n_max: int = 24) -> BracketSequence:
+def power_norm_sequence(
+    uf: FamilySpec, grid: HGrid, n_max: int = DEFAULT_SEQUENCE_ORDER
+) -> BracketSequence:
     """Tail norms of the plain powers ``U_h^n``: the bracket against zero."""
     return bracket_sequence(uf, constant_family(ComplexMatrix.zeros(uf.dim)), grid, n_max)
 
@@ -183,6 +189,7 @@ def commuting_collapse_residual(t: ComplexMatrix, s: ComplexMatrix, n: int) -> f
 __all__ = [
     "MAX_ORDER",
     "MAX_SEQUENCE_ORDER",
+    "DEFAULT_SEQUENCE_ORDER",
     "MAX_COMPOSE_ORDER",
     "binom",
     "bracket_direct",

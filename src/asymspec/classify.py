@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .brackets import (
+    DEFAULT_SEQUENCE_ORDER,
     BracketSequence,
     RootClass,
     power_norm_sequence,
@@ -27,6 +28,7 @@ from .families import (
     TailEstimate,
     default_vanish_tol,
     family_pair_stacks,
+    tail_to_dict,
     tail_vanishes,
     window_limsup,
 )
@@ -119,7 +121,7 @@ def quasinilpotent_equiv(
     sf: FamilySpec,
     tf: FamilySpec,
     grid: HGrid,
-    n_max: int = 24,
+    n_max: int = DEFAULT_SEQUENCE_ORDER,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> EquivalenceVerdict:
     """Do the bracket root sequences of BOTH orderings tend to zero?"""
@@ -138,7 +140,10 @@ def quasinilpotent_equiv(
 
 
 def is_asymptotic_quasinilpotent(
-    uf: FamilySpec, grid: HGrid, n_max: int = 24, tol: float = DEFAULT_ROOT_TOL
+    uf: FamilySpec,
+    grid: HGrid,
+    n_max: int = DEFAULT_SEQUENCE_ORDER,
+    tol: float = DEFAULT_ROOT_TOL,
 ) -> EquivalenceVerdict:
     """Does the power-norm root sequence of a single family tend to zero?
 
@@ -160,18 +165,10 @@ def verdict_to_dict(verdict: EquivalenceVerdict) -> dict:
     """JSON form: kind, result, evidence summary, and the direction flag."""
     evidence: dict = {}
     if verdict.tail is not None:
-        evidence["tail"] = {
-            "value": _json_float(verdict.tail.value),
-            "trend": verdict.tail.trend.value,
-            "window_values": [_json_float(v) for v in verdict.tail.window_values],
-        }
+        evidence["tail"] = tail_to_dict(verdict.tail)
     if verdict.sequences:
         evidence["root_sequences"] = [
-            {
-                "n_max": seq.n_max,
-                "roots": [_json_float(r) for r in seq.roots],
-            }
-            for seq in verdict.sequences
+            {"n_max": seq.n_max, "roots": list(seq.roots)} for seq in verdict.sequences
         ]
     return {
         "kind": verdict.kind.value,
@@ -180,10 +177,3 @@ def verdict_to_dict(verdict: EquivalenceVerdict) -> dict:
         "evidence_summary": evidence,
     }
 
-
-def _json_float(x: float) -> float | str:
-    if np.isfinite(x):
-        return float(x)
-    if np.isnan(x):
-        return "nan"
-    return "inf" if x > 0 else "-inf"

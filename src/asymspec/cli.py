@@ -19,7 +19,9 @@ import os
 import sys
 from dataclasses import is_dataclass
 
+from .brackets import DEFAULT_SEQUENCE_ORDER
 from .classify import (
+    DEFAULT_ROOT_TOL,
     asymptotic_equiv,
     is_asymptotic_quasinilpotent,
     quasinilpotent_equiv,
@@ -43,9 +45,11 @@ from .families import (
     HGrid,
     family_from_dict,
     geometric_grid,
+    tail_to_dict,
     tail_vanishes,
 )
 from .funcalc import (
+    DEFAULT_NODES,
     ContourSpec,
     expr_function,
     family_quadratures,
@@ -55,7 +59,6 @@ from .funcalc import (
 from .linalg import matrix_to_dict
 from .spectrum import (
     ComplexRegion,
-    default_epsilon,
     default_region,
     field_to_csv,
     quotient_norm_bounds,
@@ -163,23 +166,12 @@ def _grid_from_args(args) -> "HGrid":
     return geometric_grid(args.grid_h0, args.grid_ratio, args.grid_count, args.tail_window)
 
 
-def _region_from_args(args, fam, grid, default_resolution: int = 101):
-    upper = None
-    if args.region_half_width is None or args.epsilon is None:
-        upper = quotient_norm_bounds(fam, grid).upper
-    if args.region_half_width is None:
-        half_width = default_region(upper).half_width
-    else:
-        half_width = args.region_half_width
+def _region_from_args(args, fam, grid) -> ComplexRegion:
+    half_width = args.region_half_width
+    if half_width is None:
+        half_width = default_region(quotient_norm_bounds(fam, grid).upper).half_width
     center = _parse_complex_flag(args.region_center, "--region-center")
-    resolution = args.resolution if args.resolution is not None else default_resolution
-    region = ComplexRegion(center, half_width, resolution)
-    if args.epsilon is not None:
-        return region, args.epsilon
-    # sigma_min is 1-Lipschitz in lambda, so the grid point nearest an
-    # eigenvalue has sigma_min <= spacing/sqrt(2) < 0.75 * spacing: an epsilon
-    # of at least 0.75 * spacing flags it wherever the eigenvalue falls
-    return region, max(default_epsilon(upper), 0.75 * region.spacing)
+    return ComplexRegion(center, half_width, args.resolution)
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -189,7 +181,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tail-window", type=int, default=6, help="tail window size (default 6)")
 
 
-def _add_region_flags(p: argparse.ArgumentParser) -> None:
+def _add_region_flags(p: argparse.ArgumentParser, resolution: int) -> None:
     p.add_argument(
         "--region-center", default="0", help="center of the square region (complex literal)"
     )
@@ -197,23 +189,27 @@ def _add_region_flags(p: argparse.ArgumentParser) -> None:
         "--region-half-width", type=float, default=None, help="half width (default: auto)"
     )
     p.add_argument(
-        "--resolution", type=int, default=None, help="points per axis, odd (default depends)"
+        "--resolution",
+        type=int,
+        default=resolution,
+        help="points per axis, odd (default %(default)s)",
     )
     p.add_argument(
-        "--epsilon", type=float, default=None, help="spectrum threshold 1/epsilon (default: auto)"
+        "--epsilon", type=float, default=None, help="threshold 1/epsilon (default: 0.75 spacing)"
+    )
+
+
+def _add_root_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--nmax", type=int, default=DEFAULT_SEQUENCE_ORDER, help="max order (default %(default)s)"
+    )
+    p.add_argument(
+        "--tol", type=float, default=DEFAULT_ROOT_TOL, help="root tolerance (default %(default)s)"
     )
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="directory for artifacts (default: stdout only)")
-
-
-def _tail_dict(tail) -> dict:
-    return {
-        "value": tail.value,
-        "trend": tail.trend.value,
-        "window_values": list(tail.window_values),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +219,8 @@ def _tail_dict(tail) -> dict:
 def _cmd_spectrum(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
-    region, epsilon = _region_from_args(args, fam, grid)
-    field = resolvent_norm_field(fam, region, grid)
-    estimate = spectrum_estimate(field, epsilon)
+    field = resolvent_norm_field(fam, _region_from_args(args, fam, grid), grid)
+    estimate = spectrum_estimate(field, args.epsilon)
     artifacts = {"spectrum.json": canonical_json(spectrum_to_dict(estimate))}
     if args.out:
         artifacts["field.csv"] = field_to_csv(field)
@@ -235,8 +230,8 @@ def _cmd_spectrum(args) -> int:
 def _cmd_field(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
-    region, _ = _region_from_args(args, fam, grid)
-    return _emit(args, {"field.csv": field_to_csv(resolvent_norm_field(fam, region, grid))})
+    field = resolvent_norm_field(fam, _region_from_args(args, fam, grid), grid)
+    return _emit(args, {"field.csv": field_to_csv(field)})
 
 
 def _emit_verdict(args, verdict) -> int:
@@ -255,15 +250,13 @@ def _cmd_qequiv(args) -> int:
     fam = _load_family(args.family, "--family")
     other = _load_family(args.family2, "--family2")
     grid = _grid_from_args(args)
-    tol = args.tol if args.tol is not None else 1e-3
-    return _emit_verdict(args, quasinilpotent_equiv(fam, other, grid, args.nmax, tol))
+    return _emit_verdict(args, quasinilpotent_equiv(fam, other, grid, args.nmax, args.tol))
 
 
 def _cmd_qnil(args) -> int:
     fam = _load_family(args.family, "--family")
     grid = _grid_from_args(args)
-    tol = args.tol if args.tol is not None else 1e-3
-    return _emit_verdict(args, is_asymptotic_quasinilpotent(fam, grid, args.nmax, tol))
+    return _emit_verdict(args, is_asymptotic_quasinilpotent(fam, grid, args.nmax, args.tol))
 
 
 def _cmd_funcalc(args) -> int:
@@ -278,10 +271,8 @@ def _cmd_funcalc(args) -> int:
     center = _parse_complex_flag(args.contour_center, "--contour-center")
     contour = ContourSpec(center, args.contour_radius, args.nodes)
 
-    region, epsilon = _region_from_args(args, fam, grid, default_resolution=41)
-    src_estimate = spectrum_estimate(
-        resolvent_norm_field(fam, region, grid), epsilon
-    )
+    src_field = resolvent_norm_field(fam, _region_from_args(args, fam, grid), grid)
+    src_estimate = spectrum_estimate(src_field, args.epsilon)
     # the mapped spectrum is meaningless if the contour misses part of the
     # source spectrum, so refuse rather than emit a wrong report
     require_enclosing(contour, src_estimate.clusters)
@@ -341,9 +332,8 @@ def _cmd_series(args) -> int:
     source = _load_family(args.family2, "--family2")
     grid = _grid_from_args(args)
     lam = _parse_complex_flag(args.at, "--at")
-    tol = args.tol if args.tol is not None else 1e-6
     transport = series_resolvent(target, source, lam, grid, args.nmax)
-    ok = tail_vanishes(transport.left_defect, tol) and tail_vanishes(transport.right_defect, tol)
+    ok = all(tail_vanishes(d, args.tol) for d in (transport.left_defect, transport.right_defect))
     window = grid.window_samples
     tail_matrices = [
         {"h": h, "matrix": matrix_to_dict(m)}
@@ -352,9 +342,9 @@ def _cmd_series(args) -> int:
     payload = {
         "lambda": list(_complex_pair(lam)),
         "n_terms": transport.n_terms,
-        "tol": tol,
-        "left_defect": _tail_dict(transport.left_defect),
-        "right_defect": _tail_dict(transport.right_defect),
+        "tol": args.tol,
+        "left_defect": tail_to_dict(transport.left_defect),
+        "right_defect": tail_to_dict(transport.right_defect),
         "last_term_tail": transport.last_term_tail,
         "defects_vanish": ok,
         "tail_matrices": tail_matrices,
@@ -397,14 +387,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="estimate the family spectrum over a region")
     p.add_argument("--family", required=True, help="family JSON file")
     _add_grid_flags(p)
-    _add_region_flags(p)
+    _add_region_flags(p, resolution=101)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_spectrum)
 
     p = sub.add_parser("field", help="dump the resolvent norm field as CSV")
     p.add_argument("--family", required=True, help="family JSON file")
     _add_grid_flags(p)
-    _add_region_flags(p)
+    _add_region_flags(p, resolution=101)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_field)
 
@@ -420,16 +410,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--family2", required=True)
     _add_grid_flags(p)
-    p.add_argument("--nmax", type=int, default=24, help="max bracket order (default 24)")
-    p.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-3)")
+    _add_root_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_qequiv)
 
     p = sub.add_parser("qnil", help="asymptotic quasinilpotence verdict for one family")
     p.add_argument("--family", required=True)
     _add_grid_flags(p)
-    p.add_argument("--nmax", type=int, default=24, help="max power (default 24)")
-    p.add_argument("--tol", type=float, default=None, help="root tolerance (default 1e-3)")
+    _add_root_flags(p)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_qnil)
 
@@ -441,11 +429,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nodes",
         type=int,
-        default=256,
-        help="cap on the adaptive quadrature's nodes, power of two >= 64 (default 256)",
+        default=DEFAULT_NODES,
+        help="cap on the adaptive quadrature's nodes, power of two >= 64 (default %(default)s)",
     )
     _add_grid_flags(p)
-    _add_region_flags(p)
+    _add_region_flags(p, resolution=41)
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_funcalc)
 
@@ -457,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", required=True, help="complex point lambda")
     _add_grid_flags(p)
     p.add_argument("--nmax", type=int, default=12, help="series terms (default 12)")
-    p.add_argument("--tol", type=float, default=None, help="defect tolerance (default 1e-6)")
+    p.add_argument(
+        "--tol", type=float, default=1e-6, help="defect tolerance (default %(default)s)"
+    )
     _add_out_flag(p)
     p.set_defaults(handler=_cmd_series)
 

@@ -101,6 +101,16 @@ class TailEstimate:
     window_values: tuple[float, ...]
 
 
+def tail_to_dict(tail: TailEstimate) -> dict:
+    """JSON form of a tail estimate. Non-finite values stay floats; the
+    CLI's canonical JSON writes them as the strings "inf", "-inf", "nan"."""
+    return {
+        "value": tail.value,
+        "trend": tail.trend.value,
+        "window_values": list(tail.window_values),
+    }
+
+
 def _window_slope(hs: Sequence[float], values: Sequence[float]) -> float:
     # Least-squares slope of values against log h. Positive slope means the
     # values shrink as h -> 0 (log h runs to -infinity).
@@ -167,11 +177,6 @@ def default_vanish_tol(values: Sequence[float]) -> float:
 def tail_vanishes(estimate: TailEstimate, tol: float) -> bool:
     """True when the tail value is below ``tol`` and not trending upward."""
     return estimate.value <= tol and estimate.trend is not Trend.INCREASING
-
-
-def vanishes(values: Sequence[float], grid: HGrid, tol: float) -> bool:
-    """Same test as :func:`tail_vanishes`, starting from one value per sample."""
-    return tail_vanishes(tail_limsup(values, grid), tol)
 
 
 # ---------------------------------------------------------------------------

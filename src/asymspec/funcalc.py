@@ -77,7 +77,7 @@ QUADRATURE_RTOL = math.sqrt(np.finfo(np.float64).eps)
 # The estimate is at least this fraction of scale per dimension: the
 # allowance for rounding in the inverses and the sum. On 600 random
 # matrices of dimension 1-8 the rounding error stayed below 2 eps scale.
-ROUNDING_RTOL = 8 * np.finfo(np.float64).eps
+ROUNDING_RTOL = 8 * float(np.finfo(np.float64).eps)
 # The alias check's points sit this fraction of a node spacing past level
 # N's. A mode q N degrees above its level-N alias shows with gain
 # |e^{2 pi i q ALIAS_SHIFT} - 1|, never 0 as sqrt(2) - 1 is irrational. A

@@ -204,9 +204,11 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     so the slices in flight hold about one row's worth of shifted matrices.
     No kernel lets one point's value
     depend on another's, so the field is the same for any worker count or
-    slice size.
+    slice size. A region on which lam - s_h overflows for a diagonal entry
+    s_h raises UnresolvedPoint before any slice runs.
     """
     window = family_eval_stack(sf, grid.window_samples)
+    _require_finite_shifts(region, window)
     samples = window.shape[0]
     if sf.dim == 1:
         s11 = window[:, 0, 0]
@@ -260,6 +262,21 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     return ResolventField(region, np.concatenate(values).reshape(n, n))
 
 
+def _require_finite_shifts(region: ComplexRegion, window: np.ndarray) -> None:
+    """Raise UnresolvedPoint when lam - s overflows for a point lam of the
+    region and a diagonal entry s of a window sample, where a sweep would
+    return an inf or NaN field. The real and imaginary parts of lam - s are
+    linear in lam, so their extremes over the square sit at its corners."""
+    corners = (region.xs[[0, -1], None] + 1j * region.ys[[0, -1]]).ravel()
+    with np.errstate(over="ignore"):
+        shifts = corners[:, None] - np.diagonal(window, axis1=1, axis2=2).ravel()
+    if not np.isfinite(shifts).all():
+        raise UnresolvedPoint(
+            "lambda - S_h overflows between the region and the family's diagonal; "
+            "shrink the region or rescale the family"
+        )
+
+
 # ---------------------------------------------------------------------------
 # spectrum estimation
 
@@ -279,10 +296,6 @@ class SpectrumEstimate:
     epsilon: float
     clusters: tuple[Cluster, ...]
     flagged: np.ndarray  # boolean mask, same layout as the field values
-
-
-def default_epsilon(upper: float) -> float:
-    return 1e-3 * (1.0 + upper)
 
 
 def default_region(upper: float) -> ComplexRegion:
@@ -349,13 +362,20 @@ def _label_cells(flagged: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, int(is_root.sum())
 
 
-def spectrum_estimate(field: ResolventField, epsilon: float) -> SpectrumEstimate:
+def spectrum_estimate(field: ResolventField, epsilon: float | None = None) -> SpectrumEstimate:
     """Flag grid points whose tail resolvent norm reaches 1/epsilon; cluster them.
+
+    epsilon defaults to 0.75 times the grid spacing. sigma_min is 1-Lipschitz
+    in lambda, so the grid point nearest an eigenvalue has sigma_min <=
+    spacing/sqrt(2) < 0.75 * spacing: the default flags it wherever the
+    eigenvalue falls.
 
     Clustering is 8-connected, by _label_cells: diagonal neighbors belong to
     the same blob. Clusters come back sorted by centroid (real part, then
     imaginary part).
     """
+    if epsilon is None:
+        epsilon = 0.75 * field.region.spacing
     if not (epsilon > 0 and math.isfinite(epsilon)):
         raise BadParameter("epsilon must be finite and positive")
     threshold = 1.0 / epsilon
@@ -559,7 +579,6 @@ __all__ = [
     "resolvent_at",
     "resolvent_defect",
     "resolvent_norm_field",
-    "default_epsilon",
     "default_region",
     "spectrum_estimate",
     "clusters_match",

@@ -34,7 +34,6 @@ from .classify import (
 from .errors import BadParameter
 from .families import (
     FamilySpec,
-    HGrid,
     constant_family,
     diag_family,
     family_sum,
@@ -90,10 +89,6 @@ def _taylor_exp(a: np.ndarray, terms: int = 40) -> np.ndarray:
         term = term @ a / k
         acc = acc + term
     return acc
-
-
-def _default_grid() -> HGrid:
-    return geometric_grid(1.0, 0.5, 20, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +149,7 @@ def _suite_commuting_collapse(seed: int) -> SuiteResult:
 
 def _suite_equivalence_relation(seed: int) -> SuiteResult:
     rng = _rng(seed, 3)
-    grid = _default_grid()
+    grid = geometric_grid()
     base = _random_diagonal(rng, 4, 1.0)
     d1 = _random_diagonal(rng, 4, 0.8)
     d2 = _random_diagonal(rng, 4, 0.8)
@@ -192,7 +187,7 @@ def _suite_equivalence_relation(seed: int) -> SuiteResult:
 
 def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
     rng = _rng(seed, 4)
-    grid = _default_grid()
+    grid = geometric_grid()
     equiv_all = True
     qequiv_all = True
     worst_root = 0.0
@@ -218,7 +213,7 @@ def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
 
 
 def _suite_spectrum_two_point(seed: int) -> SuiteResult:
-    grid = _default_grid()
+    grid = geometric_grid()
     fam = diag_family(["1", "2+h"])
     region = ComplexRegion(0j, 2.5, 101)
     field = resolvent_norm_field(fam, region, grid)
@@ -252,7 +247,7 @@ def _fixture_perturbation(seed: int) -> list[tuple[str, FamilySpec, ComplexRegio
 
 
 def _suite_perturbation_invariance(seed: int) -> SuiteResult:
-    grid = _default_grid()
+    grid = geometric_grid()
     epsilon = 1.0 / 3000.0
     per_fixture: dict = {}
     passed = True
@@ -273,7 +268,7 @@ def _suite_perturbation_invariance(seed: int) -> SuiteResult:
 
 
 def _suite_qequiv_spectrum_transport(seed: int) -> SuiteResult:
-    grid = _default_grid()
+    grid = geometric_grid()
     fam_t = constant_family(np.diag([0.5 + 0j, 0.5 + 0j, 0.5 + 0j]))
     fam_s = jordan_family(3, 0.5)  # 0.5 I + N with N^3 = 0, and N commutes with 0.5 I
 
@@ -311,7 +306,7 @@ def _suite_qequiv_spectrum_transport(seed: int) -> SuiteResult:
 
 
 def _suite_spectral_mapping(seed: int) -> SuiteResult:
-    grid = _default_grid()
+    grid = geometric_grid()
     src = diag_family(["1", "2+h"])
     contour = ContourSpec(1.5 + 0j, 1.8, 256)
 
@@ -356,7 +351,7 @@ def _suite_quasinilpotent_spectrum(seed: int) -> SuiteResult:
         len(est_nil.clusters) == 1 and abs(est_nil.clusters[0].centroid) <= region.spacing
     )
 
-    grid = _default_grid()
+    grid = geometric_grid()
     fam_pos = constant_family([[0.5 + 0j]])
     v_pos = is_asymptotic_quasinilpotent(fam_pos, grid)
     est_pos = spectrum_estimate(resolvent_norm_field(fam_pos, region, grid), 1e-3)
@@ -415,7 +410,7 @@ def _suite_funcalc_accuracy(seed: int) -> SuiteResult:
 
 
 def _suite_resolvent_identities(seed: int) -> SuiteResult:
-    grid = _default_grid()
+    grid = geometric_grid()
     entries = np.diag([0.3 + 0.2j, -0.6 + 0j, 1.1 - 0.4j, 0.05 + 0.9j])
     fam_t = constant_family(entries)
     lam = 2.2 + 0j
@@ -479,16 +474,6 @@ _SUITES: dict[str, Callable[[int], SuiteResult]] = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
-    try:
-        func = _SUITES[name]
-    except KeyError:
-        raise BadParameter(
-            f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}"
-        ) from None
-    return func(seed)
-
-
 def run_all_suites(
     seed: int = DEFAULT_SEED, names: tuple[str, ...] | None = None
 ) -> list[SuiteResult]:
@@ -505,6 +490,5 @@ __all__ = [
     "DEFAULT_SEED",
     "SUITE_NAMES",
     "SuiteResult",
-    "run_suite",
     "run_all_suites",
 ]

@@ -48,7 +48,7 @@ def test_criterion_05_two_point_spectrum(suites):
 
 def test_criterion_05_two_point_spectrum_runtime():
     start = time.monotonic()
-    result = verification.run_suite("spectrum_two_point", seed=42)
+    (result,) = verification.run_all_suites(42, ("spectrum_two_point",))
     elapsed = time.monotonic() - start
     print(f"criterion 05 spectrum_two_point runtime: {elapsed:.1f}s (budget 60s)")
     assert result.passed

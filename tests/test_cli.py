@@ -100,7 +100,7 @@ class TestSpectrumCommand:
         assert code == 0
         report = json.loads(out)
         spacing = 2 * report["region"]["half_width"] / (report["region"]["resolution"] - 1)
-        assert report["epsilon"] >= 0.75 * spacing
+        assert report["epsilon"] == 0.75 * spacing
         centroids = [c["centroid_re"] + 1j * c["centroid_im"] for c in report["clusters"]]
         assert len(centroids) == 2
         assert abs(centroids[0] - 1.0) <= 2 * spacing
@@ -114,6 +114,25 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, "spectrum", "--family", str(path), "--epsilon", "0.1")
         assert code == 3
         assert json.loads(err)["kind"] == "TraceError"
+
+    def test_overflowing_shift_is_a_numerical_failure(self, capsys, tmp_path):
+        matrix = {"dim": 1, "re": [1e308], "im": [0]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 1, "node": {"kind": "constant", "matrix": matrix}}))
+        code, out, err = run(
+            capsys,
+            "spectrum",
+            "--family",
+            str(path),
+            "--region-center=-1.5e308",
+            "--region-half-width",
+            "1e307",
+            "--resolution",
+            "21",
+        )
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert json.loads(line)["kind"] == "UnresolvedPoint"
 
     def test_artifacts_written_and_byte_stable(self, capsys, two_point, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]

@@ -280,14 +280,14 @@ class TestTailLimsup:
 class TestVanishes:
     def test_order_h_trace_vanishes(self, grid):
         values = [h for h in grid.samples]
-        assert families.vanishes(values, grid, tol=1e-3)
+        assert families.tail_vanishes(families.tail_limsup(values, grid), tol=1e-3)
 
     def test_order_one_trace_does_not(self, grid):
         values = [1.0 + h for h in grid.samples]
-        assert not families.vanishes(values, grid, tol=1e-3)
+        assert not families.tail_vanishes(families.tail_limsup(values, grid), tol=1e-3)
 
     def test_zero_trace_vanishes(self, grid):
-        assert families.vanishes([0.0] * grid.count, grid, tol=1e-12)
+        assert families.tail_vanishes(families.tail_limsup([0.0] * grid.count, grid), tol=1e-12)
 
     def test_default_tolerance_tracks_initial_scale(self):
         assert families.default_vanish_tol([3.0, 1.0]) == pytest.approx(4e-4)

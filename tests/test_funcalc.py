@@ -288,6 +288,16 @@ class TestAdaptiveQuadrature:
         assert quad.nodes == 64
         assert quad.error == funcalc.ROUNDING_RTOL * 2 * quad.scale
 
+    def test_rounding_floor_keeps_python_types(self):
+        # on the h = 0.5 member the rounding floor wins the estimate
+        quads = funcalc.family_quadratures(
+            ax.diag_family(["1", "2+h"]), lambda z: z, ContourSpec(1.5, 4, 64), [1.0, 0.5]
+        )
+        q = quads[1]
+        assert q.error == funcalc.ROUNDING_RTOL * 2 * q.scale
+        assert type(q.error) is float
+        assert q.converged is True
+
     def test_refusal_at_the_cap(self):
         t = np.array([[0.9, 1.0], [0.0, -0.3]])
         short = quadrature(t, cmath.exp, ContourSpec(0j, 1.0, 64))

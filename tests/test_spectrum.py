@@ -133,6 +133,20 @@ class TestResolventDefect:
 
 
 class TestNormField:
+    @pytest.mark.parametrize(
+        "fam",
+        [ax.constant_family([[1e308]]), ax.diag_family(["1e308", "1e308"])],
+        ids=["dim1", "dim2"],
+    )
+    def test_overflowing_shift_is_refused(self, fam, grid20):
+        # lambda - 1e308 leaves the float range on this region
+        region = ComplexRegion(-1.5e308, 1e307, 21)
+        with pytest.raises(UnresolvedPoint, match="overflows"):
+            ax.resolvent_norm_field(fam, region, grid20)
+        # the same region shifted by -1e308 stays in range
+        field = ax.resolvent_norm_field(ax.constant_family([[-1e308]]), region, grid20)
+        assert np.isfinite(field.values).all()
+
     def test_infinite_exactly_on_eigenvalues(self, const_field):
         region = const_field.region
         infinite = {
@@ -657,7 +671,7 @@ class TestResolventIdentities:
             r_mu = inv_mu.matrix.array + h * 0.3 * noise
             gap = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
             values.append(linalg.operator_norm(ComplexMatrix(gap)))
-        assert families.vanishes(values, grid20, tol=1e-3)
+        assert families.tail_vanishes(families.tail_limsup(values, grid20), tol=1e-3)
 
     def test_unresolved_point_rejected(self, const_two_point, grid20):
         with pytest.raises(UnresolvedPoint):
@@ -724,7 +738,7 @@ class TestCandidateUniqueness:
         mutual = [
             linalg.operator_norm(ComplexMatrix(a - b)) for a, b in zip(exact, perturbed)
         ]
-        assert families.vanishes(mutual, grid20, tol=1e-3)
+        assert families.tail_vanishes(families.tail_limsup(mutual, grid20), tol=1e-3)
 
     def test_exact_inverses_transfer_to_equivalent_family(
         self, const_two_point, grid20, rng
@@ -1005,8 +1019,24 @@ class TestClusterHelpers:
 
 
 class TestDefaults:
-    def test_default_epsilon_scales_with_norm(self):
-        assert ax.default_epsilon(3.0) == pytest.approx(4e-3)
+    def test_omitted_epsilon_flags_an_eigenvalue_at_a_cell_center(self, grid20):
+        # the farthest an eigenvalue can sit from every grid point: spacing/sqrt(2)
+        region = ComplexRegion(0j, 1.0, 21)
+        eigenvalue = 0.05 + 0.05j
+        field = ax.resolvent_norm_field(ax.constant_family([[eigenvalue]]), region, grid20)
+        estimate = ax.spectrum_estimate(field)
+        assert estimate.epsilon == 0.75 * region.spacing
+        assert len(estimate.clusters) == 1
+        assert estimate.clusters[0].cell_count == 4
+        assert abs(estimate.clusters[0].centroid - eigenvalue) <= 1e-12
+
+    def test_omitted_epsilon_finds_the_two_point_spectrum_on_the_default_region(self, grid20):
+        fam = ax.diag_family(["1", "2+h"])
+        region = ax.default_region(ax.quotient_norm_bounds(fam, grid20).upper)
+        estimate = ax.spectrum_estimate(ax.resolvent_norm_field(fam, region, grid20))
+        assert len(estimate.clusters) == 2
+        assert cluster_near(estimate, 1.0 + 0j) is estimate.clusters[0]
+        assert cluster_near(estimate, 2.0 + 0j) is estimate.clusters[1]
 
     def test_default_region_covers_norm_disk(self):
         region = ax.default_region(2.0)
