@@ -127,14 +127,33 @@ def stack_bracket_sequence(
     sa: np.ndarray, ta: np.ndarray, grid: HGrid, n_max: int
 ) -> BracketSequence:
     """:func:`bracket_sequence` of a pair already evaluated into grid stacks;
-    only their last ``grid.tail_window`` members are read."""
+    only their last ``grid.tail_window`` members are read.
+
+    The recurrence carries the bracket as b 2^E with an integer E, which
+    stays 0 until an order's norm passes 2^500; b is then divided by the
+    power of two just above its norm, so the next orders cannot overflow
+    while the roots ``|b|^(1/n) 2^(E/n)`` are finite. A norm whose true value
+    passes the float range is reported as inf.
+    """
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
     w = grid.tail_window
-    orders = islice(iter_brackets(sa[-w:], ta[-w:]), 1, n_max + 1)
-    norms = tuple(window_sup(spectral_norms(b)) for b in orders)
-    roots = tuple(a ** (1.0 / n) for n, a in enumerate(norms, start=1))
-    return BracketSequence(n_max, norms, roots)
+    t, s = sa[-w:], ta[-w:]
+    b = np.eye(t.shape[-1], dtype=np.complex128)
+    exponent = 0
+    norms, roots = [], []
+    for n in range(1, n_max + 1):
+        b = t @ b - b @ s
+        a = window_sup(spectral_norms(b))
+        mantissa, shift = math.frexp(a)
+        # math.ldexp raises where the product leaves the float range
+        fits = shift + exponent <= 1024
+        norms.append(math.ldexp(mantissa, shift + exponent) if fits else math.inf)
+        roots.append(a ** (1.0 / n) * 2.0 ** (exponent / n))
+        if 2.0**500 < a < math.inf:
+            b *= 2.0**-shift
+            exponent += shift
+    return BracketSequence(n_max, tuple(norms), tuple(roots))
 
 
 def power_norm_sequence(

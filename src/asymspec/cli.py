@@ -334,10 +334,9 @@ def _cmd_series(args) -> int:
     lam = _parse_complex_flag(args.at, "--at")
     transport = series_resolvent(target, source, lam, grid, args.nmax)
     ok = all(tail_vanishes(d, args.tol) for d in (transport.left_defect, transport.right_defect))
-    window = grid.window_samples
     tail_matrices = [
         {"h": h, "matrix": matrix_to_dict(m)}
-        for h, m in zip(window, transport.matrices[-len(window):])
+        for h, m in zip(grid.window_samples, transport.matrices)
     ]
     payload = {
         "lambda": list(_complex_pair(lam)),
@@ -466,9 +465,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Join each token that begins with a single "-" to the flag before it, as
+    "--flag=value", when that flag takes a value. argparse reads such a token
+    as an option unless it looks like a plain negative number, so a complex
+    literal such as "--region-center -0.5+1i" or "--at -1e3" would be a usage
+    error rather than a value."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    takes_value = {
+        flag
+        for p in subparsers.choices.values()
+        for action in p._actions
+        if action.nargs != 0
+        for flag in action.option_strings
+    }
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in takes_value and token[:1] == "-" and token[:2] != "--":
+            joined[-1] = f"{joined[-1]}={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_dash_values(parser, argv))
     handler = getattr(args, "handler", None)
     if handler is None:
         parser.print_help()

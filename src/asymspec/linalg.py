@@ -13,9 +13,9 @@ One rule decides singularity everywhere:
 ``sigma_min <= SINGULAR_RTOL * sigma_max``. An inverse decides it without
 singular values where it can: a residual bound on the computed inverse
 certifies most members nonsingular, and only the members it leaves
-undecided get an SVD. Singularity is reported as a value
-(``solve_inverse`` returns ``None``), not as an exception, because
-downstream resolvent scans treat it as data.
+undecided get an SVD. Singularity is reported as a value (a NaN member
+of ``inverse_stack``'s stack, ``None`` from ``solve_inverse``), not as an
+exception, because downstream resolvent scans treat it as data.
 """
 
 from __future__ import annotations
@@ -450,12 +450,6 @@ def inverse_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     invert at all (an exactly zero pivot) gets an SVD on every member, and
     the singular ones are inverted as I.
     """
-    return _inverse_residual_stack(a)[:2]
-
-
-def _inverse_residual_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`inverse_stack` plus the residuals ``a @ X - I`` of the computed
-    inverses X, taken before the singular members are set to NaN."""
     eye = np.eye(a.shape[-1])
     try:
         inv = np.linalg.inv(a)
@@ -463,7 +457,6 @@ def _inverse_residual_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         # An exactly zero pivot somewhere: decide every member by its SVD.
         singular = is_singular(np.linalg.svd(a, compute_uv=False))
         inv = np.linalg.inv(np.where(singular[..., None, None], eye, a))
-        residual = a @ inv - eye
     else:
         # A nearly singular member has huge or non-finite entries in X; its
         # products and norms may overflow, which leaves it undecided.
@@ -478,7 +471,7 @@ def _inverse_residual_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
         if undecided.any():
             singular[undecided] = is_singular(np.linalg.svd(a[undecided], compute_uv=False))
     inv[singular] = np.nan
-    return inv, singular, residual
+    return inv, singular
 
 
 @dataclass(frozen=True)
@@ -489,24 +482,17 @@ class Inverse:
     residual: float
 
 
-def solve_inverse_stack(a: np.ndarray) -> tuple[np.ndarray, list[Inverse | None]]:
-    """:func:`solve_inverse` on each member of a stack (k, n, n): the inverses of
-    :func:`inverse_stack` (NaN where singular) and one Inverse or None per member."""
-    inv, singular, residual = _inverse_residual_stack(a)
-    residuals = np.abs(residual).max(axis=(-2, -1))
-    return inv, [
-        None if sing else Inverse(ComplexMatrix(m), float(res))
-        for m, sing, res in zip(inv, singular, residuals)
-    ]
-
-
 def solve_inverse(a) -> Inverse | None:
     """LAPACK inverse; ``None`` signals a singular input (see :func:`is_singular`).
 
     Accepts a ComplexMatrix or a raw square array.
     """
-    mat = a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)
-    return solve_inverse_stack(mat.array[None])[1][0]
+    a = (a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)).array[None]
+    inv, singular = inverse_stack(a)
+    if singular[0]:
+        return None
+    residual = float(np.abs(a @ inv - np.eye(a.shape[-1])).max())
+    return Inverse(ComplexMatrix(inv[0]), residual)
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:

@@ -10,16 +10,19 @@ it the sample is ignored, since every limit h -> 0 is read from the window.
 
 Tail statistics only depend on the trailing window of the h-grid, so
 every tail statistic is computed from the window samples alone: the
-resolvent identities and defects invert and take norms there only, and the
-series transport, whose partial sums cover the whole grid, takes its norms
-there. They still evaluate the family at every grid sample, so an
-evaluation error anywhere on the grid raises; the field sweeps evaluate
-just the window samples, once, in the calling thread. A sweep slices the
-region's points by one rule (see resolvent_norm_field): numpy kernels in
-the calling thread up to dimension 3, batched LAPACK SVDs on a thread pool
-from dimension 4 up, and the field does not depend on the CPU count. A
-full-grid sweep of a single point is still available through resolvent_at
-for diagnostics.
+resolvent identities, defects and series transport invert, multiply and
+take norms there only. They still evaluate the family at every grid
+sample, so an evaluation error anywhere on the grid raises; the field
+sweeps evaluate just the window samples, once, in the calling thread. A
+sweep slices the region's points by one rule (see resolvent_norm_field):
+numpy kernels in the calling thread up to dimension 3, batched LAPACK SVDs
+on a thread pool from dimension 4 up, and the field does not depend on the
+CPU count. A full-grid sweep of a single point is still available through
+resolvent_at for diagnostics.
+
+Per-h resolvent data has one form: a stack (k, d, d) ordered like the
+h-samples, in which a NaN member marks a singular sample or a missing
+candidate.
 
 The spectrum estimate clusters the flagged points with a numpy labelling
 (see _label_cells), so the package needs nothing beyond numpy.
@@ -49,13 +52,11 @@ from .families import (
     window_sup,
 )
 from .linalg import (
-    Inverse,
     Workspace,
     inverse_stack,
     is_singular,
     singular_values_2x2,
     singular_values_3x3,
-    solve_inverse_stack,
     spectral_norms,
 )
 
@@ -117,36 +118,40 @@ class ResolventField:
 
 @dataclass(frozen=True)
 class ResolventSweep:
-    """Resolvents of one point across the whole h-grid, plus the tail verdict."""
+    """Resolvents of one point across the whole h-grid, plus the tail verdict.
+
+    inverses is the stack (grid.count, d, d) of (lam I - S_h)^{-1}, NaN at a
+    singular sample; norms holds their spectral norms, inf at a singular
+    sample.
+    """
 
     lambda_: complex
-    inverses: list[Inverse | None]
-    norms: list[float]
+    inverses: np.ndarray
+    norms: np.ndarray
     tail: TailEstimate
 
 
 def resolvent_at(sf: FamilySpec, lam: complex, grid: HGrid) -> ResolventSweep:
-    """Invert (lam I - S_h) at every grid sample. Singular samples become None/inf."""
-    r, inverses = solve_inverse_stack(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples))
-    norms = spectral_norms(r).tolist()
-    return ResolventSweep(lam, inverses, norms, tail_limsup(norms, grid))
+    """Invert (lam I - S_h) at every grid sample."""
+    r = inverse_stack(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples))[0]
+    norms = spectral_norms(r)
+    return ResolventSweep(lam, r, norms, tail_limsup(norms, grid))
 
 
 def resolvent_defect(
-    sf: FamilySpec, rf: list[np.ndarray | None], lam: complex, grid: HGrid
+    sf: FamilySpec, rf: np.ndarray, lam: complex, grid: HGrid
 ) -> tuple[TailEstimate, TailEstimate]:
     """Tail norms of (lam I - S_h) R_h - I and R_h (lam I - S_h) - I.
 
-    rf supplies one candidate resolvent per grid sample (None marks a sample
-    with no candidate; it scores inf and poisons the tail if inside the window).
-    Only the candidates of the window samples are read.
+    rf is a stack (grid.count, d, d) of candidate resolvents, one per grid
+    sample; a NaN member marks a sample with no candidate, which scores inf
+    and poisons the tail if inside the window. Only the window members are
+    read.
     """
     if len(rf) != grid.count:
         raise LengthMismatch(f"expected {grid.count} candidate matrices, got {len(rf)}")
-    eye = np.eye(sf.dim, dtype=np.complex128)
     w = grid.tail_window
-    r = np.stack([np.full_like(eye, np.nan) if m is None else m for m in rf[-w:]])
-    return _defects(lam * eye - family_eval_stack(sf, grid.samples)[-w:], r, grid)
+    return _defects(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples)[-w:], rf[-w:], grid)
 
 
 def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, TailEstimate]:
@@ -410,13 +415,11 @@ def clusters_match(a: SpectrumEstimate, b: SpectrumEstimate) -> bool:
 
 
 def _resolvents(a: np.ndarray, lam: complex, grid: HGrid) -> np.ndarray:
-    """(lam I - a_h)^{-1} for the stacked family values a, whose last
-    grid.tail_window members are the window samples: NaN at singular
-    samples, UnresolvedPoint when a window sample is singular."""
+    """(lam I - a_h)^{-1} for the stack a of the window samples' family
+    values; UnresolvedPoint when one of them is singular."""
     r, singular = inverse_stack(lam * np.eye(a.shape[-1]) - a)
-    in_window = singular[-grid.tail_window :]
-    if in_window.any():
-        h = grid.window_samples[int(np.argmax(in_window))]
+    if singular.any():
+        h = grid.window_samples[int(np.argmax(singular))]
         raise UnresolvedPoint(f"resolvent missing at h={h!r} for lam={lam}")
     return r
 
@@ -451,15 +454,16 @@ MAX_SERIES_TERMS = 30
 class SeriesTransport:
     """Truncated transport of T's resolvent toward S's at one point.
 
-    matrices holds the partial sums at every grid sample; the defect estimates
-    measure (lam I - S_h) Sigma - I and Sigma (lam I - S_h) - I in the tail.
+    matrices is the stack (grid.tail_window, d, d) of the partial sums at the
+    window samples; the defect estimates measure (lam I - S_h) Sigma - I and
+    Sigma (lam I - S_h) - I there.
     term_tails holds the tail norm of every summand B_n R^{n+1}, n = 0..N;
     the last of them, last_term_tail, is a truncation gauge.
     """
 
     lambda_: complex
     n_terms: int
-    matrices: list[np.ndarray]
+    matrices: np.ndarray
     left_defect: TailEstimate
     right_defect: TailEstimate
     term_tails: tuple[float, ...]
@@ -483,27 +487,29 @@ def series_resolvent(
     (lam I - S_h) Sigma_N = I - B_{N+1} R^{N+1}, so the defect is exactly the
     tail of the series; when the bracket roots die the defect vanishes.
 
-    Raises UnresolvedPoint when lam is not in T's resolvent set at some
-    tail-window sample; a singular sample outside the window gets a NaN
-    partial sum. The term and defect norms are taken on the window alone.
+    Both families are evaluated at every grid sample, so an evaluation error
+    anywhere on the grid raises; the resolvents, the recurrence, the partial
+    sums and their norms run on the tail-window samples alone. Raises
+    UnresolvedPoint when lam is not in T's resolvent set at some window
+    sample.
     """
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
-    sa, ta = family_pair_stacks(sf, tf, grid.samples)
     w = grid.tail_window
+    sa, ta = (stack[-w:] for stack in family_pair_stacks(sf, tf, grid.samples))
     r = _resolvents(ta, lam, grid)
     term = total = r_pow = r
-    term_tails = [window_sup(spectral_norms(term[-w:]))]
+    term_tails = [window_sup(spectral_norms(term))]
     for bracket in islice(iter_brackets(sa, ta), 1, n_terms + 1):
         r_pow = r_pow @ r
         term = bracket @ r_pow
         total = total + term
-        term_tails.append(window_sup(spectral_norms(term[-w:])))
-    left, right = _defects(lam * np.eye(sf.dim) - sa[-w:], total[-w:], grid)
+        term_tails.append(window_sup(spectral_norms(term)))
+    left, right = _defects(lam * np.eye(sf.dim) - sa, total, grid)
     return SeriesTransport(
         lambda_=lam,
         n_terms=n_terms,
-        matrices=list(total),
+        matrices=total,
         left_defect=left,
         right_defect=right,
         term_tails=tuple(term_tails),

@@ -432,8 +432,8 @@ def _suite_resolvent_identities(seed: int) -> SuiteResult:
     rng = _rng(seed, 11)
     eye = np.eye(4, dtype=np.complex128)
     bump = 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    exact = [inv.matrix.array for inv in sweep_lam.inverses]
-    perturbed = [r + h * bump for r, h in zip(exact, grid.samples)]
+    exact = sweep_lam.inverses
+    perturbed = exact + np.multiply.outer(grid.samples, bump)
     left_p, right_p = resolvent_defect(fam_t, perturbed, lam, grid)
     perturbed_ok = tail_vanishes(left_p, 1e-3) and tail_vanishes(right_p, 1e-3)
 

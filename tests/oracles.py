@@ -211,11 +211,11 @@ def resolvent_at_per_sample(sf, lam, grid):
 
 def resolvent_defect_per_sample(sf, rf, lam, grid):
     """Norms of (lam I - S_h) R_h - I and R_h (lam I - S_h) - I, one sample at
-    a time; a None candidate scores inf on both sides."""
+    a time; a candidate with a NaN entry scores inf on both sides."""
     eye = np.eye(sf.dim, dtype=np.complex128)
     left, right = [], []
     for h, r in zip(grid.samples, rf):
-        if r is None:
+        if np.isnan(r).any():
             left.append(math.inf)
             right.append(math.inf)
             continue

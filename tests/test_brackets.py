@@ -1,5 +1,7 @@
 """The bracket operation, its identities, and root-sequence classification."""
 
+import math
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -225,6 +227,16 @@ class TestPowerNormSequence:
         )
         assert np.allclose(seq.norms, [0.5 ** n for n in range(1, 11)])
         assert np.allclose(seq.roots, 0.5)
+
+    def test_norms_past_the_float_range_keep_finite_roots(self, coarse_grid):
+        # 1e20^n leaves the float range at n = 16; its n-th root stays 1e20
+        fam = ax.constant_family(ComplexMatrix(np.diag([1e20, 3e19])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seq = ax.power_norm_sequence(fam, coarse_grid, n_max=24)
+        assert np.allclose(seq.roots, 1e20, rtol=1e-12, atol=0.0)
+        assert np.allclose(seq.norms[:15], [1e20**n for n in range(1, 16)], rtol=1e-12, atol=0.0)
+        assert seq.norms[15:] == (math.inf,) * 9
 
 
 class TestRootLimit:

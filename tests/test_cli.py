@@ -245,6 +245,31 @@ class TestVerdictCommands:
         assert code == 0
         assert json.loads(out)["result"] == "fails"
 
+    @pytest.mark.parametrize("command", ["qnil", "qequiv"])
+    def test_overflowing_bracket_norms_fail_without_warnings(self, capsys, tmp_path, command):
+        # the powers of diag(1e20, 3e19) leave the float range at order 16,
+        # but their n-th roots read the spectral radius 1e20
+        def constant(name, entries):
+            path = tmp_path / name
+            matrix = {"dim": 2, "re": entries, "im": [0.0] * 4}
+            path.write_text(json.dumps({"dim": 2, "node": {"kind": "constant", "matrix": matrix}}))
+            return str(path)
+
+        argv = [command, "--family", constant("big.json", [1e20, 0.0, 0.0, 3e19])]
+        if command == "qequiv":
+            argv += ["--family2", constant("zero.json", [0.0] * 4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        verdict = json.loads(out)
+        assert verdict["result"] == "fails"
+        sequences = verdict["evidence_summary"]["root_sequences"]
+        assert len(sequences) == (2 if command == "qequiv" else 1)
+        for seq in sequences:
+            assert len(seq["roots"]) == 24
+            assert all(abs(r - 1e20) <= 1e-12 * 1e20 for r in seq["roots"])
+
 
 class TestFuncalcCommand:
     def test_report_maps_centroids(self, capsys, two_point):
@@ -554,6 +579,28 @@ class TestConfigErrors:
         payload = json.loads(err)
         assert payload["field"] == flag
         assert payload["error"].count(flag) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, argv",
+        [
+            ("--region-center", "-0.5+1i", ["spectrum", "--family", "{family}",
+                                            "--region-half-width", "2", "--resolution", "21"]),
+            ("--contour-center", "-0.5+1i", ["funcalc", "--family", "{family}", "--expr", "z^2",
+                                             "--contour-radius", "4", "--region-center", "1.5",
+                                             "--region-half-width", "2", "--resolution", "21",
+                                             "--epsilon", "1e-3"]),
+            ("--at", "-1e3", ["series", "--family", "{family}", "--family2", "{family}"]),
+        ],
+        ids=["region-center", "contour-center", "at"],
+    )
+    def test_negative_complex_value_after_its_flag(self, capsys, two_point, flag, value, argv):
+        # argparse alone reads "-0.5+1i" and "-1e3" as options, not values
+        argv = [arg.format(family=two_point) for arg in argv]
+        code, joined, _ = run(capsys, *argv, f"{flag}={value}")
+        assert code == 0
+        code, spaced, err = run(capsys, *argv, flag, value)
+        assert code == 0 and err == ""
+        assert spaced == joined
 
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2

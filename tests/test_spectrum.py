@@ -93,12 +93,12 @@ class TestResolventAt:
         sweep = ax.resolvent_at(const_two_point, 0j, grid20)
         assert math.isfinite(sweep.tail.value)
         # (0 - diag(1,2))^-1 = diag(-1, -0.5), norm 1
-        assert np.allclose(sweep.inverses[0].matrix.array, np.diag([-1.0, -0.5]))
+        assert np.allclose(sweep.inverses[0], np.diag([-1.0, -0.5]))
         assert sweep.tail.value == pytest.approx(1.0)
 
     def test_eigenvalue_is_singular_at_every_h(self, const_two_point, grid20):
         sweep = ax.resolvent_at(const_two_point, 1.0 + 0j, grid20)
-        assert all(entry is None for entry in sweep.inverses)
+        assert np.isnan(sweep.inverses).all()
         assert math.isinf(sweep.tail.value)
 
     def test_moving_eigenvalue_gives_one_over_h(self, grid20):
@@ -112,21 +112,19 @@ class TestResolventAt:
 class TestResolventDefect:
     def test_exact_inverses_have_no_defect(self, const_two_point, grid20):
         sweep = ax.resolvent_at(const_two_point, 0j, grid20)
-        exact = [inv.matrix.array for inv in sweep.inverses]
-        left, right = ax.resolvent_defect(const_two_point, exact, 0j, grid20)
+        left, right = ax.resolvent_defect(const_two_point, sweep.inverses, 0j, grid20)
         assert left.value <= 1e-10 and right.value <= 1e-10
 
     def test_equivalent_family_inverses_pass(self, const_two_point, grid20, rng):
         bump = ComplexMatrix(0.4 * (rng.normal(size=(2, 2)) + 0j))
         nearby = ax.family_sum(const_two_point, ax.h_scaled(ax.constant_family(bump)))
         sweep = ax.resolvent_at(nearby, 0j, grid20)
-        candidates = [inv.matrix.array for inv in sweep.inverses]
-        left, right = ax.resolvent_defect(const_two_point, candidates, 0j, grid20)
+        left, right = ax.resolvent_defect(const_two_point, sweep.inverses, 0j, grid20)
         assert families.tail_vanishes(left, tol=1e-3)
         assert families.tail_vanishes(right, tol=1e-3)
 
     def test_zero_candidate_defect_is_one(self, const_two_point, grid20):
-        zeros = [np.zeros((2, 2), dtype=complex)] * grid20.count
+        zeros = np.zeros((grid20.count, 2, 2), dtype=complex)
         left, right = ax.resolvent_defect(const_two_point, zeros, 0j, grid20)
         assert left.value == pytest.approx(1.0)
         assert right.value == pytest.approx(1.0)
@@ -623,20 +621,25 @@ class TestStackedResolvents:
         fam, lam, grid, rng = case
         sweep = ax.resolvent_at(fam, lam, grid)
         inverses, norms = oracles.resolvent_at_per_sample(fam, lam, grid)
-        assert sweep.norms == norms
+        assert sweep.norms.tolist() == norms
         assert sweep.tail == ax.tail_limsup(norms, grid)
-        assert [inv is None for inv in sweep.inverses] == [inv is None for inv in inverses]
-        for got, want in zip(sweep.inverses, inverses):
+        missing = np.isnan(sweep.inverses).all(axis=(1, 2))
+        assert missing.tolist() == [inv is None for inv in inverses]
+        assert np.isnan(sweep.inverses).any(axis=(1, 2)).tolist() == missing.tolist()
+        eye = np.eye(fam.dim)
+        for got, want, h in zip(sweep.inverses, inverses, grid.samples):
             if want is not None:
-                assert np.array_equal(got.matrix.array, want.matrix.array)
-                assert got.residual == want.residual
+                assert np.array_equal(got, want.matrix.array)
+                a = lam * eye - families.family_eval_array(fam, h)
+                assert np.abs(a[None] @ got - eye).max() == want.residual
 
         # candidates: the exact inverses, bumped by O(h), with some dropped
         bump = rng.normal(size=(fam.dim, fam.dim))
-        rf = [
-            None if inv is None or rng.random() < 0.2 else inv.matrix.array + h * bump
-            for inv, h in zip(inverses, grid.samples)
-        ]
+        rf = np.stack([
+            np.full_like(inv, np.nan) if np.isnan(inv).any() or rng.random() < 0.2
+            else inv + h * bump
+            for inv, h in zip(sweep.inverses, grid.samples)
+        ])
         left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
         assert ax.resolvent_defect(fam, rf, lam, grid) == (
             ax.tail_limsup(left, grid),
@@ -667,8 +670,8 @@ class TestResolventIdentities:
         sweep_mu = ax.resolvent_at(const_two_point, mu, grid20)
         values = []
         for h, inv_lam, inv_mu in zip(grid20.samples, sweep_lam.inverses, sweep_mu.inverses):
-            r_lam = inv_lam.matrix.array + h * 0.3 * noise
-            r_mu = inv_mu.matrix.array + h * 0.3 * noise
+            r_lam = inv_lam + h * 0.3 * noise
+            r_mu = inv_mu + h * 0.3 * noise
             gap = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
             values.append(linalg.operator_norm(ComplexMatrix(gap)))
         assert families.tail_vanishes(families.tail_limsup(values, grid20), tol=1e-3)
@@ -712,9 +715,8 @@ class TestPointSeparation:
         diffs = []
         products = []
         for inv_lam, inv_mu in zip(sweep_lam.inverses, sweep_mu.inverses):
-            a, b = inv_lam.matrix, inv_mu.matrix
-            diffs.append(linalg.operator_norm(linalg.sub(a, b)))
-            products.append(linalg.operator_norm(a.array @ b.array))
+            diffs.append(linalg.operator_norm(inv_lam - inv_mu))
+            products.append(linalg.operator_norm(inv_lam @ inv_mu))
         diff_tail = families.tail_limsup(diffs, grid20)
         product_tail = families.tail_limsup(products, grid20)
         # first resolvent identity makes these exactly proportional
@@ -727,10 +729,8 @@ class TestCandidateUniqueness:
         lam = 0j
         sweep = ax.resolvent_at(const_two_point, lam, grid20)
         noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        exact = [inv.matrix.array for inv in sweep.inverses]
-        perturbed = [
-            r + h * 0.3 * noise for h, r in zip(grid20.samples, exact)
-        ]
+        exact = sweep.inverses
+        perturbed = np.stack([r + h * 0.3 * noise for h, r in zip(grid20.samples, exact)])
         for candidate in (exact, perturbed):
             left, right = ax.resolvent_defect(const_two_point, candidate, lam, grid20)
             assert families.tail_vanishes(left, tol=1e-3)
@@ -746,8 +746,7 @@ class TestCandidateUniqueness:
         bump = ComplexMatrix(0.5 * (rng.normal(size=(2, 2)) + 0j))
         nearby = ax.family_sum(const_two_point, ax.h_scaled(ax.constant_family(bump)))
         sweep = ax.resolvent_at(const_two_point, 0j, grid20)
-        exact = [inv.matrix.array for inv in sweep.inverses]
-        left, right = ax.resolvent_defect(nearby, exact, 0j, grid20)
+        left, right = ax.resolvent_defect(nearby, sweep.inverses, 0j, grid20)
         assert families.tail_vanishes(left, tol=1e-3)
         assert families.tail_vanishes(right, tol=1e-3)
 
@@ -774,7 +773,7 @@ class TestSeriesResolvent:
         assert transport.last_term_tail == 0.0
         assert transport.left_defect.value <= 1e-10
         assert transport.right_defect.value <= 1e-10
-        assert len(transport.matrices) == grid20.count
+        assert transport.matrices.shape == (grid20.tail_window, 3, 3)
 
     def test_term_norms_respect_envelope(self, grid20):
         # summand n is bounded by a_n * M^(n+1): a_n the tail bracket norm,
@@ -794,8 +793,8 @@ class TestSeriesResolvent:
         # lam = 1 is an eigenvalue of diag(h, 3) only at h = 1, the first sample
         fam = ax.diag_family(["h", "3"])
         transport = ax.series_resolvent(fam, fam, 1.0 + 0j, grid20, 2)
-        assert np.isnan(transport.matrices[0]).all()
-        assert np.isfinite(transport.matrices[1]).all()
+        assert transport.matrices.shape == (grid20.tail_window, 2, 2)
+        assert np.isfinite(transport.matrices).all()
         assert transport.left_defect.value <= 1e-12
         assert transport.right_defect.value <= 1e-12
 
@@ -854,7 +853,7 @@ class TestWindowOnlyTails:
             r_mu @ r_lam - r_lam @ r_mu, grid
         )
         # candidates: the resolvents at mu, off by O(|lam - mu|)
-        assert ax.resolvent_defect(sf, list(r_mu), lam, grid) == (
+        assert ax.resolvent_defect(sf, r_mu, lam, grid) == (
             full_grid_tail((lam * eye - a) @ r_mu - eye, grid),
             full_grid_tail(r_mu @ (lam * eye - a) - eye, grid),
         )
@@ -879,8 +878,8 @@ class TestWindowOnlyTails:
             full_grid_tail((lam * eye - sa) @ total - eye, grid),
             full_grid_tail(total @ (lam * eye - sa) - eye, grid),
         )
-        assert len(tr.matrices) == grid.count
-        assert all(np.array_equal(m, want) for m, want in zip(tr.matrices, total))
+        assert tr.matrices.shape == (grid.tail_window, sf.dim, sf.dim)
+        assert np.array_equal(tr.matrices, total[-grid.tail_window :])
 
     def test_evaluation_error_outside_window_still_raises(self, grid20):
         # exp(1000 h) overflows at h = 1 only, far outside the tail window
