@@ -16,8 +16,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, OutOfRange
-from .families import FamilySpec, HGrid, constant_family, family_pair_stacks, window_sup
+from .errors import BadParameter, DimensionMismatch, LengthMismatch, OutOfRange
+from .families import FamilySpec, HGrid, family_eval_stack, family_pair_stacks, window_sup
 from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, sub
 
 MAX_ORDER = 60
@@ -113,21 +113,21 @@ class BracketSequence:
 def bracket_sequence(
     sf: FamilySpec, tf: FamilySpec, grid: HGrid, n_max: int = DEFAULT_SEQUENCE_ORDER
 ) -> BracketSequence:
-    """Per-order tail norms of the brackets of (S_h, T_h) over the grid.
+    """Per-order tail norms of the brackets of (S_h, T_h).
 
-    Both families are evaluated at every grid sample, so an evaluation error
-    anywhere on the grid raises. The recurrence ``B -> S_h B - B T_h`` then
-    runs on the stack of the tail-window samples alone, with one batched
-    norm per order.
+    Both families are evaluated at the tail-window samples alone, so an
+    evaluation error raises only where it names a window h. The recurrence
+    ``B -> S_h B - B T_h`` runs on those stacks, with one batched norm per
+    order.
     """
-    return stack_bracket_sequence(*family_pair_stacks(sf, tf, grid.samples), grid, n_max)
+    return stack_bracket_sequence(*family_pair_stacks(sf, tf, grid.window_samples), grid, n_max)
 
 
 def stack_bracket_sequence(
     sa: np.ndarray, ta: np.ndarray, grid: HGrid, n_max: int
 ) -> BracketSequence:
-    """:func:`bracket_sequence` of a pair already evaluated into grid stacks;
-    only their last ``grid.tail_window`` members are read.
+    """:func:`bracket_sequence` of a pair already evaluated into stacks at
+    ``grid.window_samples``; LengthMismatch for stacks of another length.
 
     The recurrence carries the bracket as b 2^E with an integer E, which
     stays 0 until an order's norm passes 2^500; b is then divided by the
@@ -137,13 +137,13 @@ def stack_bracket_sequence(
     """
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
-    w = grid.tail_window
-    t, s = sa[-w:], ta[-w:]
-    b = np.eye(t.shape[-1], dtype=np.complex128)
+    if not len(sa) == len(ta) == grid.tail_window:
+        raise LengthMismatch(f"expected stacks of {grid.tail_window} window samples")
+    b = np.eye(sa.shape[-1], dtype=np.complex128)
     exponent = 0
     norms, roots = [], []
     for n in range(1, n_max + 1):
-        b = t @ b - b @ s
+        b = sa @ b - b @ ta
         a = window_sup(spectral_norms(b))
         mantissa, shift = math.frexp(a)
         # math.ldexp raises where the product leaves the float range
@@ -160,7 +160,8 @@ def power_norm_sequence(
     uf: FamilySpec, grid: HGrid, n_max: int = DEFAULT_SEQUENCE_ORDER
 ) -> BracketSequence:
     """Tail norms of the plain powers ``U_h^n``: the bracket against zero."""
-    return bracket_sequence(uf, constant_family(ComplexMatrix.zeros(uf.dim)), grid, n_max)
+    ua = family_eval_stack(uf, grid.window_samples)
+    return stack_bracket_sequence(ua, np.zeros_like(ua), grid, n_max)
 
 
 class RootClass(str, Enum):

@@ -70,16 +70,15 @@ def _vanishing_verdict(
     """HOLDS when the norm of ``combine(S_h, T_h)`` vanishes in the tail,
     else FAILS.
 
-    Both families are evaluated on the whole grid, so an evaluation error
-    anywhere still raises. ``combine`` and the norms run only where they are
-    read: on the tail window, and on the first sample when the tolerance
-    scales with it (default_vanish_tol).
+    Both families are evaluated where they are read: at the tail-window
+    samples, and at the first grid sample h0 when the tolerance is omitted,
+    since default_vanish_tol scales with the norm there.
     """
-    sa, ta = family_pair_stacks(sf, tf, grid.samples)
     if tol is None:
-        tol = default_vanish_tol(spectral_norms(combine(sa[:1], ta[:1])))
-    window = slice(-grid.tail_window, None)
-    tail = window_limsup(spectral_norms(combine(sa[window], ta[window])), grid)
+        first = family_pair_stacks(sf, tf, grid.samples[:1])
+        tol = default_vanish_tol(spectral_norms(combine(*first)))
+    window = family_pair_stacks(sf, tf, grid.window_samples)
+    tail = window_limsup(spectral_norms(combine(*window)), grid)
     return EquivalenceVerdict(
         kind,
         VerdictResult.HOLDS if tail_vanishes(tail, tol) else VerdictResult.FAILS,
@@ -125,7 +124,7 @@ def quasinilpotent_equiv(
     tol: float = DEFAULT_ROOT_TOL,
 ) -> EquivalenceVerdict:
     """Do the bracket root sequences of BOTH orderings tend to zero?"""
-    sa, ta = family_pair_stacks(sf, tf, grid.samples)
+    sa, ta = family_pair_stacks(sf, tf, grid.window_samples)
     seq_st = stack_bracket_sequence(sa, ta, grid, n_max)
     seq_ts = stack_bracket_sequence(ta, sa, grid, n_max)
     result = _roots_verdict(

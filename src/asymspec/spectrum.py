@@ -9,16 +9,15 @@ unresolved (inf, or UnresolvedPoint where a resolvent is needed); outside
 it the sample is ignored, since every limit h -> 0 is read from the window.
 
 Tail statistics only depend on the trailing window of the h-grid, so
-every tail statistic is computed from the window samples alone: the
-resolvent identities, defects and series transport invert, multiply and
-take norms there only. They still evaluate the family at every grid
-sample, so an evaluation error anywhere on the grid raises; the field
-sweeps evaluate just the window samples, once, in the calling thread. A
-sweep slices the region's points by one rule (see resolvent_norm_field):
-numpy kernels in the calling thread up to dimension 3, batched LAPACK SVDs
-on a thread pool from dimension 4 up, and the field does not depend on the
-CPU count. A full-grid sweep of a single point is still available through
-resolvent_at for diagnostics.
+every tail statistic evaluates the family at the window samples alone and
+inverts, multiplies and takes norms there only: the field sweeps,
+resolvent_at, the resolvent identities, defects and series transport. An
+evaluation error therefore raises only where it names a window h. The one
+exception is quotient_norm_bounds, whose upper bound is a sup over the whole
+grid. A sweep evaluates the window once, in the calling thread, and slices
+the region's points by one rule (see resolvent_norm_field): numpy kernels
+in the calling thread up to dimension 3, batched LAPACK SVDs on a thread
+pool from dimension 4 up, and the field does not depend on the CPU count.
 
 Per-h resolvent data has one form: a stack (k, d, d) ordered like the
 h-samples, in which a NaN member marks a singular sample or a missing
@@ -35,11 +34,9 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .brackets import iter_brackets
 from .errors import BadParameter, LengthMismatch, UnresolvedPoint
 from .families import (
     FamilySpec,
@@ -118,11 +115,11 @@ class ResolventField:
 
 @dataclass(frozen=True)
 class ResolventSweep:
-    """Resolvents of one point across the whole h-grid, plus the tail verdict.
+    """Resolvents of one point at the tail-window samples, plus the tail verdict.
 
-    inverses is the stack (grid.count, d, d) of (lam I - S_h)^{-1}, NaN at a
-    singular sample; norms holds their spectral norms, inf at a singular
-    sample.
+    inverses is the stack (grid.tail_window, d, d) of (lam I - S_h)^{-1},
+    ordered like grid.window_samples, NaN at a singular sample; norms holds
+    their spectral norms, inf at a singular sample.
     """
 
     lambda_: complex
@@ -132,10 +129,10 @@ class ResolventSweep:
 
 
 def resolvent_at(sf: FamilySpec, lam: complex, grid: HGrid) -> ResolventSweep:
-    """Invert (lam I - S_h) at every grid sample."""
-    r = inverse_stack(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples))[0]
+    """Invert (lam I - S_h) at the tail-window samples."""
+    r = inverse_stack(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.window_samples))[0]
     norms = spectral_norms(r)
-    return ResolventSweep(lam, r, norms, tail_limsup(norms, grid))
+    return ResolventSweep(lam, r, norms, window_limsup(norms, grid))
 
 
 def resolvent_defect(
@@ -143,15 +140,13 @@ def resolvent_defect(
 ) -> tuple[TailEstimate, TailEstimate]:
     """Tail norms of (lam I - S_h) R_h - I and R_h (lam I - S_h) - I.
 
-    rf is a stack (grid.count, d, d) of candidate resolvents, one per grid
-    sample; a NaN member marks a sample with no candidate, which scores inf
-    and poisons the tail if inside the window. Only the window members are
-    read.
+    rf is a stack (grid.tail_window, d, d) of candidate resolvents, one per
+    window sample, as resolvent_at returns them; a NaN member marks a sample
+    with no candidate, which scores inf and poisons the tail.
     """
-    if len(rf) != grid.count:
-        raise LengthMismatch(f"expected {grid.count} candidate matrices, got {len(rf)}")
-    w = grid.tail_window
-    return _defects(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.samples)[-w:], rf[-w:], grid)
+    if len(rf) != grid.tail_window:
+        raise LengthMismatch(f"expected {grid.tail_window} candidate matrices, got {len(rf)}")
+    return _defects(lam * np.eye(sf.dim) - family_eval_stack(sf, grid.window_samples), rf, grid)
 
 
 def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, TailEstimate]:
@@ -428,7 +423,7 @@ def resolvent_equation_residual(
     sf: FamilySpec, lam: complex, mu: complex, grid: HGrid
 ) -> TailEstimate:
     """Tail norm of R(lam) - R(mu) - (mu - lam) R(lam) R(mu) over the window."""
-    a = family_eval_stack(sf, grid.samples)[-grid.tail_window :]
+    a = family_eval_stack(sf, grid.window_samples)
     r_lam = _resolvents(a, lam, grid)
     r_mu = _resolvents(a, mu, grid)
     return window_limsup(spectral_norms(r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)), grid)
@@ -438,7 +433,7 @@ def resolvent_commutation_residual(
     sf: FamilySpec, lam: complex, grid: HGrid, mu: complex | None = None
 ) -> TailEstimate:
     """Tail norm of [S_h, R(lam)] (mu=None) or [R(lam), R(mu)] over the window."""
-    a = family_eval_stack(sf, grid.samples)[-grid.tail_window :]
+    a = family_eval_stack(sf, grid.window_samples)
     r_lam = _resolvents(a, lam, grid)
     other = a if mu is None else _resolvents(a, mu, grid)
     return window_limsup(spectral_norms(other @ r_lam - r_lam @ other), grid)
@@ -457,8 +452,9 @@ class SeriesTransport:
     matrices is the stack (grid.tail_window, d, d) of the partial sums at the
     window samples; the defect estimates measure (lam I - S_h) Sigma - I and
     Sigma (lam I - S_h) - I there.
-    term_tails holds the tail norm of every summand B_n R^{n+1}, n = 0..N;
-    the last of them, last_term_tail, is a truncation gauge.
+    term_tails holds the tail norm of every summand B_n R^{n+1}, n = 0..N,
+    each summed by the recurrence of series_resolvent; the last of them,
+    last_term_tail, is a truncation gauge.
     """
 
     lambda_: complex
@@ -487,22 +483,24 @@ def series_resolvent(
     (lam I - S_h) Sigma_N = I - B_{N+1} R^{N+1}, so the defect is exactly the
     tail of the series; when the bracket roots die the defect vanishes.
 
-    Both families are evaluated at every grid sample, so an evaluation error
-    anywhere on the grid raises; the resolvents, the recurrence, the partial
-    sums and their norms run on the tail-window samples alone. Raises
-    UnresolvedPoint when lam is not in T's resolvent set at some window
-    sample.
+    The summands X_n = B_n R^{n+1} follow their own recurrence,
+    X_0 = R and X_{n+1} = (S_h X_n - X_n T_h) R, since R commutes with T_h.
+    It never forms B_n or R^{n+1}, which may overflow and underflow while
+    their product, the summand, is finite.
+
+    Both families are evaluated at the tail-window samples alone, where the
+    resolvents, the recurrence, the partial sums and their norms run too.
+    Raises UnresolvedPoint when lam is not in T's resolvent set at some
+    window sample.
     """
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
-    w = grid.tail_window
-    sa, ta = (stack[-w:] for stack in family_pair_stacks(sf, tf, grid.samples))
+    sa, ta = family_pair_stacks(sf, tf, grid.window_samples)
     r = _resolvents(ta, lam, grid)
-    term = total = r_pow = r
+    term = total = r
     term_tails = [window_sup(spectral_norms(term))]
-    for bracket in islice(iter_brackets(sa, ta), 1, n_terms + 1):
-        r_pow = r_pow @ r
-        term = bracket @ r_pow
+    for _ in range(n_terms):
+        term = (sa @ term - term @ ta) @ r
         total = total + term
         term_tails.append(window_sup(spectral_norms(term)))
     left, right = _defects(lam * np.eye(sf.dim) - sa, total, grid)

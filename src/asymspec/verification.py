@@ -433,7 +433,7 @@ def _suite_resolvent_identities(seed: int) -> SuiteResult:
     eye = np.eye(4, dtype=np.complex128)
     bump = 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     exact = sweep_lam.inverses
-    perturbed = exact + np.multiply.outer(grid.samples, bump)
+    perturbed = exact + np.multiply.outer(grid.window_samples, bump)
     left_p, right_p = resolvent_defect(fam_t, perturbed, lam, grid)
     perturbed_ok = tail_vanishes(left_p, 1e-3) and tail_vanishes(right_p, 1e-3)
 

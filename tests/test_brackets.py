@@ -13,7 +13,7 @@ import asymspec as ax
 import oracles
 from asymspec import brackets, families, linalg
 from asymspec.brackets import BracketSequence, RootClass
-from asymspec.errors import BadParameter, DimensionMismatch, OutOfRange
+from asymspec.errors import BadParameter, DimensionMismatch, LengthMismatch, OutOfRange
 from asymspec.linalg import ComplexMatrix
 
 
@@ -214,8 +214,23 @@ class TestWindowOnlySequence:
         assert seq.norms == want
         assert seq.roots == tuple(a ** (1.0 / n) for n, a in enumerate(want, start=1))
 
+    def test_stacks_of_another_length_are_refused(self, coarse_grid):
+        fam = ax.jordan_family(2, 0.0)
+        grid_stack = families.family_eval_stack(fam, coarse_grid.samples)
+        window_stack = families.family_eval_stack(fam, coarse_grid.window_samples)
+        for sa, ta in ((grid_stack, grid_stack), (window_stack, grid_stack[:-1])):
+            with pytest.raises(LengthMismatch):
+                brackets.stack_bracket_sequence(sa, ta, coarse_grid, 8)
+
 
 class TestPowerNormSequence:
+    def test_equals_the_bracket_against_the_zero_family(self, coarse_grid):
+        fam = ax.family_sum(ax.jordan_family(3, 0.2), ax.h_scaled(ax.random_family(3, 5)))
+        zero = ax.constant_family(ComplexMatrix.zeros(3))
+        assert ax.power_norm_sequence(fam, coarse_grid, 12) == ax.bracket_sequence(
+            fam, zero, coarse_grid, 12
+        )
+
     def test_nilpotent_powers_vanish(self, coarse_grid):
         seq = ax.power_norm_sequence(ax.jordan_family(4, 0.0), coarse_grid, n_max=10)
         assert all(v == 0.0 for v in seq.norms[3:])

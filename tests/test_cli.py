@@ -70,6 +70,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def constant_2x2(tmp_path, name, entries):
+    """Write a constant 2x2 family with real row-major entries; return its path."""
+    path = tmp_path / name
+    matrix = {"dim": 2, "re": entries, "im": [0.0] * 4}
+    path.write_text(json.dumps({"dim": 2, "node": {"kind": "constant", "matrix": matrix}}))
+    return str(path)
+
+
 class TestSpectrumCommand:
     def test_two_point_clusters_on_stdout(self, capsys, two_point):
         code, out, err = run(
@@ -249,15 +257,9 @@ class TestVerdictCommands:
     def test_overflowing_bracket_norms_fail_without_warnings(self, capsys, tmp_path, command):
         # the powers of diag(1e20, 3e19) leave the float range at order 16,
         # but their n-th roots read the spectral radius 1e20
-        def constant(name, entries):
-            path = tmp_path / name
-            matrix = {"dim": 2, "re": entries, "im": [0.0] * 4}
-            path.write_text(json.dumps({"dim": 2, "node": {"kind": "constant", "matrix": matrix}}))
-            return str(path)
-
-        argv = [command, "--family", constant("big.json", [1e20, 0.0, 0.0, 3e19])]
+        argv = [command, "--family", constant_2x2(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])]
         if command == "qequiv":
-            argv += ["--family2", constant("zero.json", [0.0] * 4)]
+            argv += ["--family2", constant_2x2(tmp_path, "zero.json", [0.0] * 4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, *argv)
@@ -269,6 +271,20 @@ class TestVerdictCommands:
         for seq in sequences:
             assert len(seq["roots"]) == 24
             assert all(abs(r - 1e20) <= 1e-12 * 1e20 for r in seq["roots"])
+
+
+    def test_evaluation_error_outside_the_window(self, capsys, tmp_path):
+        # exp(1000 h) overflows at h = 1 only; qnil reads the window alone,
+        # while equiv's default tolerance reads the family at h0 = 1
+        path = tmp_path / "steep.json"
+        node = {"kind": "diag_expr", "entries": ["exp(1000*h)"]}
+        path.write_text(json.dumps({"dim": 1, "node": node}))
+        code, out, err = run(capsys, "qnil", "--family", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == "fails"
+        code, _, err = run(capsys, "equiv", "--family", str(path), "--family2", str(path))
+        assert code == 3
+        assert json.loads(err)["kind"] == "ExprError"
 
 
 class TestFuncalcCommand:
@@ -463,6 +479,18 @@ class TestSeriesCommand:
         report = json.loads(out)
         assert report["defects_vanish"] is True
         assert report["left_defect"]["value"] <= 1e-9
+
+    def test_converging_series_of_overflowing_brackets(self, capsys, tmp_path):
+        # the brackets of diag(1e20, 3e19) against zero overflow at order 16,
+        # but at lambda = 1e25 the summands shrink by 1e-5 an order
+        big = constant_2x2(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])
+        zero = constant_2x2(tmp_path, "zero.json", [0.0] * 4)
+        argv = ["series", "--family", big, "--family2", zero, "--at", "1e25", "--nmax", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["defects_vanish"] is True
 
     def test_point_in_spectrum_is_numerical_error(self, capsys, two_point):
         code, _, err = run(

@@ -1,8 +1,11 @@
 """Resolvent fields, spectrum estimation, identities, and series transport."""
 
+import cmath
 import math
+import re
 import threading
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
@@ -103,7 +106,7 @@ class TestResolventAt:
 
     def test_moving_eigenvalue_gives_one_over_h(self, grid20):
         sweep = ax.resolvent_at(ax.diag_family(["2+h"]), 2.0 + 0j, grid20)
-        assert np.allclose(sweep.norms, [1.0 / h for h in grid20.samples])
+        assert np.allclose(sweep.norms, [1.0 / h for h in grid20.window_samples])
         window_edge = grid20.samples[-grid20.tail_window]
         assert sweep.tail.value == pytest.approx(1.0 / grid20.samples[-1])
         assert sweep.tail.value >= 1.0 / window_edge
@@ -124,7 +127,7 @@ class TestResolventDefect:
         assert families.tail_vanishes(right, tol=1e-3)
 
     def test_zero_candidate_defect_is_one(self, const_two_point, grid20):
-        zeros = np.zeros((grid20.count, 2, 2), dtype=complex)
+        zeros = np.zeros((grid20.tail_window, 2, 2), dtype=complex)
         left, right = ax.resolvent_defect(const_two_point, zeros, 0j, grid20)
         assert left.value == pytest.approx(1.0)
         assert right.value == pytest.approx(1.0)
@@ -619,29 +622,31 @@ class TestStackedResolvents:
     @given(resolvent_cases())
     def test_match_per_sample_reference(self, case):
         fam, lam, grid, rng = case
+        w = grid.tail_window
         sweep = ax.resolvent_at(fam, lam, grid)
         inverses, norms = oracles.resolvent_at_per_sample(fam, lam, grid)
-        assert sweep.norms.tolist() == norms
+        assert sweep.norms.tolist() == norms[-w:]
         assert sweep.tail == ax.tail_limsup(norms, grid)
         missing = np.isnan(sweep.inverses).all(axis=(1, 2))
-        assert missing.tolist() == [inv is None for inv in inverses]
+        assert missing.tolist() == [inv is None for inv in inverses[-w:]]
         assert np.isnan(sweep.inverses).any(axis=(1, 2)).tolist() == missing.tolist()
         eye = np.eye(fam.dim)
-        for got, want, h in zip(sweep.inverses, inverses, grid.samples):
+        for got, want, h in zip(sweep.inverses, inverses[-w:], grid.window_samples):
             if want is not None:
                 assert np.array_equal(got, want.matrix.array)
                 a = lam * eye - families.family_eval_array(fam, h)
                 assert np.abs(a[None] @ got - eye).max() == want.residual
 
-        # candidates: the exact inverses, bumped by O(h), with some dropped
+        # candidates at every grid sample: the exact inverses, bumped by
+        # O(h), with some dropped; resolvent_defect takes the window's
         bump = rng.normal(size=(fam.dim, fam.dim))
         rf = np.stack([
-            np.full_like(inv, np.nan) if np.isnan(inv).any() or rng.random() < 0.2
-            else inv + h * bump
-            for inv, h in zip(sweep.inverses, grid.samples)
+            np.full((fam.dim, fam.dim), np.nan) if inv is None or rng.random() < 0.2
+            else inv.matrix.array + h * bump
+            for inv, h in zip(inverses, grid.samples)
         ])
         left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
-        assert ax.resolvent_defect(fam, rf, lam, grid) == (
+        assert ax.resolvent_defect(fam, rf[-w:], lam, grid) == (
             ax.tail_limsup(left, grid),
             ax.tail_limsup(right, grid),
         )
@@ -669,12 +674,13 @@ class TestResolventIdentities:
         sweep_lam = ax.resolvent_at(const_two_point, lam, grid20)
         sweep_mu = ax.resolvent_at(const_two_point, mu, grid20)
         values = []
-        for h, inv_lam, inv_mu in zip(grid20.samples, sweep_lam.inverses, sweep_mu.inverses):
+        samples = zip(grid20.window_samples, sweep_lam.inverses, sweep_mu.inverses)
+        for h, inv_lam, inv_mu in samples:
             r_lam = inv_lam + h * 0.3 * noise
             r_mu = inv_mu + h * 0.3 * noise
             gap = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
             values.append(linalg.operator_norm(ComplexMatrix(gap)))
-        assert families.tail_vanishes(families.tail_limsup(values, grid20), tol=1e-3)
+        assert families.tail_vanishes(families.window_limsup(values, grid20), tol=1e-3)
 
     def test_unresolved_point_rejected(self, const_two_point, grid20):
         with pytest.raises(UnresolvedPoint):
@@ -717,8 +723,8 @@ class TestPointSeparation:
         for inv_lam, inv_mu in zip(sweep_lam.inverses, sweep_mu.inverses):
             diffs.append(linalg.operator_norm(inv_lam - inv_mu))
             products.append(linalg.operator_norm(inv_lam @ inv_mu))
-        diff_tail = families.tail_limsup(diffs, grid20)
-        product_tail = families.tail_limsup(products, grid20)
+        diff_tail = families.window_limsup(diffs, grid20)
+        product_tail = families.window_limsup(products, grid20)
         # first resolvent identity makes these exactly proportional
         assert diff_tail.value == pytest.approx(abs(lam - mu) * product_tail.value, rel=1e-9)
         assert diff_tail.value > 0.0
@@ -730,7 +736,7 @@ class TestCandidateUniqueness:
         sweep = ax.resolvent_at(const_two_point, lam, grid20)
         noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         exact = sweep.inverses
-        perturbed = np.stack([r + h * 0.3 * noise for h, r in zip(grid20.samples, exact)])
+        perturbed = np.stack([r + h * 0.3 * noise for h, r in zip(grid20.window_samples, exact)])
         for candidate in (exact, perturbed):
             left, right = ax.resolvent_defect(const_two_point, candidate, lam, grid20)
             assert families.tail_vanishes(left, tol=1e-3)
@@ -738,7 +744,7 @@ class TestCandidateUniqueness:
         mutual = [
             linalg.operator_norm(ComplexMatrix(a - b)) for a, b in zip(exact, perturbed)
         ]
-        assert families.tail_vanishes(families.tail_limsup(mutual, grid20), tol=1e-3)
+        assert families.tail_vanishes(families.window_limsup(mutual, grid20), tol=1e-3)
 
     def test_exact_inverses_transfer_to_equivalent_family(
         self, const_two_point, grid20, rng
@@ -802,6 +808,20 @@ class TestSeriesResolvent:
         with pytest.raises(UnresolvedPoint):
             ax.series_resolvent(const_two_point, const_two_point, 1.0 + 0j, grid20, 4)
 
+    def test_converging_series_of_overflowing_brackets(self, grid20):
+        # B_16 of diag(1e20, 3e19) against 0 overflows and R^17 = 1e-425 I
+        # underflows, but the summands shrink by 1e-5 an order
+        big = np.diag([1e20, 3e19])
+        sf, tf = ax.constant_family(big), ax.constant_family(np.zeros((2, 2)))
+        lam = 1e25 + 0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transport = ax.series_resolvent(sf, tf, lam, grid20, 20)
+        want = np.linalg.inv(lam * np.eye(2) - big)
+        assert np.abs(transport.matrices - want).max() <= 2.0**-52 * np.abs(want).max()
+        assert transport.left_defect.value <= 1e-15
+        assert transport.right_defect.value <= 1e-15
+
     def test_dimension_mismatch(self, grid20):
         sf = ax.diag_family(["1", "2"])
         tf = ax.diag_family(["1"])
@@ -853,7 +873,7 @@ class TestWindowOnlyTails:
             r_mu @ r_lam - r_lam @ r_mu, grid
         )
         # candidates: the resolvents at mu, off by O(|lam - mu|)
-        assert ax.resolvent_defect(sf, r_mu, lam, grid) == (
+        assert ax.resolvent_defect(sf, r_mu[-grid.tail_window :], lam, grid) == (
             full_grid_tail((lam * eye - a) @ r_mu - eye, grid),
             full_grid_tail(r_mu @ (lam * eye - a) - eye, grid),
         )
@@ -865,11 +885,11 @@ class TestWindowOnlyTails:
         sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
         eye = np.eye(sf.dim)
         r = linalg.inverse_stack(lam * eye - ta)[0]
-        term = total = r_pow = r
+        # the summands X_n = B_n R^(n+1) by X_{n+1} = (S X_n - X_n T) R
+        term = total = r
         term_tails = [full_grid_tail(term, grid).value]
-        for bracket in islice(brackets.iter_brackets(sa, ta), 1, 9):
-            r_pow = r_pow @ r
-            term = bracket @ r_pow
+        for _ in range(8):
+            term = (sa @ term - term @ ta) @ r
             total = total + term
             term_tails.append(full_grid_tail(term, grid).value)
         tr = ax.series_resolvent(sf, tf, lam, grid, 8)
@@ -881,15 +901,59 @@ class TestWindowOnlyTails:
         assert tr.matrices.shape == (grid.tail_window, sf.dim, sf.dim)
         assert np.array_equal(tr.matrices, total[-grid.tail_window :])
 
-    def test_evaluation_error_outside_window_still_raises(self, grid20):
-        # exp(1000 h) overflows at h = 1 only, far outside the tail window
-        fam = ax.diag_family(["exp(1000*h)"])
-        with pytest.raises(ExprError):
-            ax.bracket_sequence(fam, fam, grid20)
-        with pytest.raises(ExprError):
-            ax.resolvent_equation_residual(fam, 0.5j, 1j, grid20)
-        with pytest.raises(ExprError):
-            ax.series_resolvent(fam, fam, 0.5j, grid20, 3)
+    @settings(max_examples=30, deadline=None)
+    @given(window_cases(), st.floats(0.0, 2.0 * math.pi))
+    def test_series_equals_bracket_form(self, case, angle):
+        # Sigma_N = sum_n B_n R^(n+1), with the brackets and the powers of R
+        # formed apart, as the series is written; at |lam| = 3 the series
+        # converges, so both forms agree to rounding
+        sf, tf, grid, _, _ = case
+        lam = 3.0 * cmath.exp(1j * angle)
+        sa, ta = families.family_pair_stacks(sf, tf, grid.window_samples)
+        r = linalg.inverse_stack(lam * np.eye(sf.dim) - ta)[0]
+        term = total = r_pow = r
+        term_tails = [families.window_sup(linalg.spectral_norms(term))]
+        for bracket in islice(brackets.iter_brackets(sa, ta), 1, 9):
+            r_pow = r_pow @ r
+            term = bracket @ r_pow
+            total = total + term
+            term_tails.append(families.window_sup(linalg.spectral_norms(term)))
+        tr = ax.series_resolvent(sf, tf, lam, grid, 8)
+        assert np.abs(tr.matrices - total).max() <= 1e-12 * np.abs(total).max()
+        # a summand whose bracket cancels to rounding level (S and T commute
+        # when R = T) is rounding noise in both forms
+        rounding = 1e-15 * term_tails[0]
+        assert np.allclose(tr.term_tails, term_tails, rtol=1e-12, atol=rounding)
+
+    def test_only_window_evaluation_errors_raise(self, grid20):
+        window_h = f"h={grid20.window_samples[0]!r}"
+        statistics = [
+            lambda fam: ax.bracket_sequence(fam, fam, grid20),
+            lambda fam: ax.asymptotic_equiv(fam, fam, grid20, tol=1e-6),
+            lambda fam: ax.asymptotic_commuting(fam, fam, grid20, tol=1e-6),
+            lambda fam: ax.quasinilpotent_equiv(fam, fam, grid20),
+            lambda fam: ax.is_asymptotic_quasinilpotent(fam, grid20),
+            lambda fam: ax.resolvent_equation_residual(fam, 0.5j, 1j, grid20),
+            lambda fam: ax.resolvent_commutation_residual(fam, 0.5j, grid20, 1j),
+            lambda fam: ax.resolvent_defect(
+                fam, np.zeros((grid20.tail_window, 1, 1)), 0.5j, grid20
+            ),
+            lambda fam: ax.series_resolvent(fam, fam, 0.5j, grid20, 3),
+        ]
+        # exp(1000 h) overflows at h = 1 only, far outside the tail window;
+        # exp(1/h) overflows at every window h
+        outside = ax.diag_family(["exp(1000*h)"])
+        inside = ax.diag_family(["exp(1/h)"])
+        for statistic in statistics:
+            assert statistic(outside) is not None
+            with pytest.raises(ExprError, match=re.escape(window_h)):
+                statistic(inside)
+        # the default tolerance scales with the value at h0 = 1, and the
+        # quotient's upper bound is a sup over the whole grid
+        with pytest.raises(ExprError, match=re.escape("h=1.0")):
+            ax.asymptotic_equiv(outside, outside, grid20)
+        with pytest.raises(ExprError, match=re.escape("h=1.0")):
+            ax.quotient_norm_bounds(outside, grid20)
 
 
 class TestQuotientNormBounds:
