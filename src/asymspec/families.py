@@ -6,13 +6,15 @@ statistics over a finite geometric sampling grid: the value of a trace "in
 the tail" is the maximum over the last ``tail_window`` samples, and its trend
 is the sign of the least-squares slope of those samples against ``log h``.
 
-Every recipe node evaluates a whole stack at once: ``_eval(hs)`` takes a 1-d
-float array of k samples of h and returns the (k, n, n) complex stack of the
-node's values at those samples, in the order of ``hs``. Fixed matrices
-broadcast, ``h_scaled`` multiplies by ``hs``, and sums and products combine
-their children's stacks. :func:`family_eval_stack` is the one evaluator: it
-alone checks that every h lies in (0, 1] and that every value is finite.
-"""
+A family is the root node of its recipe tree: every node kind is a
+:class:`FamilySpec`, knows its dimension and evaluates a whole stack at once.
+``_eval(hs)`` takes a 1-d float array of k samples of h and returns the
+(k, n, n) complex stack of the node's values at those samples, in the order
+of ``hs``. Fixed matrices broadcast, ``h_scaled`` multiplies by ``hs``, and
+sums and products combine their children's stacks.
+:func:`family_eval_stack` is the one evaluator, for every family, the
+functional-calculus images of :mod:`asymspec.funcalc` included: it alone
+checks that every h lies in (0, 1] and that every value is finite."""
 
 from __future__ import annotations
 
@@ -183,8 +185,10 @@ def tail_vanishes(estimate: TailEstimate, tol: float) -> bool:
 # Family recipe nodes
 
 
-class FamilyNode:
-    """Base for recipe nodes; subclasses define ``dim`` and ``_eval``."""
+class FamilySpec:
+    """A family h -> S_h: the root node of its recipe tree. Every node kind
+    derives from it and defines ``dim`` and ``_eval``; evaluate a family
+    through :func:`family_eval_stack`."""
 
     @property
     def dim(self) -> int:  # pragma: no cover - overridden
@@ -195,13 +199,10 @@ class FamilyNode:
         raise NotImplementedError
 
 
-def _fixed(matrix: ComplexMatrix, hs: np.ndarray) -> np.ndarray:
-    """An h-independent matrix at every sample, as a read-only broadcast view."""
-    return np.broadcast_to(matrix.array, (len(hs), matrix.dim, matrix.dim))
+class _Fixed(FamilySpec):
+    """Base for h-independent nodes: ``matrix`` at every sample, as a
+    read-only broadcast view."""
 
-
-@dataclass(frozen=True)
-class Constant(FamilyNode):
     matrix: ComplexMatrix
 
     @property
@@ -209,28 +210,26 @@ class Constant(FamilyNode):
         return self.matrix.dim
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return _fixed(self.matrix, hs)
+        return np.broadcast_to(self.matrix.array, (len(hs), self.dim, self.dim))
 
 
 @dataclass(frozen=True)
-class Jordan(FamilyNode):
+class Constant(_Fixed):
+    matrix: ComplexMatrix
+
+
+@dataclass(frozen=True)
+class Jordan(_Fixed):
     size: int
     eigenvalue: complex
-    _matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
+    matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_matrix", jordan_block(self.size, self.eigenvalue))
-
-    @property
-    def dim(self) -> int:
-        return self.size
-
-    def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return _fixed(self._matrix, hs)
+        object.__setattr__(self, "matrix", jordan_block(self.size, self.eigenvalue))
 
 
 @dataclass(frozen=True)
-class DiagExpr(FamilyNode):
+class DiagExpr(FamilySpec):
     """Diagonal family whose entries are expressions in the free variable h.
 
     The entries are scalar expressions, so they are evaluated one h at a
@@ -265,8 +264,8 @@ class DiagExpr(FamilyNode):
 
 
 @dataclass(frozen=True)
-class HScaled(FamilyNode):
-    inner: FamilyNode
+class HScaled(FamilySpec):
+    inner: FamilySpec
 
     @property
     def dim(self) -> int:
@@ -277,45 +276,37 @@ class HScaled(FamilyNode):
 
 
 @dataclass(frozen=True)
-class Sum(FamilyNode):
-    children: tuple[FamilyNode, ...]
+class _Combined(FamilySpec):
+    """Base for sums and products: the children's stacks folded left to right
+    by the subclass's ufunc ``_combine``; ``kind`` names it."""
+
+    children: tuple[FamilySpec, ...]
 
     def __post_init__(self) -> None:
         if not self.children:
-            raise BadParameter("sum needs at least one child")
+            raise BadParameter(f"{self.kind} needs at least one child")
         dims = {c.dim for c in self.children}
         if len(dims) != 1:
-            raise DimensionMismatch(f"sum children disagree on dimension: {sorted(dims)}")
+            raise DimensionMismatch(f"{self.kind} children disagree on dimension: {sorted(dims)}")
 
     @property
     def dim(self) -> int:
         return self.children[0].dim
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return reduce(np.add, (child._eval(hs) for child in self.children))
+        return reduce(self._combine, (child._eval(hs) for child in self.children))
+
+
+class Sum(_Combined):
+    kind, _combine = "sum", np.add
+
+
+class Product(_Combined):
+    kind, _combine = "product", np.matmul
 
 
 @dataclass(frozen=True)
-class Product(FamilyNode):
-    children: tuple[FamilyNode, ...]
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise BadParameter("product needs at least one child")
-        dims = {c.dim for c in self.children}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"product children disagree on dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.children[0].dim
-
-    def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return reduce(np.matmul, (child._eval(hs) for child in self.children))
-
-
-@dataclass(frozen=True)
-class SeededRandom(FamilyNode):
+class SeededRandom(_Fixed):
     """Fixed (h-independent) random matrix, reproducible from the seed.
 
     Entries are ``scale * (x + iy)`` with x, y independent standard normals
@@ -325,7 +316,7 @@ class SeededRandom(FamilyNode):
     size: int
     seed: int
     scale_factor: float = 1.0
-    _matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
+    matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -334,28 +325,7 @@ class SeededRandom(FamilyNode):
         a = rng.standard_normal((self.size, self.size)) + 1j * rng.standard_normal(
             (self.size, self.size)
         )
-        object.__setattr__(self, "_matrix", ComplexMatrix(self.scale_factor * a))
-
-    @property
-    def dim(self) -> int:
-        return self.size
-
-    def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return _fixed(self._matrix, hs)
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A recipe node plus its (validated) dimension."""
-
-    dim: int
-    node: FamilyNode
-
-    def __post_init__(self) -> None:
-        if self.dim != self.node.dim:
-            raise DimensionMismatch(
-                f"declared dim {self.dim} does not match node dim {self.node.dim}"
-            )
+        object.__setattr__(self, "matrix", ComplexMatrix(self.scale_factor * a))
 
 
 def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
@@ -369,7 +339,7 @@ def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
     outside = ~((hs > 0.0) & (hs <= 1.0))
     if outside.any():
         raise BadParameter(f"h must lie in (0, 1], got {float(hs[outside.argmax()])!r}")
-    value = spec.node._eval(hs)
+    value = spec._eval(hs)
     finite = np.isfinite(value).all(axis=(1, 2))
     if not finite.all():
         raise TraceError(float(hs[finite.argmin()]), "the family value has a non-finite entry")
@@ -399,35 +369,31 @@ def family_pair_stacks(
 
 
 def constant_family(matrix) -> FamilySpec:
-    m = matrix if isinstance(matrix, ComplexMatrix) else ComplexMatrix(matrix)
-    return FamilySpec(m.dim, Constant(m))
+    return Constant(matrix if isinstance(matrix, ComplexMatrix) else ComplexMatrix(matrix))
 
 
 def jordan_family(dim: int, eigenvalue: complex) -> FamilySpec:
-    return FamilySpec(dim, Jordan(dim, complex(eigenvalue)))
+    return Jordan(dim, complex(eigenvalue))
 
 
 def diag_family(entries: Sequence[str]) -> FamilySpec:
-    node = DiagExpr(tuple(entries))
-    return FamilySpec(node.dim, node)
+    return DiagExpr(tuple(entries))
 
 
 def h_scaled(spec: FamilySpec) -> FamilySpec:
-    return FamilySpec(spec.dim, HScaled(spec.node))
+    return HScaled(spec)
 
 
 def family_sum(*specs: FamilySpec) -> FamilySpec:
-    node = Sum(tuple(s.node for s in specs))
-    return FamilySpec(node.dim, node)
+    return Sum(specs)
 
 
 def family_product(*specs: FamilySpec) -> FamilySpec:
-    node = Product(tuple(s.node for s in specs))
-    return FamilySpec(node.dim, node)
+    return Product(specs)
 
 
 def random_family(dim: int, seed: int, scale: float = 1.0) -> FamilySpec:
-    return FamilySpec(dim, SeededRandom(dim, seed, scale))
+    return SeededRandom(dim, seed, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +421,7 @@ def _require(data: dict, key: str, path: str) -> object:
     return data[key]
 
 
-def _node_from_dict(data: object, path: str) -> FamilyNode:
+def _node_from_dict(data: object, path: str) -> FamilySpec:
     if not isinstance(data, dict):
         raise SchemaError("expected a node object", path)
     kind = _require(data, "kind", path)
@@ -511,10 +477,10 @@ def family_from_dict(data: object) -> FamilySpec:
     node = _node_from_dict(_require(data, "node", ""), "/node")
     if node.dim != dim:
         raise SchemaError(f"node dimension {node.dim} does not match dim {dim}", "/dim")
-    return FamilySpec(dim, node)
+    return node
 
 
-def _node_to_dict(node: FamilyNode) -> dict:
+def _node_to_dict(node: FamilySpec) -> dict:
     if isinstance(node, Constant):
         return {"kind": "constant", "matrix": matrix_to_dict(node.matrix)}
     if isinstance(node, Jordan):
@@ -523,10 +489,8 @@ def _node_to_dict(node: FamilyNode) -> dict:
         return {"kind": "diag_expr", "entries": list(node.entries)}
     if isinstance(node, HScaled):
         return {"kind": "h_scaled", "inner": _node_to_dict(node.inner)}
-    if isinstance(node, Sum):
-        return {"kind": "sum", "children": [_node_to_dict(c) for c in node.children]}
-    if isinstance(node, Product):
-        return {"kind": "product", "children": [_node_to_dict(c) for c in node.children]}
+    if isinstance(node, _Combined):
+        return {"kind": node.kind, "children": [_node_to_dict(c) for c in node.children]}
     if isinstance(node, SeededRandom):
         return {
             "kind": "random",
@@ -538,4 +502,4 @@ def _node_to_dict(node: FamilyNode) -> dict:
 
 
 def family_to_dict(spec: FamilySpec) -> dict:
-    return {"dim": spec.dim, "node": _node_to_dict(spec.node)}
+    return {"dim": spec.dim, "node": _node_to_dict(spec)}

@@ -63,7 +63,7 @@ from .errors import (
     TraceError,
 )
 from .exprs import FuncExpr, eval_expr
-from .families import FamilyNode, FamilySpec, family_eval_stack
+from .families import FamilySpec, family_eval_stack
 from .linalg import ComplexMatrix, inverse_stack
 
 MIN_NODES = 64
@@ -238,14 +238,14 @@ def _weighted_sum(weights: np.ndarray, invs: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
-    """Q_N over the nested levels, doubling N from MIN_NODES while the
-    estimate misses QUADRATURE_RTOL and N is below contour.nodes.
+def _quadrature(ta: np.ndarray, levels: _Levels) -> Quadrature:
+    """Q_N for the finite square matrix ``ta`` over the nested levels,
+    doubling N from MIN_NODES while the estimate misses QUADRATURE_RTOL and N
+    is below contour.nodes.
 
     Raises QuadratureUnresolved when the sum or the terms' size overflows;
     numpy's warnings on the way there are silenced, the refusal says it.
     """
-    ta = t.array
     radius = levels.contour.radius
     k, points, weights = levels.level(0)
     invs = _inverses(ta, k, points, MIN_NODES)
@@ -285,17 +285,6 @@ def _quadrature(t: ComplexMatrix, levels: _Levels) -> Quadrature:
         q_half, q = q, total * (radius / n)
 
 
-def _member_quadratures(levels: _Levels, hs: np.ndarray, ts: np.ndarray) -> list[Quadrature]:
-    # one adaptive quadrature per member, each stopping at its own level
-    quads = []
-    for h, t in zip(hs.tolist(), ts):
-        try:
-            quads.append(_quadrature(ComplexMatrix(t), levels))
-        except SingularOnContour as exc:
-            raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
-    return quads
-
-
 def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
     """Evaluate f(T) for one matrix by adaptive contour quadrature.
 
@@ -304,21 +293,22 @@ def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
     QuadratureUnresolved when the estimate misses its tolerance at the cap.
     """
     tm = t if isinstance(t, ComplexMatrix) else ComplexMatrix(t)
-    q = _quadrature(tm, _Levels(f, contour))
+    q = _quadrature(tm.array, _Levels(f, contour))
     require_quadrature([q])
     return q.matrix
 
 
 @dataclass(frozen=True)
-class _Funcalc(FamilyNode):
-    """Derived node: apply a scalar function to every member of a family.
+class _Funcalc(FamilySpec):
+    """Derived family: apply a scalar function to every member of a family.
 
     Not serializable to JSON; exists so functional-calculus images can be
     fed back into the classifiers and field sweeps like any other family.
-    The inner family is evaluated once per call, as one stack. What the
-    quadrature needs of ``func`` does not depend on h: each level's is
-    computed on its first use (so errors from ``func`` surface at the first
-    evaluation) and kept.
+    The inner family is evaluated once per call, as one stack, through
+    :func:`family_eval_stack`, so its range and finiteness checks name the h
+    that fails them. What the quadrature needs of ``func`` does not depend
+    on h: each level's is computed on its first use (so errors from ``func``
+    surface at the first evaluation) and kept.
     """
 
     inner: FamilySpec
@@ -333,27 +323,38 @@ class _Funcalc(FamilyNode):
     def _levels(self) -> _Levels:
         return _Levels(self.func, self.contour)
 
+    def quadratures(self, hs: Sequence[float]) -> list[Quadrature]:
+        """One adaptive quadrature per h in ``hs``, each stopping at its own
+        level; TraceError names the h whose contour meets the spectrum."""
+        hs = np.asarray(hs, dtype=np.float64)
+        quads = []
+        for h, t in zip(hs.tolist(), family_eval_stack(self.inner, hs)):
+            try:
+                quads.append(_quadrature(t, self._levels))
+            except SingularOnContour as exc:
+                raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
+        return quads
+
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        quads = _member_quadratures(self._levels, hs, self.inner.node._eval(hs))
+        quads = self.quadratures(hs)
         require_quadrature(quads, hs.tolist())
         return np.stack([q.matrix.array for q in quads])
 
 
 def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> FamilySpec:
     """The image family h -> f(T_h), evaluated by quadrature at each h asked for."""
-    return FamilySpec(tf.dim, _Funcalc(tf, f, contour))
+    return _Funcalc(tf, f, contour)
 
 
 def family_quadratures(
     tf: FamilySpec, f: ScalarFunc, contour: ContourSpec, hs: Sequence[float]
 ) -> list[Quadrature]:
     """f(T_h) at each h in ``hs``, with the node count it took and its error
-    estimate: the values of the :func:`family_funcalc` image at ``hs``.
-
-    Checks the samples as :func:`family_eval_stack` does.
+    estimate: the values of the :func:`family_funcalc` image at ``hs``, before
+    :func:`require_quadrature` judges them. ``tf`` is evaluated, and ``hs``
+    checked, by :func:`family_eval_stack`.
     """
-    hs = np.asarray(hs, dtype=np.float64)
-    return _member_quadratures(_Levels(f, contour), hs, family_eval_stack(tf, hs))
+    return _Funcalc(tf, f, contour).quadratures(hs)
 
 
 def require_quadrature(quads: Sequence[Quadrature], hs: Sequence[float] | None = None) -> None:

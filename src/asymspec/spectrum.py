@@ -491,7 +491,9 @@ def series_resolvent(
     Both families are evaluated at the tail-window samples alone, where the
     resolvents, the recurrence, the partial sums and their norms run too.
     Raises UnresolvedPoint when lam is not in T's resolvent set at some
-    window sample.
+    window sample, and at the first order whose partial sum leaves the float
+    range at some window sample: the series diverges there. numpy's warnings
+    on the way there are silenced, the refusal says it.
     """
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
         raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
@@ -499,9 +501,17 @@ def series_resolvent(
     r = _resolvents(ta, lam, grid)
     term = total = r
     term_tails = [window_sup(spectral_norms(term))]
-    for _ in range(n_terms):
-        term = (sa @ term - term @ ta) @ r
-        total = total + term
+    for n in range(1, n_terms + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = (sa @ term - term @ ta) @ r
+            total = total + term
+        finite = np.isfinite(total).all(axis=(1, 2))
+        if not finite.all():
+            h = grid.window_samples[int(finite.argmin())]
+            raise UnresolvedPoint(
+                f"the bracket series at lam={lam} diverges: its partial sum of order {n} "
+                f"leaves the float range at h={h!r}"
+            )
         term_tails.append(window_sup(spectral_norms(term)))
     left, right = _defects(lam * np.eye(sf.dim) - sa, total, grid)
     return SeriesTransport(

@@ -26,7 +26,7 @@ import numpy as np
 from asymspec import exprs, families, funcalc
 from asymspec.errors import BadParameter, ExprError, SingularOnContour, TraceError
 from asymspec.families import family_eval_array
-from asymspec.linalg import SINGULAR_RTOL, ComplexMatrix, operator_norm, solve_inverse
+from asymspec.linalg import SINGULAR_RTOL, operator_norm, solve_inverse
 
 
 def matmul_loops(a, b):
@@ -151,10 +151,8 @@ def eval_rendered(node, bindings) -> complex:
 
 def node_at(node, h: float) -> np.ndarray:
     """One recipe node's value at one h, by recursion over the tree."""
-    if isinstance(node, families.Constant):
+    if isinstance(node, (families.Constant, families.Jordan, families.SeededRandom)):
         return node.matrix.array
-    if isinstance(node, (families.Jordan, families.SeededRandom)):
-        return node._matrix.array
     if isinstance(node, families.DiagExpr):
         values = []
         for i, ast in enumerate(node._asts):
@@ -176,7 +174,9 @@ def node_at(node, h: float) -> np.ndarray:
             acc = acc @ node_at(child, h)
         return acc
     if isinstance(node, funcalc._Funcalc):
-        t = ComplexMatrix(node_at(node.inner.node, h))
+        t = node_at(node.inner, h)
+        if not np.isfinite(t).all():
+            raise TraceError(h, "the family value has a non-finite entry")
         try:
             q = funcalc._quadrature(t, node._levels)
         except SingularOnContour as exc:
@@ -193,7 +193,7 @@ def family_eval_per_sample(spec, hs) -> np.ndarray:
     for h in hs:
         if not 0.0 < h <= 1.0:
             raise BadParameter(f"h must lie in (0, 1], got {h!r}")
-        value = node_at(spec.node, float(h))
+        value = node_at(spec, float(h))
         if not np.isfinite(value).all():
             raise TraceError(h, "the family value has a non-finite entry")
         out.append(value)

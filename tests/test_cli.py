@@ -492,6 +492,27 @@ class TestSeriesCommand:
         assert code == 0 and err == ""
         assert json.loads(out)["defects_vanish"] is True
 
+    def test_diverging_series_is_numerical_error(self, capsys, tmp_path):
+        paths = []
+        for name, value in [("big1.json", 1e200), ("zero1.json", 0.0)]:
+            matrix = {"dim": 1, "re": [value], "im": [0.0]}
+            paths.append(tmp_path / name)
+            paths[-1].write_text(
+                json.dumps({"dim": 1, "node": {"kind": "constant", "matrix": matrix}})
+            )
+        argv = ["series", "--family", str(paths[0]), "--family2", str(paths[1])]
+        argv += ["--at", "1", "--nmax", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert json.loads(line) == {
+            "error": "the bracket series at lam=(1+0j) diverges: its partial sum of order 2 "
+            "leaves the float range at h=6.103515625e-05",
+            "kind": "UnresolvedPoint",
+        }
+
     def test_point_in_spectrum_is_numerical_error(self, capsys, two_point):
         code, _, err = run(
             capsys,

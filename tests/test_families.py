@@ -1,5 +1,6 @@
 """Sampling grids, family evaluation, and the tail limit estimator."""
 
+import cmath
 import math
 import re
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import asymspec as ax
 import oracles
-from asymspec import families, linalg
+from asymspec import families, funcalc, linalg
 from asymspec.errors import (
     BadParameter,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from asymspec.exprs import parse_expr
 from asymspec.families import Trend
 from asymspec.funcalc import ContourSpec, expr_function
 from asymspec.linalg import ComplexMatrix
+from asymspec.spectrum import ComplexRegion
 
 
 class TestGeometricGrid:
@@ -179,7 +181,7 @@ def families_and_samples(draw):
     if draw(st.booleans()):
         # a functional-calculus image on a circle of at least twice every inner
         # value's norm, where 64 nodes converge for polynomials
-        norm = max(linalg.operator_norm(oracles.node_at(spec.node, h)) for h in hs)
+        norm = max(linalg.operator_norm(oracles.node_at(spec, h)) for h in hs)
         radius = 2.0 + 2.0 * norm
         # exp's Taylor mass at degree 32 and above, r^32 / 32!, passes the
         # quadrature's tolerance at 64 nodes only on a small circle
@@ -230,6 +232,67 @@ class TestStackedEvaluation:
             with pytest.raises(TraceError) as err:
                 evaluate(huge, (0.25, 0.5))
             assert err.value.h == 0.25
+
+
+class TestFamilyIsItsRecipe:
+    def test_constructors_return_their_node(self, rng):
+        a = ComplexMatrix(rng.normal(size=(2, 2)))
+        two_point = ax.diag_family(["1", "2+h"])
+        cases = [
+            (ax.constant_family(a), families.Constant, 2),
+            (ax.jordan_family(3, 0.5), families.Jordan, 3),
+            (two_point, families.DiagExpr, 2),
+            (ax.h_scaled(two_point), families.HScaled, 2),
+            (ax.family_sum(two_point, two_point), families.Sum, 2),
+            (ax.family_product(two_point, two_point), families.Product, 2),
+            (ax.random_family(4, seed=1), families.SeededRandom, 4),
+            (ax.family_from_dict(ax.family_to_dict(two_point)), families.DiagExpr, 2),
+            (ax.family_funcalc(two_point, cmath.exp, ContourSpec(1.5, 2.0)), funcalc._Funcalc, 2),
+        ]
+        for spec, kind, dim in cases:
+            assert type(spec) is kind
+            assert isinstance(spec, ax.FamilySpec)
+            assert spec.dim == dim
+
+    def test_fixed_nodes_keep_their_matrix(self):
+        jordan = ax.jordan_family(3, 0.5)
+        assert np.array_equal(jordan.matrix.array, linalg.jordan_block(3, 0.5).array)
+        spec = ax.random_family(2, seed=4, scale=0.5)
+        assert np.array_equal(
+            families.family_eval_stack(spec, (1.0, 0.5)), np.stack([spec.matrix.array] * 2)
+        )
+
+    @pytest.mark.parametrize(
+        "build, kind", [(ax.family_sum, "sum"), (ax.family_product, "product")]
+    )
+    def test_combined_kinds_check_their_children(self, build, kind):
+        with pytest.raises(BadParameter, match=f"^{kind} needs at least one child$"):
+            build()
+        with pytest.raises(
+            DimensionMismatch, match=re.escape(f"{kind} children disagree on dimension: [1, 2]")
+        ):
+            build(ax.diag_family(["1", "2"]), ax.diag_family(["1"]))
+
+    def test_image_of_an_overflowing_family_names_the_h(self, grid):
+        # 1e300 / h^10 leaves the float range at every window sample
+        image = ax.family_funcalc(
+            ax.diag_family(["1e300/h^10"]), lambda z: z, ContourSpec(0j, 1.0, 256)
+        )
+        first = grid.window_samples[0]
+        assert first == 6.103515625e-05
+        message = re.escape(
+            f"trace evaluation failed at h={first!r}: the family value has a non-finite entry"
+        )
+        evaluations = [
+            lambda: families.family_eval_stack(image, grid.window_samples),
+            lambda: ax.family_eval(image, first),
+            lambda: ax.resolvent_norm_field(image, ComplexRegion(0j, 2.0, 21), grid),
+            lambda: oracles.family_eval_per_sample(image, grid.window_samples),
+        ]
+        for evaluate in evaluations:
+            with pytest.raises(TraceError, match=f"^{message}$") as err:
+                evaluate()
+            assert err.value.h == first
 
 
 class TestTailLimsup:

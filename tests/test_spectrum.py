@@ -822,6 +822,19 @@ class TestSeriesResolvent:
         assert transport.left_defect.value <= 1e-15
         assert transport.right_defect.value <= 1e-15
 
+    def test_diverging_series_is_an_unresolved_point(self, grid20):
+        # at lambda = 1 the summands of 1e200 against 0 are 1e200^n: the
+        # partial sum of order 2 overflows at the first window sample
+        sf, tf = ax.constant_family([[1e200]]), ax.constant_family([[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnresolvedPoint) as err:
+                ax.series_resolvent(sf, tf, 1.0 + 0j, grid20, 3)
+        assert str(err.value) == (
+            "the bracket series at lam=(1+0j) diverges: its partial sum of order 2 "
+            f"leaves the float range at h={grid20.window_samples[0]!r}"
+        )
+
     def test_dimension_mismatch(self, grid20):
         sf = ax.diag_family(["1", "2"])
         tf = ax.diag_family(["1"])
@@ -844,8 +857,9 @@ def window_cases(draw):
     sf = ax.family_sum(tf, ax.h_scaled(rf))
     grid = draw(st.sampled_from([ax.geometric_grid(), ax.geometric_grid(1.0, 0.5, 36, 6)]))
     angle = st.floats(0.0, 2.0 * math.pi)
-    lam = 3.0 * complex(math.cos(draw(angle)), math.sin(draw(angle)))
-    mu = 2.5 * complex(math.cos(draw(angle)), math.sin(draw(angle)))
+    lam_angle, mu_angle = draw(angle), draw(angle)
+    lam = 3.0 * complex(math.cos(lam_angle), math.sin(lam_angle))
+    mu = 2.5 * complex(math.cos(mu_angle), math.sin(mu_angle))
     return sf, tf, grid, lam, mu
 
 
