@@ -66,7 +66,6 @@ from .families import (
     h_scaled,
     jordan_family,
     random_family,
-    tail_limsup,
     tail_to_dict,
     tail_vanishes,
 )
@@ -92,14 +91,12 @@ from .linalg import (
 from .spectrum import (
     Cluster,
     ComplexRegion,
-    NormBounds,
     ResolventField,
     SeriesTransport,
     SpectrumEstimate,
     clusters_match,
     default_region,
     field_to_csv,
-    quotient_norm_bounds,
     resolvent_at,
     resolvent_commutation_residual,
     resolvent_defect,

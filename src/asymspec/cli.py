@@ -61,7 +61,6 @@ from .spectrum import (
     ComplexRegion,
     default_region,
     field_to_csv,
-    quotient_norm_bounds,
     resolvent_norm_field,
     series_resolvent,
     spectrum_estimate,
@@ -169,7 +168,7 @@ def _grid_from_args(args) -> "HGrid":
 def _region_from_args(args, fam, grid) -> ComplexRegion:
     half_width = args.region_half_width
     if half_width is None:
-        half_width = default_region(quotient_norm_bounds(fam, grid).upper).half_width
+        half_width = default_region(fam, grid).half_width
     center = _parse_complex_flag(args.region_center, "--region-center")
     return ComplexRegion(center, half_width, args.resolution)
 
@@ -186,7 +185,10 @@ def _add_region_flags(p: argparse.ArgumentParser, resolution: int) -> None:
         "--region-center", default="0", help="center of the square region (complex literal)"
     )
     p.add_argument(
-        "--region-half-width", type=float, default=None, help="half width (default: auto)"
+        "--region-half-width",
+        type=float,
+        default=None,
+        help="half width (default: 1.25 x the window's largest ||S_h||, at least 1)",
     )
     p.add_argument(
         "--resolution",

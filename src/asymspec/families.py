@@ -5,6 +5,8 @@ complex matrix of fixed dimension. Limits as ``h -> 0`` are replaced by
 statistics over a finite geometric sampling grid: the value of a trace "in
 the tail" is the maximum over the last ``tail_window`` samples, and its trend
 is the sign of the least-squares slope of those samples against ``log h``.
+:func:`window_limsup` reads one value per window sample, so a caller
+evaluates its family at ``grid.window_samples`` alone.
 
 A family is the root node of its recipe tree: every node kind is a
 :class:`FamilySpec`, knows its dimension and evaluates a whole stack at once.
@@ -115,7 +117,10 @@ def tail_to_dict(tail: TailEstimate) -> dict:
 
 def _window_slope(hs: Sequence[float], values: Sequence[float]) -> float:
     # Least-squares slope of values against log h. Positive slope means the
-    # values shrink as h -> 0 (log h runs to -infinity).
+    # values shrink as h -> 0 (log h runs to -infinity). The values are
+    # centred on the first one after scaling by a power of two to at most 1,
+    # so a constant window has slope 0 at any magnitude and nothing overflows
+    # on the way; a slope past the float range is inf.
     if len(values) < 2:
         return 0.0
     xs = np.log(np.asarray(hs, dtype=np.float64))
@@ -124,18 +129,10 @@ def _window_slope(hs: Sequence[float], values: Sequence[float]) -> float:
     denom = float(np.dot(xdev, xdev))
     if denom == 0.0:
         return 0.0
-    return float(np.dot(xdev, ys - ys.mean()) / denom)
-
-
-def tail_limsup(values: Sequence[float], grid: HGrid) -> TailEstimate:
-    """Tail statistic of one value per grid sample (ordered like the grid).
-
-    Only the window defines the estimate: values outside it, finite or not,
-    are ignored (see :func:`window_limsup`).
-    """
-    if len(values) != grid.count:
-        raise LengthMismatch(f"expected {grid.count} values, got {len(values)}")
-    return window_limsup(values[-grid.tail_window :], grid)
+    exponent = math.frexp(float(np.abs(ys).max()))[1]
+    scaled = np.ldexp(ys, -exponent)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.dot(xdev, scaled - scaled[0]) / denom, exponent))
 
 
 def window_limsup(window: Sequence[float], grid: HGrid) -> TailEstimate:
@@ -294,7 +291,9 @@ class _Combined(FamilySpec):
         return self.children[0].dim
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return reduce(self._combine, (child._eval(hs) for child in self.children))
+        # an overflow is left to family_eval_stack, which names its h
+        with np.errstate(over="ignore", invalid="ignore"):
+            return reduce(self._combine, (child._eval(hs) for child in self.children))
 
 
 class Sum(_Combined):

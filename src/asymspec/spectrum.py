@@ -10,14 +10,14 @@ it the sample is ignored, since every limit h -> 0 is read from the window.
 
 Tail statistics only depend on the trailing window of the h-grid, so
 every tail statistic evaluates the family at the window samples alone and
-inverts, multiplies and takes norms there only: the field sweeps,
-resolvent_at, the resolvent identities, defects and series transport. An
-evaluation error therefore raises only where it names a window h. The one
-exception is quotient_norm_bounds, whose upper bound is a sup over the whole
-grid. A sweep evaluates the window once, in the calling thread, and slices
-the region's points by one rule (see resolvent_norm_field): numpy kernels
-in the calling thread up to dimension 3, batched LAPACK SVDs on a thread
-pool from dimension 4 up, and the field does not depend on the CPU count.
+inverts, multiplies and takes norms there only: the default region, the
+field sweeps, resolvent_at, the resolvent identities, defects and series
+transport. An evaluation error therefore raises only where it names a
+window h. A sweep evaluates the window once, in the calling thread, and
+slices the region's points by one rule (see resolvent_norm_field): numpy
+kernels in the calling thread up to dimension 3, batched LAPACK SVDs on a
+thread pool from dimension 4 up, and the field does not depend on the CPU
+count.
 
 Per-h resolvent data has one form: a stack (k, d, d) ordered like the
 h-samples, in which a NaN member marks a singular sample or a missing
@@ -44,7 +44,6 @@ from .families import (
     TailEstimate,
     family_eval_stack,
     family_pair_stacks,
-    tail_limsup,
     window_limsup,
     window_sup,
 )
@@ -152,7 +151,10 @@ def resolvent_defect(
 def _defects(a: np.ndarray, r: np.ndarray, grid: HGrid) -> tuple[TailEstimate, TailEstimate]:
     """Tail norms of a_h r_h - I and r_h a_h - I over the window stacks a and r."""
     eye = np.eye(a.shape[-1])
-    return tuple(window_limsup(spectral_norms(p - eye), grid) for p in (a @ r, r @ a))
+    # a product that overflows has norm inf, which the tail reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = (a @ r, r @ a)
+    return tuple(window_limsup(spectral_norms(p - eye), grid) for p in products)
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +300,21 @@ class SpectrumEstimate:
     flagged: np.ndarray  # boolean mask, same layout as the field values
 
 
-def default_region(upper: float) -> ComplexRegion:
+def default_region(sf: FamilySpec, grid: HGrid) -> ComplexRegion:
+    """The square about 0 of half-width 1.25 times the largest ||S_h|| over
+    the tail window, at least 1, at resolution 101. Every eigenvalue of S_h
+    has |lam| <= ||S_h||, so it encloses every window spectrum.
+
+    Raises UnresolvedPoint when that norm is too large for the square's
+    width to be finite.
+    """
+    upper = window_sup(spectral_norms(family_eval_stack(sf, grid.window_samples)))
     half = 1.25 * max(upper, 0.8)
+    if not math.isfinite(2.0 * half):
+        raise UnresolvedPoint(
+            f"the window's largest ||S_h|| ({upper!r}) gives no finite default region; "
+            "give a half-width (--region-half-width)"
+        )
     return ComplexRegion(0 + 0j, half, 101)
 
 
@@ -525,23 +540,6 @@ def series_resolvent(
 
 
 # ---------------------------------------------------------------------------
-# norm bounds for the asymptotic quotient
-
-
-@dataclass(frozen=True)
-class NormBounds:
-    lower: float
-    upper: float
-
-
-def quotient_norm_bounds(sf: FamilySpec, grid: HGrid) -> NormBounds:
-    """Bounds that sandwich the family norm: tail limsup below, grid sup above."""
-    values = spectral_norms(family_eval_stack(sf, grid.samples))
-    tail = tail_limsup(values, grid)
-    return NormBounds(lower=tail.value, upper=float(values.max()))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -589,7 +587,6 @@ __all__ = [
     "Cluster",
     "SpectrumEstimate",
     "SeriesTransport",
-    "NormBounds",
     "resolvent_at",
     "resolvent_defect",
     "resolvent_norm_field",
@@ -599,7 +596,6 @@ __all__ = [
     "resolvent_equation_residual",
     "resolvent_commutation_residual",
     "series_resolvent",
-    "quotient_norm_bounds",
     "field_to_csv",
     "spectrum_to_dict",
     "MAX_SERIES_TERMS",

@@ -13,7 +13,10 @@ evaluator, which walks a recipe tree one h at a time (the quadrature of a
 functional-calculus image included), so that the stacked evaluator can be
 held to it bit for bit. So is the SVD-rule inverse, which decides
 singularity by singular values alone, so that the certified inverse can be
-held to it bit for bit.
+held to it bit for bit. So is the full-grid tail statistic, which takes one
+value per grid sample and hands the window's to the package's
+window_limsup, so that statistics computed at the window alone can be held
+to the full-grid computation bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ import math
 import numpy as np
 
 from asymspec import exprs, families, funcalc
-from asymspec.errors import BadParameter, ExprError, SingularOnContour, TraceError
+from asymspec.errors import (
+    BadParameter,
+    ExprError,
+    LengthMismatch,
+    SingularOnContour,
+    TraceError,
+)
 from asymspec.families import family_eval_array
 from asymspec.linalg import SINGULAR_RTOL, operator_norm, solve_inverse
 
@@ -198,6 +207,14 @@ def family_eval_per_sample(spec, hs) -> np.ndarray:
             raise TraceError(h, "the family value has a non-finite entry")
         out.append(value)
     return np.stack(out)
+
+
+def tail_limsup(values, grid):
+    """Tail statistic of one value per grid sample (ordered like the grid):
+    the values before the window, finite or not, are ignored."""
+    if len(values) != grid.count:
+        raise LengthMismatch(f"expected {grid.count} values, got {len(values)}")
+    return families.window_limsup(values[-grid.tail_window :], grid)
 
 
 def resolvent_at_per_sample(sf, lam, grid):

@@ -209,7 +209,7 @@ class TestWindowOnlySequence:
         sf, tf, grid = pair
         sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
         orders = islice(brackets.iter_brackets(sa, ta), 1, 25)
-        want = tuple(ax.tail_limsup(linalg.spectral_norms(b), grid).value for b in orders)
+        want = tuple(oracles.tail_limsup(linalg.spectral_norms(b), grid).value for b in orders)
         seq = ax.bracket_sequence(sf, tf, grid, n_max=24)
         assert seq.norms == want
         assert seq.roots == tuple(a ** (1.0 / n) for n, a in enumerate(want, start=1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asymspec as ax
+import oracles
 from asymspec import families, linalg
 from asymspec.brackets import RootClass
 from asymspec.classify import VerdictKind, VerdictResult
@@ -106,7 +107,7 @@ def full_grid_vanishing_reference(stack, grid, tol_factor):
     """The verdict from norms at every grid sample, as computed before norms
     were restricted to the samples the verdict reads."""
     values = linalg.spectral_norms(stack)
-    tail = ax.tail_limsup(values, grid)
+    tail = oracles.tail_limsup(values, grid)
     tol = families.default_vanish_tol(values) if tol_factor is None else tol_factor * tail.value
     result = VerdictResult.HOLDS if ax.tail_vanishes(tail, tol) else VerdictResult.FAILS
     return tol, result, tail

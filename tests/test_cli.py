@@ -70,11 +70,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def constant_2x2(tmp_path, name, entries):
-    """Write a constant 2x2 family with real row-major entries; return its path."""
+def run_strict(capsys, *argv):
+    """run, with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
+
+
+def constant(tmp_path, name, entries):
+    """Write a constant square family with real row-major entries; return its path."""
     path = tmp_path / name
-    matrix = {"dim": 2, "re": entries, "im": [0.0] * 4}
-    path.write_text(json.dumps({"dim": 2, "node": {"kind": "constant", "matrix": matrix}}))
+    dim = math.isqrt(len(entries))
+    matrix = {"dim": dim, "re": entries, "im": [0.0] * len(entries)}
+    path.write_text(json.dumps({"dim": dim, "node": {"kind": "constant", "matrix": matrix}}))
     return str(path)
 
 
@@ -114,12 +122,12 @@ class TestSpectrumCommand:
         assert abs(centroids[0] - 1.0) <= 2 * spacing
         assert abs(centroids[1] - 2.0) <= 2 * spacing
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_family_is_a_numerical_failure(self, capsys, tmp_path):
+        # each factor is finite; their product overflows, with no warning
         huge = {"kind": "random", "dim": 2, "seed": 1, "scale": 1e200}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"dim": 2, "node": {"kind": "product", "children": [huge, huge]}}))
-        code, _, err = run(capsys, "spectrum", "--family", str(path), "--epsilon", "0.1")
+        code, _, err = run_strict(capsys, "spectrum", "--family", str(path), "--epsilon", "0.1")
         assert code == 3
         assert json.loads(err)["kind"] == "TraceError"
 
@@ -141,6 +149,34 @@ class TestSpectrumCommand:
         assert (code, out) == (3, "")
         (line,) = err.splitlines()
         assert json.loads(line)["kind"] == "UnresolvedPoint"
+
+    def test_overflowing_default_region_is_a_numerical_failure(self, capsys, tmp_path):
+        # the window norm of a constant with four entries 1e308 overflows;
+        # no half-width was given, so this is no configuration error
+        big = constant(tmp_path, "big2.json", [1e308] * 4)
+        code, out, err = run_strict(capsys, "spectrum", "--family", big)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        error = json.loads(line)
+        assert error["kind"] == "UnresolvedPoint"
+        assert "||S_h||" in error["error"] and "--region-half-width" in error["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["field"],
+            ["funcalc", "--expr", "exp(z)", "--contour-center", "1", "--contour-radius", "0.5"],
+        ],
+    )
+    def test_default_region_reads_the_window(self, capsys, tmp_path, argv):
+        # exp(1000 h) overflows at h = 1 only, outside the tail window that
+        # sizes the default region
+        path = tmp_path / "steep.json"
+        node = {"kind": "diag_expr", "entries": ["exp(1000*h)"]}
+        path.write_text(json.dumps({"dim": 1, "node": node}))
+        code, out, err = run_strict(capsys, argv[0], "--family", str(path), *argv[1:])
+        assert code == 0 and err == "" and out
 
     def test_artifacts_written_and_byte_stable(self, capsys, two_point, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
@@ -257,9 +293,9 @@ class TestVerdictCommands:
     def test_overflowing_bracket_norms_fail_without_warnings(self, capsys, tmp_path, command):
         # the powers of diag(1e20, 3e19) leave the float range at order 16,
         # but their n-th roots read the spectral radius 1e20
-        argv = [command, "--family", constant_2x2(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])]
+        argv = [command, "--family", constant(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])]
         if command == "qequiv":
-            argv += ["--family2", constant_2x2(tmp_path, "zero.json", [0.0] * 4)]
+            argv += ["--family2", constant(tmp_path, "zero.json", [0.0] * 4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, *argv)
@@ -285,6 +321,14 @@ class TestVerdictCommands:
         code, _, err = run(capsys, "equiv", "--family", str(path), "--family2", str(path))
         assert code == 3
         assert json.loads(err)["kind"] == "ExprError"
+
+    def test_constant_pair_of_large_values_is_flat(self, capsys, tmp_path):
+        # the window mean of 5e307 overflows; the trend must not depend on it
+        big = constant(tmp_path, "c.json", [5e307])
+        zero = constant(tmp_path, "zero.json", [0.0])
+        code, out, err = run_strict(capsys, "equiv", "--family", big, "--family2", zero)
+        assert code == 0 and err == ""
+        assert json.loads(out)["evidence_summary"]["tail"]["trend"] == "flat"
 
 
 class TestFuncalcCommand:
@@ -483,8 +527,8 @@ class TestSeriesCommand:
     def test_converging_series_of_overflowing_brackets(self, capsys, tmp_path):
         # the brackets of diag(1e20, 3e19) against zero overflow at order 16,
         # but at lambda = 1e25 the summands shrink by 1e-5 an order
-        big = constant_2x2(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])
-        zero = constant_2x2(tmp_path, "zero.json", [0.0] * 4)
+        big = constant(tmp_path, "big.json", [1e20, 0.0, 0.0, 3e19])
+        zero = constant(tmp_path, "zero.json", [0.0] * 4)
         argv = ["series", "--family", big, "--family2", zero, "--at", "1e25", "--nmax", "20"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -512,6 +556,17 @@ class TestSeriesCommand:
             "leaves the float range at h=6.103515625e-05",
             "kind": "UnresolvedPoint",
         }
+
+    def test_overflowing_defect_products_read_inf_without_warnings(self, capsys, tmp_path):
+        # (lam - 1e300) times the partial sum overflows at lam = 1e10
+        big = constant(tmp_path, "b300.json", [1e300])
+        zero = constant(tmp_path, "zero1.json", [0.0])
+        argv = ["series", "--family", big, "--family2", zero, "--at", "1e10", "--nmax", "1"]
+        code, out, err = run_strict(capsys, *argv)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["defects_vanish"] is False
+        assert report["left_defect"]["value"] == report["right_defect"]["value"] == "inf"
 
     def test_point_in_spectrum_is_numerical_error(self, capsys, two_point):
         code, _, err = run(

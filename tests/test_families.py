@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,12 +108,13 @@ class TestFamilyEval:
         with pytest.raises(DimensionMismatch):
             ax.family_sum(ax.diag_family(["1"]), ax.diag_family(["1", "2"]))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_overflowing_value_reports_h(self):
-        # each factor is finite; their product overflows
+        # each factor is finite; their product overflows, with no warning
         huge = ax.random_family(2, seed=1, scale=1e200)
-        with pytest.raises(TraceError) as err:
-            ax.family_eval(ax.family_product(huge, huge), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError) as err:
+                ax.family_eval(ax.family_product(huge, huge), 0.5)
         assert err.value.h == 0.5
 
 
@@ -298,7 +300,7 @@ class TestFamilyIsItsRecipe:
 class TestTailLimsup:
     def test_monotone_trace_decreasing(self, coarse_grid):
         values = [2.0 + h for h in coarse_grid.samples]
-        est = families.tail_limsup(values, coarse_grid)
+        est = oracles.tail_limsup(values, coarse_grid)
         assert est.value == 2.0 + coarse_grid.samples[-coarse_grid.tail_window]
         assert est.trend is Trend.DECREASING
 
@@ -307,22 +309,22 @@ class TestTailLimsup:
         # scale; the trend flag is phase-dependent noise here, so only the
         # envelope is asserted
         values = [3.0 + h * math.cos(1.0 / h) for h in grid.samples]
-        est = families.tail_limsup(values, grid)
+        est = oracles.tail_limsup(values, grid)
         h_edge = grid.samples[-grid.tail_window]
         assert 3.0 - h_edge <= est.value <= 3.0 + h_edge
 
     def test_constant_trace_flat(self, coarse_grid):
-        est = families.tail_limsup([5.0] * coarse_grid.count, coarse_grid)
+        est = oracles.tail_limsup([5.0] * coarse_grid.count, coarse_grid)
         assert est.value == 5.0
         assert est.trend is Trend.FLAT
 
     def test_growing_trace_increasing(self, grid):
         values = [1.0 / h for h in grid.samples]
-        assert families.tail_limsup(values, grid).trend is Trend.INCREASING
+        assert oracles.tail_limsup(values, grid).trend is Trend.INCREASING
 
     def test_value_is_window_max(self, coarse_grid):
         values = list(range(coarse_grid.count, 0, -1))
-        est = families.tail_limsup([float(v) for v in values], coarse_grid)
+        est = oracles.tail_limsup([float(v) for v in values], coarse_grid)
         assert est.value == max(est.window_values)
         assert len(est.window_values) == coarse_grid.tail_window
 
@@ -331,26 +333,36 @@ class TestTailLimsup:
         previous = -math.inf
         for window in range(2, 13):
             g = ax.geometric_grid(1.0, 0.5, 12, window)
-            current = families.tail_limsup(values, g).value
+            current = oracles.tail_limsup(values, g).value
             assert current >= previous
             previous = current
 
     def test_length_mismatch_rejected(self, coarse_grid):
         with pytest.raises(LengthMismatch):
-            families.tail_limsup([1.0, 2.0], coarse_grid)
+            families.window_limsup([1.0, 2.0], coarse_grid)
+
+    def test_constant_windows_of_large_values_are_flat(self, grid):
+        # the mean of six equal values rounds from about 1e21 up and
+        # overflows from about 3e307 up; a constant window's slope is 0
+        values = np.concatenate([np.geomspace(1e21, 1.7e308, 2000), [np.finfo(float).max]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in values.tolist():
+                est = families.window_limsup([v] * grid.tail_window, grid)
+                assert (est.value, est.trend) == (v, Trend.FLAT)
 
 
 class TestVanishes:
     def test_order_h_trace_vanishes(self, grid):
         values = [h for h in grid.samples]
-        assert families.tail_vanishes(families.tail_limsup(values, grid), tol=1e-3)
+        assert families.tail_vanishes(oracles.tail_limsup(values, grid), tol=1e-3)
 
     def test_order_one_trace_does_not(self, grid):
         values = [1.0 + h for h in grid.samples]
-        assert not families.tail_vanishes(families.tail_limsup(values, grid), tol=1e-3)
+        assert not families.tail_vanishes(oracles.tail_limsup(values, grid), tol=1e-3)
 
     def test_zero_trace_vanishes(self, grid):
-        assert families.tail_vanishes(families.tail_limsup([0.0] * grid.count, grid), tol=1e-12)
+        assert families.tail_vanishes(oracles.tail_limsup([0.0] * grid.count, grid), tol=1e-12)
 
     def test_default_tolerance_tracks_initial_scale(self):
         assert families.default_vanish_tol([3.0, 1.0]) == pytest.approx(4e-4)

@@ -1,6 +1,7 @@
 """Resolvent fields, spectrum estimation, identities, and series transport."""
 
 import cmath
+import json
 import math
 import re
 import threading
@@ -17,7 +18,7 @@ from scipy import ndimage
 
 import asymspec as ax
 import oracles
-from asymspec import brackets, families, funcalc, linalg, spectrum
+from asymspec import brackets, classify, cli, families, funcalc, linalg, spectrum
 from asymspec.errors import BadParameter, DimensionMismatch, ExprError, UnresolvedPoint
 from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
@@ -51,6 +52,11 @@ def cluster_near(estimate, point):
     spacing = estimate.region.spacing
     near = [c for c in estimate.clusters if abs(c.centroid - point) <= c.radius + spacing + 1e-9]
     return min(near, key=lambda c: abs(c.centroid - point), default=None)
+
+
+def grid_norm_sup(fam, grid):
+    """The largest ||S_h|| over every sample of the grid."""
+    return float(linalg.spectral_norms(families.family_eval_stack(fam, grid.samples)).max())
 
 
 def flagged_points(field, estimate):
@@ -552,10 +558,10 @@ class TestClusterLabelling:
 
 class TestFieldInvariants:
     def test_flagged_points_respect_norm_bound(self, const_two_point, const_field, grid20):
-        bounds = ax.quotient_norm_bounds(const_two_point, grid20)
+        upper = grid_norm_sup(const_two_point, grid20)
         estimate = ax.spectrum_estimate(const_field, 1e-3)
         for lam in flagged_points(const_field, estimate):
-            assert abs(lam) <= bounds.upper + const_field.region.spacing
+            assert abs(lam) <= upper + const_field.region.spacing
 
     def test_resolved_points_have_resolved_neighborhoods(self, const_field):
         # a point with tail norm v keeps distance >= 1/v from the spectrum,
@@ -578,7 +584,7 @@ class TestFieldInvariants:
                             assert np.isfinite(values[jy, jx])
 
     def test_field_floor_from_distance_to_origin(self, const_two_point, const_field, grid20):
-        upper = ax.quotient_norm_bounds(const_two_point, grid20).upper
+        upper = grid_norm_sup(const_two_point, grid20)
         region = const_field.region
         for iy in range(0, region.resolution, 5):
             for ix in range(0, region.resolution, 5):
@@ -626,7 +632,7 @@ class TestStackedResolvents:
         sweep = ax.resolvent_at(fam, lam, grid)
         inverses, norms = oracles.resolvent_at_per_sample(fam, lam, grid)
         assert sweep.norms.tolist() == norms[-w:]
-        assert sweep.tail == ax.tail_limsup(norms, grid)
+        assert sweep.tail == oracles.tail_limsup(norms, grid)
         missing = np.isnan(sweep.inverses).all(axis=(1, 2))
         assert missing.tolist() == [inv is None for inv in inverses[-w:]]
         assert np.isnan(sweep.inverses).any(axis=(1, 2)).tolist() == missing.tolist()
@@ -647,8 +653,8 @@ class TestStackedResolvents:
         ])
         left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
         assert ax.resolvent_defect(fam, rf[-w:], lam, grid) == (
-            ax.tail_limsup(left, grid),
-            ax.tail_limsup(right, grid),
+            oracles.tail_limsup(left, grid),
+            oracles.tail_limsup(right, grid),
         )
 
 
@@ -835,6 +841,14 @@ class TestSeriesResolvent:
             f"leaves the float range at h={grid20.window_samples[0]!r}"
         )
 
+    def test_overflowing_defect_products_read_inf(self, grid20):
+        # (lam - 1e300) times the partial sum, about 1e280, overflows
+        sf, tf = ax.constant_family([[1e300]]), ax.constant_family([[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            transport = ax.series_resolvent(sf, tf, 1e10 + 0j, grid20, 1)
+        assert transport.left_defect.value == transport.right_defect.value == math.inf
+
     def test_dimension_mismatch(self, grid20):
         sf = ax.diag_family(["1", "2"])
         tf = ax.diag_family(["1"])
@@ -865,7 +879,7 @@ def window_cases(draw):
 
 def full_grid_tail(stack, grid):
     """Reference: the norm at every grid sample, then the tail statistic."""
-    return ax.tail_limsup(linalg.spectral_norms(stack), grid)
+    return oracles.tail_limsup(linalg.spectral_norms(stack), grid)
 
 
 class TestWindowOnlyTails:
@@ -939,8 +953,20 @@ class TestWindowOnlyTails:
         rounding = 1e-15 * term_tails[0]
         assert np.allclose(tr.term_tails, term_tails, rtol=1e-12, atol=rounding)
 
-    def test_only_window_evaluation_errors_raise(self, grid20):
+    def test_only_window_evaluation_errors_raise(self, grid20, tmp_path, monkeypatch, capsys):
         window_h = f"h={grid20.window_samples[0]!r}"
+
+        def command(*argv):
+            # a CLI command with default grid and region flags, by its handler,
+            # which raises where main would print the error
+            def run(fam):
+                path = tmp_path / "family.json"
+                path.write_text(json.dumps(ax.family_to_dict(fam)))
+                args = cli._build_parser().parse_args([argv[0], "--family", str(path), *argv[1:]])
+                return args.handler(args)
+
+            return run
+
         statistics = [
             lambda fam: ax.bracket_sequence(fam, fam, grid20),
             lambda fam: ax.asymptotic_equiv(fam, fam, grid20, tol=1e-6),
@@ -953,43 +979,36 @@ class TestWindowOnlyTails:
                 fam, np.zeros((grid20.tail_window, 1, 1)), 0.5j, grid20
             ),
             lambda fam: ax.series_resolvent(fam, fam, 0.5j, grid20, 3),
+            lambda fam: ax.default_region(fam, grid20),
+            command("spectrum"),
+            command("field"),
+            command("funcalc", "--expr", "exp(z)", "--contour-center", "1", "--contour-radius", "0.5"),
         ]
+        # every h a statistic evaluates a family at
+        evaluated = []
+        evaluate = families.family_eval_stack
+
+        def recording(spec, hs):
+            evaluated.extend(float(h) for h in hs)
+            return evaluate(spec, hs)
+
+        for module in (families, brackets, classify, funcalc, spectrum):
+            if hasattr(module, "family_eval_stack"):
+                monkeypatch.setattr(module, "family_eval_stack", recording)
         # exp(1000 h) overflows at h = 1 only, far outside the tail window;
         # exp(1/h) overflows at every window h
         outside = ax.diag_family(["exp(1000*h)"])
         inside = ax.diag_family(["exp(1/h)"])
         for statistic in statistics:
+            evaluated.clear()
             assert statistic(outside) is not None
+            assert evaluated and set(evaluated) <= set(grid20.window_samples)
             with pytest.raises(ExprError, match=re.escape(window_h)):
                 statistic(inside)
-        # the default tolerance scales with the value at h0 = 1, and the
-        # quotient's upper bound is a sup over the whole grid
+        capsys.readouterr()
+        # the default tolerance scales with the value at h0 = 1
         with pytest.raises(ExprError, match=re.escape("h=1.0")):
             ax.asymptotic_equiv(outside, outside, grid20)
-        with pytest.raises(ExprError, match=re.escape("h=1.0")):
-            ax.quotient_norm_bounds(outside, grid20)
-
-
-class TestQuotientNormBounds:
-    def test_constant_family_bounds_coincide(self, rng):
-        a = ComplexMatrix(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-        grid = ax.geometric_grid()
-        bounds = ax.quotient_norm_bounds(ax.constant_family(a), grid)
-        norm = linalg.operator_norm(a)
-        assert abs(bounds.lower - norm) <= 1e-12 * norm
-        assert abs(bounds.upper - norm) <= 1e-12 * norm
-
-    def test_h_scaled_family_collapses_to_zero(self, grid20):
-        a = ComplexMatrix(np.diag([2.0, -1.0]))
-        bounds = ax.quotient_norm_bounds(ax.h_scaled(ax.constant_family(a)), grid20)
-        window_edge = grid20.samples[-grid20.tail_window]
-        assert bounds.upper == pytest.approx(2.0)
-        assert bounds.lower == pytest.approx(2.0 * window_edge, rel=1e-9)
-
-    def test_moving_diagonal_entry(self, grid20):
-        bounds = ax.quotient_norm_bounds(ax.diag_family(["2+h"]), grid20)
-        assert bounds.upper == pytest.approx(3.0)
-        assert bounds.lower == pytest.approx(2.0, abs=1e-3)
 
 
 class TestSerializationHelpers:
@@ -1109,14 +1128,31 @@ class TestDefaults:
 
     def test_omitted_epsilon_finds_the_two_point_spectrum_on_the_default_region(self, grid20):
         fam = ax.diag_family(["1", "2+h"])
-        region = ax.default_region(ax.quotient_norm_bounds(fam, grid20).upper)
+        region = ax.default_region(fam, grid20)
         estimate = ax.spectrum_estimate(ax.resolvent_norm_field(fam, region, grid20))
         assert len(estimate.clusters) == 2
         assert cluster_near(estimate, 1.0 + 0j) is estimate.clusters[0]
         assert cluster_near(estimate, 2.0 + 0j) is estimate.clusters[1]
 
-    def test_default_region_covers_norm_disk(self):
-        region = ax.default_region(2.0)
+    def test_default_half_width_is_the_window_norm_sup(self, grid20):
+        # N + hR: the grid's norm sup, at h = 1, is more than four times the
+        # window's, and every window spectrum lies within |lam| <= 0.11
+        fam = ax.family_sum(ax.jordan_family(4, 0), ax.h_scaled(ax.random_family(4, 943)))
+        window = linalg.spectral_norms(families.family_eval_stack(fam, grid20.window_samples))
+        assert ax.default_region(fam, grid20).half_width == 1.25 * window.max()
+        assert grid_norm_sup(fam, grid20) > 4.0 * window.max()
+
+    @pytest.mark.parametrize("matrix", [np.full((2, 2), 1e308), [[1e308]]])
+    def test_overflowing_default_region_is_an_unresolved_point(self, grid20, matrix):
+        # the window norm overflows for the first, the region's width for the
+        # second
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnresolvedPoint, match=re.escape("--region-half-width")):
+                ax.default_region(ax.constant_family(matrix), grid20)
+
+    def test_default_region_covers_norm_disk(self, grid20):
+        region = ax.default_region(ax.constant_family(np.diag([2.0, -1.0])), grid20)
         assert region.center == 0j
         assert region.half_width == pytest.approx(2.5)
         assert region.resolution == 101
