@@ -12,12 +12,7 @@ from .brackets import (
     BracketSequence,
     RootClass,
     RootLimit,
-    binom,
-    bracket_compose_check,
-    bracket_direct,
-    bracket_recurrence,
     bracket_sequence,
-    commuting_collapse_residual,
     power_norm_sequence,
     root_limit,
 )
@@ -82,9 +77,7 @@ from .linalg import (
     Inverse,
     jordan_block,
     matrix_from_dict,
-    matrix_power,
     matrix_to_dict,
-    max_abs,
     operator_norm,
     solve_inverse,
 )

@@ -2,8 +2,10 @@
 
 The order-n bracket of an ordered pair (t, s) is the alternating binomial sum
 ``sum_k (-1)^(n-k) C(n,k) t^k s^(n-k)``; it collapses to ``(t-s)^n`` exactly
-when t and s commute. For a pair of families the per-order tail norms and
-their n-th roots drive the equivalence classifiers.
+when t and s commute. The library forms it by the recurrence
+``B -> t B - B s`` (:func:`iter_brackets`); the ``verify`` suites hold that
+recurrence to the binomial sum. For a pair of families the per-order tail
+norms and their n-th roots drive the equivalence classifiers.
 """
 
 from __future__ import annotations
@@ -16,85 +18,29 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, LengthMismatch, OutOfRange
+from .errors import BadParameter, LengthMismatch, OutOfRange
 from .families import FamilySpec, HGrid, family_eval_stack, family_pair_stacks, window_sup
-from .linalg import ComplexMatrix, matrix_power, operator_norm, spectral_norms, sub
+from .linalg import spectral_norms
 
-MAX_ORDER = 60
 MAX_SEQUENCE_ORDER = 40
 # The order n_max that bracket and power sequences and the classifiers read
 # by default: a constant quasinilpotent-equivalent pair of dimension d has
 # B_{2d-1} = 0, so 24 covers d <= 12.
 DEFAULT_SEQUENCE_ORDER = 24
-MAX_COMPOSE_ORDER = 30
 # Dead-band for the "roots are not increasing" reading in root_limit: the
 # classification accepts a window whose least-squares slope is non-positive.
 ROOT_SLOPE_DEADBAND = 1e-9
 
 
-def binom(n: int, k: int) -> int:
-    """Exact binomial coefficient with the package's range policy (n <= 60)."""
-    if n < 0 or n > MAX_ORDER:
-        raise OutOfRange(f"binom order n={n} outside 0..{MAX_ORDER}")
-    if k < 0 or k > n:
-        raise OutOfRange(f"binom index k={k} outside 0..{n}")
-    return math.comb(n, k)
-
-
-def _check_order(n: int, cap: int) -> None:
-    if n < 0 or n > cap:
-        raise OutOfRange(f"bracket order n={n} outside 0..{cap}")
-
-
-def bracket_direct(t: ComplexMatrix, s: ComplexMatrix, n: int) -> ComplexMatrix:
-    """Order-n bracket by the alternating binomial sum."""
-    if t.dim != s.dim:
-        raise DimensionMismatch(f"dimensions differ: {t.dim} vs {s.dim}")
-    _check_order(n, MAX_ORDER)
-    acc = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for k in range(n + 1):
-        sign = -1.0 if (n - k) % 2 else 1.0
-        term = matrix_power(t, k).array @ matrix_power(s, n - k).array
-        acc += (sign * binom(n, k)) * term
-    return ComplexMatrix(acc)
-
-
 def iter_brackets(t: np.ndarray, s: np.ndarray) -> Iterator[np.ndarray]:
     """Brackets of orders 0, 1, 2, ... of (t, s), endlessly, by the recurrence
-    ``B -> t B - B s`` from I; t and s are matrices or stacks of them."""
+    ``B -> t B - B s`` from I; t and s are matrices or stacks of them. Each
+    order is formed from the array yielded for the one before it, so a
+    caller that rescales that array in place rescales every later order."""
     b = np.eye(t.shape[-1], dtype=np.complex128)
     while True:
         yield b
         b = t @ b - b @ s
-
-
-def bracket_recurrence(t: ComplexMatrix, s: ComplexMatrix, n: int) -> ComplexMatrix:
-    """Order-n bracket by the two-sided recurrence ``B -> t B - B s`` from I."""
-    if t.dim != s.dim:
-        raise DimensionMismatch(f"dimensions differ: {t.dim} vs {s.dim}")
-    _check_order(n, MAX_ORDER)
-    return ComplexMatrix(next(islice(iter_brackets(t.array, s.array), n, None)))
-
-
-def bracket_compose_check(
-    t: ComplexMatrix, s: ComplexMatrix, p: ComplexMatrix, n: int
-) -> float:
-    """Residual norm of the through-a-midpoint expansion of the bracket.
-
-    The order-n bracket of (t, s) equals the binomial convolution
-    ``sum_k C(n,k) B_k(t,p) B_{n-k}(p,s)``; the residual is the spectral norm
-    of the difference and vanishes up to rounding for every triple.
-    """
-    if not (t.dim == s.dim == p.dim):
-        raise DimensionMismatch("bracket_compose_check wants equal dimensions")
-    _check_order(n, MAX_COMPOSE_ORDER)
-    lhs = bracket_direct(t, s, n)
-    acc = np.zeros((t.dim, t.dim), dtype=np.complex128)
-    for k in range(n + 1):
-        left = bracket_direct(t, p, k)
-        right = bracket_direct(p, s, n - k)
-        acc += binom(n, k) * (left.array @ right.array)
-    return operator_norm(sub(lhs, ComplexMatrix(acc)))
 
 
 @dataclass(frozen=True)
@@ -139,11 +85,9 @@ def stack_bracket_sequence(
         raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
     if not len(sa) == len(ta) == grid.tail_window:
         raise LengthMismatch(f"expected stacks of {grid.tail_window} window samples")
-    b = np.eye(sa.shape[-1], dtype=np.complex128)
     exponent = 0
     norms, roots = [], []
-    for n in range(1, n_max + 1):
-        b = sa @ b - b @ ta
+    for n, b in enumerate(islice(iter_brackets(sa, ta), 1, n_max + 1), start=1):
         a = window_sup(spectral_norms(b))
         mantissa, shift = math.frexp(a)
         # math.ldexp raises where the product leaves the float range
@@ -198,28 +142,13 @@ def root_limit(sequence: BracketSequence, tol: float) -> RootLimit:
     return RootLimit(RootClass.INCONCLUSIVE, None)
 
 
-# Re-exported convenience: the collapse comparison used by tests.
-
-
-def commuting_collapse_residual(t: ComplexMatrix, s: ComplexMatrix, n: int) -> float:
-    """Norm distance between the order-n bracket and the plain power (t-s)^n."""
-    return operator_norm(sub(bracket_direct(t, s, n), matrix_power(sub(t, s), n)))
-
-
 __all__ = [
-    "MAX_ORDER",
     "MAX_SEQUENCE_ORDER",
     "DEFAULT_SEQUENCE_ORDER",
-    "MAX_COMPOSE_ORDER",
-    "binom",
-    "bracket_direct",
-    "bracket_recurrence",
-    "bracket_compose_check",
     "BracketSequence",
     "bracket_sequence",
     "power_norm_sequence",
     "RootClass",
     "RootLimit",
     "root_limit",
-    "commuting_collapse_residual",
 ]

@@ -197,29 +197,32 @@ class FamilySpec:
 
 
 class _Fixed(FamilySpec):
-    """Base for h-independent nodes: ``matrix`` at every sample, as a
-    read-only broadcast view."""
+    """Base for h-independent nodes: ``matrix``, a read-only array that
+    :class:`ComplexMatrix` checked, at every sample, as a broadcast view."""
 
-    matrix: ComplexMatrix
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.dim
+        return self.matrix.shape[0]
 
     def _eval(self, hs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.matrix.array, (len(hs), self.dim, self.dim))
+        return np.broadcast_to(self.matrix, (len(hs), self.dim, self.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constant(_Fixed):
-    matrix: ComplexMatrix
+    """A fixed matrix. It compares and hashes by identity (eq=False), as its
+    array field supports neither."""
+
+    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
 class Jordan(_Fixed):
     size: int
     eigenvalue: complex
-    matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", jordan_block(self.size, self.eigenvalue))
@@ -315,7 +318,7 @@ class SeededRandom(_Fixed):
     size: int
     seed: int
     scale_factor: float = 1.0
-    matrix: ComplexMatrix = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -324,7 +327,7 @@ class SeededRandom(_Fixed):
         a = rng.standard_normal((self.size, self.size)) + 1j * rng.standard_normal(
             (self.size, self.size)
         )
-        object.__setattr__(self, "matrix", ComplexMatrix(self.scale_factor * a))
+        object.__setattr__(self, "matrix", ComplexMatrix(self.scale_factor * a).array)
 
 
 def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
@@ -346,7 +349,8 @@ def family_eval_stack(spec: FamilySpec, hs: Sequence[float]) -> np.ndarray:
 
 
 def family_eval(spec: FamilySpec, h: float) -> ComplexMatrix:
-    """Evaluate the family at a parameter value in (0, 1]."""
+    """Evaluate the family at a parameter value in (0, 1]; the value is in the
+    result's ``array``."""
     return ComplexMatrix(family_eval_array(spec, h))
 
 
@@ -368,7 +372,7 @@ def family_pair_stacks(
 
 
 def constant_family(matrix) -> FamilySpec:
-    return Constant(matrix if isinstance(matrix, ComplexMatrix) else ComplexMatrix(matrix))
+    return Constant(ComplexMatrix(matrix).array)
 
 
 def jordan_family(dim: int, eigenvalue: complex) -> FamilySpec:

@@ -134,7 +134,7 @@ def expr_function(ast: FuncExpr) -> ScalarFunc:
     return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadrature:
     """One adaptive quadrature: Q_N, the node count N, and its error estimate.
 
@@ -147,7 +147,7 @@ class Quadrature:
     the tolerances are fractions of it.
     """
 
-    matrix: ComplexMatrix
+    matrix: np.ndarray
     nodes: int
     error: float
     scale: float
@@ -268,7 +268,7 @@ def _quadrature(ta: np.ndarray, levels: _Levels) -> Quadrature:
         if last or error <= QUADRATURE_RTOL * scale:
             # about to stop: add the error of f's mass that both rules fold
             error = max(error, radius * r_max * levels.aliased(i))
-        result = Quadrature(ComplexMatrix(q), n, error, scale)
+        result = Quadrature(q, n, error, scale)
         if last or result.converged:
             return result
         i += 1
@@ -285,8 +285,9 @@ def _quadrature(ta: np.ndarray, levels: _Levels) -> Quadrature:
         q_half, q = q, total * (radius / n)
 
 
-def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
-    """Evaluate f(T) for one matrix by adaptive contour quadrature.
+def contour_funcalc(t: ComplexMatrix, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
+    """Evaluate f(T) for one matrix by adaptive contour quadrature. ``t`` is a
+    ComplexMatrix, or entries that one checks; f(T) is the result's ``array``.
 
     Raises SingularOnContour when a quadrature node hits the spectrum of T;
     the caller should nudge the radius, not this routine. Raises
@@ -295,7 +296,7 @@ def contour_funcalc(t, f: ScalarFunc, contour: ContourSpec) -> ComplexMatrix:
     tm = t if isinstance(t, ComplexMatrix) else ComplexMatrix(t)
     q = _quadrature(tm.array, _Levels(f, contour))
     require_quadrature([q])
-    return q.matrix
+    return ComplexMatrix(q.matrix)
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ class _Funcalc(FamilySpec):
     def _eval(self, hs: np.ndarray) -> np.ndarray:
         quads = self.quadratures(hs)
         require_quadrature(quads, hs.tolist())
-        return np.stack([q.matrix.array for q in quads])
+        return np.stack([q.matrix for q in quads])
 
 
 def family_funcalc(tf: FamilySpec, f: ScalarFunc, contour: ContourSpec) -> FamilySpec:

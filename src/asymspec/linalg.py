@@ -1,9 +1,11 @@
 """Dense complex matrix arithmetic, inverses and the spectral norm.
 
-All operations are pure: inputs are never mutated and results are freshly
-allocated, so matrices can be shared freely; only a caller that passes the
-small-matrix kernels a Workspace gets results that the workspace's next
-use overwrites. Inverses and norms are LAPACK calls through numpy, on one
+The library computes on complex128 arrays, one matrix (d, d) or a stack
+(..., d, d) of them. :class:`ComplexMatrix` is only the check where a
+matrix enters: square, finite, and frozen as a read-only copy. No function
+here mutates its inputs; only a caller that passes the small-matrix
+kernels a Workspace gets results that the workspace's next use
+overwrites. Inverses and norms are LAPACK calls through numpy, on one
 matrix or on a stack of them. For the resolvent field sweeps, which would
 otherwise spend their time in LAPACK's cost per call, the singular values
 of 2x2 matrices also have a closed form, and those of 3x3 matrices a
@@ -27,7 +29,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .errors import BadParameter, DimensionMismatch, OutOfRange, SchemaError
+from .errors import BadParameter, SchemaError
 
 # A matrix is singular when sigma_min <= SINGULAR_RTOL * sigma_max.
 SINGULAR_RTOL = 1e-14
@@ -46,10 +48,10 @@ CERTIFIED_NORM_PRODUCT = (1.0 - CERTIFIED_RESIDUAL) / CERTIFIED_RTOL
 
 
 class ComplexMatrix:
-    """Immutable square matrix of complex128 entries.
-
-    Construction validates squareness and finiteness; the backing array is
-    marked read-only and exposed via :attr:`array`.
+    """The check where a matrix enters the library: ``entries`` must form a
+    square matrix of finite numbers, and :attr:`array` holds them as a
+    read-only complex128 copy. Entry points hand on ``ComplexMatrix(x).array``;
+    past them the library computes on arrays alone.
     """
 
     __slots__ = ("_a",)
@@ -65,23 +67,12 @@ class ComplexMatrix:
         self._a = a
 
     @property
-    def dim(self) -> int:
-        return self._a.shape[0]
-
-    @property
     def array(self) -> np.ndarray:
         """Read-only complex128 view of the entries."""
         return self._a
 
-    @staticmethod
-    def zeros(dim: int) -> "ComplexMatrix":
-        return ComplexMatrix(np.zeros((dim, dim), dtype=np.complex128))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ComplexMatrix(dim={self.dim})"
-
-
-def jordan_block(dim: int, eigenvalue: complex) -> ComplexMatrix:
+def jordan_block(dim: int, eigenvalue: complex) -> np.ndarray:
     """Single Jordan block: ``eigenvalue`` on the diagonal, ones above it."""
     if dim < 1:
         raise BadParameter("jordan_block needs dim >= 1")
@@ -89,34 +80,7 @@ def jordan_block(dim: int, eigenvalue: complex) -> ComplexMatrix:
     np.fill_diagonal(a, complex(eigenvalue))
     for i in range(dim - 1):
         a[i, i + 1] = 1.0
-    return ComplexMatrix(a)
-
-
-def sub(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return ComplexMatrix(a.array - b.array)
-
-
-def matrix_power(a: ComplexMatrix, n: int) -> ComplexMatrix:
-    """``a**n`` for n >= 0 by binary exponentiation; ``a**0`` is the identity."""
-    if n < 0:
-        raise OutOfRange("matrix_power wants n >= 0")
-    result = np.eye(a.dim, dtype=np.complex128)
-    base = a.array
-    k = n
-    while k:
-        if k & 1:
-            result = result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return ComplexMatrix(result)
-
-
-def max_abs(a: ComplexMatrix) -> float:
-    """Largest entry magnitude (the max-abs norm)."""
-    return float(np.abs(a.array).max())
+    return ComplexMatrix(a).array
 
 
 # ---------------------------------------------------------------------------
@@ -474,25 +438,23 @@ def inverse_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, singular
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Inverse:
     """An inverse together with its max-abs residual ``|a @ inv - I|``."""
 
-    matrix: ComplexMatrix
+    matrix: np.ndarray
     residual: float
 
 
-def solve_inverse(a) -> Inverse | None:
-    """LAPACK inverse; ``None`` signals a singular input (see :func:`is_singular`).
-
-    Accepts a ComplexMatrix or a raw square array.
-    """
-    a = (a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)).array[None]
+def solve_inverse(a: np.ndarray) -> Inverse | None:
+    """LAPACK inverse of one square matrix; ``None`` signals a singular input
+    (see :func:`is_singular`)."""
+    a = a[None]
     inv, singular = inverse_stack(a)
     if singular[0]:
         return None
     residual = float(np.abs(a @ inv - np.eye(a.shape[-1])).max())
-    return Inverse(ComplexMatrix(inv[0]), residual)
+    return Inverse(inv[0], residual)
 
 
 def spectral_norms(a: np.ndarray) -> np.ndarray:
@@ -507,27 +469,28 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
     return norms
 
 
-def operator_norm(a) -> float:
-    """Spectral (2-)norm of a ComplexMatrix or a raw square array."""
-    return float(spectral_norms(a.array if isinstance(a, ComplexMatrix) else a))
+def operator_norm(a: np.ndarray) -> float:
+    """Spectral (2-)norm of one square matrix."""
+    return float(spectral_norms(a))
 
 
 # ---------------------------------------------------------------------------
 # JSON form: {"dim": n, "re": [...], "im": [...]} with row-major entries
 
 
-def matrix_to_dict(a) -> dict:
-    """Row-major JSON form; accepts a ComplexMatrix or a raw square array."""
-    mat = a if isinstance(a, ComplexMatrix) else ComplexMatrix(a)
-    flat = mat.array.ravel()
+def matrix_to_dict(a: np.ndarray) -> dict:
+    """Row-major JSON form of one square matrix."""
+    flat = a.ravel()
     return {
-        "dim": mat.dim,
+        "dim": a.shape[0],
         "re": [float(v) for v in flat.real],
         "im": [float(v) for v in flat.imag],
     }
 
 
-def matrix_from_dict(data: object, path: str = "") -> ComplexMatrix:
+def matrix_from_dict(data: object, path: str = "") -> np.ndarray:
+    """The matrix of a JSON form, checked and frozen by :class:`ComplexMatrix`;
+    SchemaError names ``path``."""
     if not isinstance(data, dict):
         raise SchemaError("expected a matrix object", path)
     missing = {"dim", "re", "im"} - set(data)
@@ -544,7 +507,10 @@ def matrix_from_dict(data: object, path: str = "") -> ComplexMatrix:
             raise SchemaError("entries must be numbers", f"{path}/{key}")
     re = np.array(data["re"], dtype=np.float64).reshape(dim, dim)
     im = np.array(data["im"], dtype=np.float64).reshape(dim, dim)
+    # 1j * inf is nan + inf j, with a warning: the check below reports it
+    with np.errstate(invalid="ignore"):
+        entries = re + 1j * im
     try:
-        return ComplexMatrix(re + 1j * im)
+        return ComplexMatrix(entries).array
     except BadParameter as exc:
         raise SchemaError(str(exc), path) from exc

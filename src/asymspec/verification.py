@@ -14,24 +14,20 @@ grid points whenever exactness matters.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .brackets import (
-    bracket_compose_check,
-    bracket_direct,
-    bracket_recurrence,
-    commuting_collapse_residual,
-)
+from .brackets import iter_brackets
 from .classify import (
     VerdictResult,
     asymptotic_equiv,
     is_asymptotic_quasinilpotent,
     quasinilpotent_equiv,
 )
-from .errors import BadParameter
+from .errors import BadParameter, DimensionMismatch, OutOfRange
 from .families import (
     FamilySpec,
     constant_family,
@@ -44,7 +40,7 @@ from .families import (
     tail_vanishes,
 )
 from .funcalc import ContourSpec, contour_encloses, contour_funcalc, family_funcalc
-from .linalg import ComplexMatrix, max_abs, operator_norm, sub
+from .linalg import operator_norm
 from .spectrum import (
     ComplexRegion,
     clusters_match,
@@ -71,14 +67,14 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
-def _random_matrix(rng: np.random.Generator, dim: int, scale: float) -> ComplexMatrix:
+def _random_matrix(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return ComplexMatrix(scale * a)
+    return scale * a
 
 
-def _random_diagonal(rng: np.random.Generator, dim: int, scale: float) -> ComplexMatrix:
+def _random_diagonal(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
     d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return ComplexMatrix(np.diag(scale * d))
+    return np.diag(scale * d)
 
 
 def _taylor_exp(a: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -92,6 +88,69 @@ def _taylor_exp(a: np.ndarray, terms: int = 40) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# binomial-sum references for the bracket suites: the order-n bracket of
+# (t, s) is sum_k (-1)^(n-k) C(n,k) t^k s^(n-k), on single matrices
+
+_MAX_ORDER = 60
+_MAX_COMPOSE_ORDER = 30
+
+
+def _binom(n: int, k: int) -> int:
+    """Exact binomial coefficient for 0 <= k <= n <= _MAX_ORDER."""
+    if n < 0 or n > _MAX_ORDER:
+        raise OutOfRange(f"binom order n={n} outside 0..{_MAX_ORDER}")
+    if k < 0 or k > n:
+        raise OutOfRange(f"binom index k={k} outside 0..{n}")
+    return math.comb(n, k)
+
+
+def _matrix_power(a: np.ndarray, n: int) -> np.ndarray:
+    """``a**n`` for n >= 0 by binary exponentiation; ``a**0`` is the identity."""
+    if n < 0:
+        raise OutOfRange("matrix_power wants n >= 0")
+    result = np.eye(a.shape[0], dtype=np.complex128)
+    while n:
+        if n & 1:
+            result = result @ a
+        n >>= 1
+        if n:
+            a = a @ a
+    return result
+
+
+def _bracket_direct(t: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Order-n bracket by the alternating binomial sum."""
+    if t.shape != s.shape:
+        raise DimensionMismatch(f"dimensions differ: {t.shape[0]} vs {s.shape[0]}")
+    if n < 0 or n > _MAX_ORDER:
+        raise OutOfRange(f"bracket order n={n} outside 0..{_MAX_ORDER}")
+    acc = np.zeros(t.shape, dtype=np.complex128)
+    for k in range(n + 1):
+        sign = -1.0 if (n - k) % 2 else 1.0
+        term = _matrix_power(t, k) @ _matrix_power(s, n - k)
+        acc += (sign * _binom(n, k)) * term
+    return acc
+
+
+def _bracket_compose_check(t: np.ndarray, s: np.ndarray, p: np.ndarray, n: int) -> float:
+    """Spectral norm of the order-n bracket of (t, s) minus its expansion
+    through the midpoint p, ``sum_k C(n,k) B_k(t,p) B_{n-k}(p,s)``, which
+    vanishes up to rounding for every triple."""
+    if n < 0 or n > _MAX_COMPOSE_ORDER:
+        raise OutOfRange(f"bracket order n={n} outside 0..{_MAX_COMPOSE_ORDER}")
+    lhs = _bracket_direct(t, s, n)
+    acc = np.zeros(t.shape, dtype=np.complex128)
+    for k in range(n + 1):
+        acc += _binom(n, k) * (_bracket_direct(t, p, k) @ _bracket_direct(p, s, n - k))
+    return operator_norm(lhs - acc)
+
+
+def _commuting_collapse_residual(t: np.ndarray, s: np.ndarray, n: int) -> float:
+    """Norm distance between the order-n bracket and the plain power (t-s)^n."""
+    return operator_norm(_bracket_direct(t, s, n) - _matrix_power(t - s, n))
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -101,10 +160,9 @@ def _suite_bracket_consistency(seed: int) -> SuiteResult:
     for _ in range(50):
         t = _random_matrix(rng, 4, 0.5)
         s = _random_matrix(rng, 4, 0.5)
-        for n in range(11):
-            rec = bracket_recurrence(t, s, n)
-            direct = bracket_direct(t, s, n)
-            rel = max_abs(sub(rec, direct)) / max(1.0, max_abs(direct))
+        for n, rec in zip(range(11), iter_brackets(t, s)):
+            direct = _bracket_direct(t, s, n)
+            rel = float(np.abs(rec - direct).max()) / max(1.0, float(np.abs(direct).max()))
             worst_rel = max(worst_rel, rel)
     pairs_ok = worst_rel <= 1e-9
 
@@ -116,7 +174,7 @@ def _suite_bracket_consistency(seed: int) -> SuiteResult:
         mass = operator_norm(t) + operator_norm(s) + 2.0 * operator_norm(p)
         for n in range(7):
             scale = 1.0 + mass**n
-            worst_compose = max(worst_compose, bracket_compose_check(t, s, p, n) / scale)
+            worst_compose = max(worst_compose, _bracket_compose_check(t, s, p, n) / scale)
     compose_ok = worst_compose <= 1e-9
 
     return SuiteResult(
@@ -137,9 +195,9 @@ def _suite_commuting_collapse(seed: int) -> SuiteResult:
     for _ in range(20):
         t = _random_diagonal(rng, 5, 0.8)
         s = _random_diagonal(rng, 5, 0.8)
-        mass = 1.0 + max_abs(t) + max_abs(s)
+        mass = 1.0 + float(np.abs(t).max()) + float(np.abs(s).max())
         for n in range(11):
-            worst = max(worst, commuting_collapse_residual(t, s, n) / mass**n)
+            worst = max(worst, _commuting_collapse_residual(t, s, n) / mass**n)
     return SuiteResult(
         "commuting_collapse",
         worst <= 1e-9,
@@ -379,21 +437,21 @@ def _suite_quasinilpotent_spectrum(seed: int) -> SuiteResult:
     )
 
 
-def _funcalc_case(t: ComplexMatrix, contour: ContourSpec) -> tuple[float, float]:
+def _funcalc_case(t: np.ndarray, contour: ContourSpec) -> tuple[float, float]:
     ident = contour_funcalc(t, lambda z: z, contour)
-    id_err = max_abs(sub(ident, t))
+    id_err = float(np.abs(ident.array - t).max())
     image = contour_funcalc(t, cmath.exp, contour)
-    exp_err = float(np.max(np.abs(image.array - _taylor_exp(t.array))))
+    exp_err = float(np.max(np.abs(image.array - _taylor_exp(t))))
     return id_err, exp_err
 
 
 def _suite_funcalc_accuracy(seed: int) -> SuiteResult:
-    t1 = ComplexMatrix(np.diag([1.0 + 0j, 2.0 + 0j]))
+    t1 = np.diag([1.0 + 0j, 2.0 + 0j])
     id1, exp1 = _funcalc_case(t1, ContourSpec(1.5 + 0j, 2.0, 256))
 
     rng = _rng(seed, 10)
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    t2 = ComplexMatrix(raw / operator_norm(ComplexMatrix(raw)))
+    t2 = raw / operator_norm(raw)
     id2, exp2 = _funcalc_case(t2, ContourSpec(0j, 2.0, 256))
 
     passed = id1 <= 1e-8 and id2 <= 1e-8 and exp1 <= 1e-6 and exp2 <= 1e-6

@@ -161,7 +161,7 @@ def eval_rendered(node, bindings) -> complex:
 def node_at(node, h: float) -> np.ndarray:
     """One recipe node's value at one h, by recursion over the tree."""
     if isinstance(node, (families.Constant, families.Jordan, families.SeededRandom)):
-        return node.matrix.array
+        return node.matrix
     if isinstance(node, families.DiagExpr):
         values = []
         for i, ast in enumerate(node._asts):
@@ -191,7 +191,7 @@ def node_at(node, h: float) -> np.ndarray:
         except SingularOnContour as exc:
             raise TraceError(h, f"functional calculus failed at h={h!r}: {exc}") from exc
         funcalc.require_quadrature([q], [h])
-        return q.matrix.array
+        return q.matrix
     raise TypeError(f"unknown node {type(node).__name__}")
 
 

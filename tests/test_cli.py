@@ -706,6 +706,22 @@ class TestConfigErrors:
         assert code == 0 and err == ""
         assert spaced == joined
 
+    @pytest.mark.parametrize(
+        "node",
+        [
+            '{"kind": "jordan", "dim": 2, "eigenvalue": Infinity}',
+            '{"kind": "constant", "matrix": {"dim": 2, "re": [1, 0, 0, 1], '
+            '"im": [Infinity, 0, 0, 0]}}',
+        ],
+        ids=["jordan-eigenvalue", "constant-imaginary-part"],
+    )
+    def test_non_finite_family_entry_is_a_configuration_error(self, capsys, tmp_path, node):
+        path = tmp_path / "inf.json"
+        path.write_text(f'{{"dim": 2, "node": {node}}}')
+        code, out, err = run_strict(capsys, "qnil", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].endswith("matrix entries must be finite")
+
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2
 

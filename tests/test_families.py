@@ -1,6 +1,7 @@
 """Sampling grids, family evaluation, and the tail limit estimator."""
 
 import cmath
+import json
 import math
 import re
 import warnings
@@ -25,7 +26,6 @@ from asymspec.errors import (
 from asymspec.exprs import parse_expr
 from asymspec.families import Trend
 from asymspec.funcalc import ContourSpec, expr_function
-from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
 
 
@@ -63,9 +63,9 @@ class TestFamilyEval:
         assert np.allclose(got.array, np.diag([1.0, 2.25]))
 
     def test_h_scaled_multiplies(self, rng):
-        a = ComplexMatrix(rng.normal(size=(3, 3)) + 0j)
+        a = rng.normal(size=(3, 3)) + 0j
         f = ax.h_scaled(ax.constant_family(a))
-        assert np.allclose(ax.family_eval(f, 0.5).array, 0.5 * a.array)
+        assert np.allclose(ax.family_eval(f, 0.5).array, 0.5 * a)
 
     def test_seeded_random_is_deterministic(self):
         f = ax.random_family(3, seed=7, scale=1.0)
@@ -74,7 +74,7 @@ class TestFamilyEval:
         assert np.array_equal(once, again)
 
     def test_sum_matches_ring_add_exactly(self, rng):
-        a = ax.constant_family(ComplexMatrix(rng.normal(size=(2, 2)) + 0j))
+        a = ax.constant_family(rng.normal(size=(2, 2)) + 0j)
         b = ax.random_family(2, seed=3, scale=0.5)
         total = ax.family_sum(a, b)
         for h in (1.0, 0.5, 0.125):
@@ -82,7 +82,7 @@ class TestFamilyEval:
             assert np.array_equal(ax.family_eval(total, h).array, want)
 
     def test_product_matches_ring_mul(self, rng):
-        a = ax.constant_family(ComplexMatrix(rng.normal(size=(2, 2)) + 0j))
+        a = ax.constant_family(rng.normal(size=(2, 2)) + 0j)
         b = ax.jordan_family(2, 0.5)
         prod = ax.family_product(a, b)
         want = ax.family_eval(a, 0.25).array @ ax.family_eval(b, 0.25).array
@@ -90,7 +90,7 @@ class TestFamilyEval:
 
     def test_jordan_family_is_constant_block(self):
         f = ax.jordan_family(3, 0.8)
-        assert np.array_equal(ax.family_eval(f, 0.3).array, linalg.jordan_block(3, 0.8).array)
+        assert np.array_equal(ax.family_eval(f, 0.3).array, linalg.jordan_block(3, 0.8))
 
     def test_h_out_of_range_rejected(self):
         f = ax.diag_family(["h"])
@@ -122,14 +122,14 @@ class TestScalarTrace:
     def test_zero_difference_trace(self, coarse_grid):
         f = ax.diag_family(["h", "1"])
         values = [
-            linalg.max_abs(linalg.sub(ax.family_eval(f, h), ax.family_eval(f, h)))
+            np.abs(ax.family_eval(f, h).array - ax.family_eval(f, h).array).max()
             for h in coarse_grid.samples
         ]
         assert values == [0.0] * coarse_grid.count
 
     def test_diag_h_norm_equals_samples(self, coarse_grid):
         f = ax.diag_family(["h"])
-        values = [linalg.operator_norm(ax.family_eval(f, h)) for h in coarse_grid.samples]
+        values = [linalg.operator_norm(ax.family_eval(f, h).array) for h in coarse_grid.samples]
         assert np.allclose(values, coarse_grid.samples, rtol=1e-12)
 
 
@@ -236,9 +236,99 @@ class TestStackedEvaluation:
             assert err.value.h == 0.25
 
 
+# Entries that every entry point refuses, with ComplexMatrix's message.
+BAD_ENTRIES = {
+    "non-square": ([[1.0, 2.0]], "expected a square matrix, got shape (1, 2)"),
+    "inf": ([[math.inf, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+    "nan": ([[math.nan, 0.0], [0.0, 1.0]], "matrix entries must be finite"),
+}
+
+
+def node_from_json(text: str):
+    """The node of a dim-2 family whose node is given as JSON text."""
+    return ax.family_from_dict(json.loads(f'{{"dim": 2, "node": {text}}}'))
+
+
+class TestEntryChecks:
+    """A matrix is checked where it enters the library and handed on as a
+    read-only complex128 array; past that point nothing checks it again."""
+
+    @pytest.mark.parametrize("entries, message", BAD_ENTRIES.values(), ids=BAD_ENTRIES)
+    @pytest.mark.parametrize(
+        "enter",
+        [
+            ax.constant_family,
+            lambda t: ax.contour_funcalc(t, lambda z: z, ContourSpec(0j, 3.0)),
+        ],
+        ids=["constant_family", "contour_funcalc"],
+    )
+    def test_array_entry_points_refuse_bad_entries(self, enter, entries, message):
+        with pytest.raises(BadParameter, match=f"^{re.escape(message)}$"):
+            enter(np.array(entries))
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_matrix_from_dict_refuses_non_finite_entries(self, part, value):
+        parts = {"re": "[1, 0, 0, 1]", "im": "[0, 0, 0, 0]"}
+        parts[part] = f"[{value}, 0, 0, 1]"
+        data = json.loads(f'{{"dim": 2, "re": {parts["re"]}, "im": {parts["im"]}}}')
+        with pytest.raises(SchemaError) as err:
+            linalg.matrix_from_dict(data, "/m")
+        assert (err.value.path, str(err.value)) == ("/m", "/m: matrix entries must be finite")
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            '{"kind": "jordan", "dim": 2, "eigenvalue": Infinity}',
+            '{"kind": "jordan", "dim": 2, "eigenvalue": {"re": 0, "im": NaN}}',
+            '{"kind": "random", "dim": 2, "seed": 1, "scale": Infinity}',
+            '{"kind": "random", "dim": 2, "seed": 1, "scale": NaN}',
+        ],
+        ids=["jordan-inf", "jordan-nan", "random-inf", "random-nan"],
+    )
+    def test_fixed_nodes_refuse_non_finite_values(self, node):
+        with pytest.raises(BadParameter, match="^matrix entries must be finite$"):
+            node_from_json(node)
+
+    def test_entered_arrays_are_read_only(self, rng):
+        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        doc = ax.family_to_dict(ax.constant_family(raw))["node"]
+        arrays = {
+            "matrix_from_dict": linalg.matrix_from_dict(doc["matrix"]),
+            "jordan_block": linalg.jordan_block(2, 0.5),
+            "constant_family": ax.constant_family(raw).matrix,
+            "jordan_family": ax.jordan_family(2, 0.5).matrix,
+            "random_family": ax.random_family(2, seed=3).matrix,
+            "constant node": node_from_json(json.dumps(doc)).matrix,
+            "jordan node": node_from_json('{"kind": "jordan", "dim": 2, "eigenvalue": 0.5}').matrix,
+            "random node": node_from_json('{"kind": "random", "dim": 2, "seed": 3}').matrix,
+            "contour_funcalc": ax.contour_funcalc(raw, lambda z: z, ContourSpec(0j, 8.0)).array,
+        }
+        for name, a in arrays.items():
+            assert a.dtype == np.complex128, name
+            assert not a.flags.writeable, name
+        assert np.array_equal(arrays["constant node"], raw)
+
+    def test_constant_family_keeps_its_own_copy(self, rng):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        want = a.copy()
+        fam = ax.constant_family(a)
+        a[0, 0] = 5.0
+        assert np.array_equal(ax.family_eval(fam, 0.5).array, want)
+
+    def test_nodes_holding_arrays_compare_and_hash(self):
+        a, b = ax.constant_family(np.eye(2)), ax.constant_family(np.eye(2))
+        nodes = [a, ax.family_sum(a, b), ax.family_product(a, b)]
+        assert len(set(nodes)) == 3
+        assert all(node == node for node in nodes)
+        assert a != b
+        assert ax.family_sum(a, b) == ax.family_sum(a, b) != ax.family_sum(b, a)
+        assert ax.family_product(a, b) == ax.family_product(a, b) != ax.family_product(b, a)
+
+
 class TestFamilyIsItsRecipe:
     def test_constructors_return_their_node(self, rng):
-        a = ComplexMatrix(rng.normal(size=(2, 2)))
+        a = rng.normal(size=(2, 2))
         two_point = ax.diag_family(["1", "2+h"])
         cases = [
             (ax.constant_family(a), families.Constant, 2),
@@ -258,10 +348,10 @@ class TestFamilyIsItsRecipe:
 
     def test_fixed_nodes_keep_their_matrix(self):
         jordan = ax.jordan_family(3, 0.5)
-        assert np.array_equal(jordan.matrix.array, linalg.jordan_block(3, 0.5).array)
+        assert np.array_equal(jordan.matrix, linalg.jordan_block(3, 0.5))
         spec = ax.random_family(2, seed=4, scale=0.5)
         assert np.array_equal(
-            families.family_eval_stack(spec, (1.0, 0.5)), np.stack([spec.matrix.array] * 2)
+            families.family_eval_stack(spec, (1.0, 0.5)), np.stack([spec.matrix] * 2)
         )
 
     @pytest.mark.parametrize(
@@ -371,7 +461,7 @@ class TestVanishes:
 
 class TestBoundedness:
     def test_every_builtin_node_stays_bounded(self, grid, rng):
-        a = ComplexMatrix(rng.normal(size=(2, 2)) + 0j)
+        a = rng.normal(size=(2, 2)) + 0j
         specs = [
             ax.constant_family(a),
             ax.jordan_family(2, 0.5),
@@ -383,14 +473,14 @@ class TestBoundedness:
         ]
         for spec in specs:
             peak = max(
-                linalg.operator_norm(ax.family_eval(spec, h)) for h in grid.samples
+                linalg.operator_norm(ax.family_eval(spec, h).array) for h in grid.samples
             )
             assert math.isfinite(peak)
 
 
 class TestSerialization:
     def test_round_trip_all_builtin_kinds(self, rng):
-        a = ComplexMatrix(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         specs = [
             ax.constant_family(a),
             ax.jordan_family(2, 0.5 + 0.1j),

@@ -1,10 +1,12 @@
 """The README's examples run as written, so documentation drift fails the tests."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import asymspec as asp
@@ -28,11 +30,23 @@ def cli_examples() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in joined.splitlines() if line.startswith("asymspec ")]
 
 
+def printed_matrix(out: str) -> np.ndarray:
+    """The one square complex array that numpy printed in ``out``."""
+    (text,) = re.findall(r"^\[\[.*?\]\]$", out, flags=re.S | re.M)
+    number = r"-?\d+\.\d*(?:e[-+]?\d+)?"
+    entries = re.findall(rf"({number})\s*([-+])\s*(\d+\.\d*(?:e[-+]?\d+)?)j", text)
+    values = [complex(float(re_), float(sign + im)) for re_, sign, im in entries]
+    dim = math.isqrt(len(values))
+    return np.array(values).reshape(dim, dim)
+
+
 def test_quick_tour_runs(capsys):
     (tour,) = fenced_blocks("python")
     exec(compile(tour, "README quick tour", "exec"), {})
     out = capsys.readouterr().out
     assert "VerdictResult.HOLDS" in out
+    # "diag(1, 2.25^2) up to quadrature error"
+    assert np.abs(printed_matrix(out) - np.diag([1.0, 2.25**2])).max() <= 1e-8
 
 
 def test_family_node_examples_load():
@@ -44,7 +58,7 @@ def test_family_node_examples_load():
         text = text.replace("NODE, ...", f"{inner}, {inner}").replace("NODE", inner)
         node = json.loads(text)
         spec = asp.family_from_dict({"dim": 2, "node": node})
-        assert asp.family_eval(spec, 0.5).dim == 2
+        assert asp.family_eval(spec, 0.5).array.shape == (2, 2)
         kinds.add(node["kind"])
     assert kinds == {"constant", "jordan", "diag_expr", "h_scaled", "sum", "product", "random"}
 

@@ -20,7 +20,6 @@ import asymspec as ax
 import oracles
 from asymspec import brackets, classify, cli, families, funcalc, linalg, spectrum
 from asymspec.errors import BadParameter, DimensionMismatch, ExprError, UnresolvedPoint
-from asymspec.linalg import ComplexMatrix
 from asymspec.spectrum import ComplexRegion
 
 
@@ -31,7 +30,7 @@ def grid20():
 
 @pytest.fixture(scope="module")
 def const_two_point():
-    return ax.constant_family(ComplexMatrix(np.diag([1.0, 2.0])))
+    return ax.constant_family(np.diag([1.0, 2.0]))
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +124,7 @@ class TestResolventDefect:
         assert left.value <= 1e-10 and right.value <= 1e-10
 
     def test_equivalent_family_inverses_pass(self, const_two_point, grid20, rng):
-        bump = ComplexMatrix(0.4 * (rng.normal(size=(2, 2)) + 0j))
+        bump = 0.4 * (rng.normal(size=(2, 2)) + 0j)
         nearby = ax.family_sum(const_two_point, ax.h_scaled(ax.constant_family(bump)))
         sweep = ax.resolvent_at(nearby, 0j, grid20)
         left, right = ax.resolvent_defect(const_two_point, sweep.inverses, 0j, grid20)
@@ -179,7 +178,7 @@ class TestNormField:
         perturbed_family = ax.family_sum(const_two_point, ax.h_scaled(bump))
         perturbed = ax.resolvent_norm_field(perturbed_family, region, grid20)
         h_edge = grid20.samples[-grid20.tail_window]
-        bump_norm = linalg.operator_norm(ax.family_eval(bump, 1.0))
+        bump_norm = linalg.operator_norm(ax.family_eval(bump, 1.0).array)
         drift = np.abs(perturbed.values - base.values)
         envelope = 4.0 * h_edge * bump_norm * base.values ** 2
         assert np.all(drift <= envelope + 1e-9)
@@ -419,7 +418,7 @@ class TestSpectrumEstimate:
     def test_off_grid_swap_spectrum_has_both_eigenvalues(self, grid20):
         # the all-ones vector is an eigenvector of the swap matrix, and no
         # grid point of this region sits on -1 or +1
-        swap = ax.constant_family(ComplexMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        swap = ax.constant_family(np.array([[0.0, 1.0], [1.0, 0.0]]))
         region = ComplexRegion(0.013 + 0.007j, 1.5, 41)
         field = ax.resolvent_norm_field(swap, region, grid20)
         estimate = ax.spectrum_estimate(field, 0.75 * region.spacing)
@@ -639,7 +638,7 @@ class TestStackedResolvents:
         eye = np.eye(fam.dim)
         for got, want, h in zip(sweep.inverses, inverses[-w:], grid.window_samples):
             if want is not None:
-                assert np.array_equal(got, want.matrix.array)
+                assert np.array_equal(got, want.matrix)
                 a = lam * eye - families.family_eval_array(fam, h)
                 assert np.abs(a[None] @ got - eye).max() == want.residual
 
@@ -648,7 +647,7 @@ class TestStackedResolvents:
         bump = rng.normal(size=(fam.dim, fam.dim))
         rf = np.stack([
             np.full((fam.dim, fam.dim), np.nan) if inv is None or rng.random() < 0.2
-            else inv.matrix.array + h * bump
+            else inv.matrix + h * bump
             for inv, h in zip(inverses, grid.samples)
         ])
         left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
@@ -685,7 +684,7 @@ class TestResolventIdentities:
             r_lam = inv_lam + h * 0.3 * noise
             r_mu = inv_mu + h * 0.3 * noise
             gap = r_lam - r_mu - (mu - lam) * (r_lam @ r_mu)
-            values.append(linalg.operator_norm(ComplexMatrix(gap)))
+            values.append(linalg.operator_norm(gap))
         assert families.tail_vanishes(families.window_limsup(values, grid20), tol=1e-3)
 
     def test_unresolved_point_rejected(self, const_two_point, grid20):
@@ -748,14 +747,14 @@ class TestCandidateUniqueness:
             assert families.tail_vanishes(left, tol=1e-3)
             assert families.tail_vanishes(right, tol=1e-3)
         mutual = [
-            linalg.operator_norm(ComplexMatrix(a - b)) for a, b in zip(exact, perturbed)
+            linalg.operator_norm(a - b) for a, b in zip(exact, perturbed)
         ]
         assert families.tail_vanishes(families.window_limsup(mutual, grid20), tol=1e-3)
 
     def test_exact_inverses_transfer_to_equivalent_family(
         self, const_two_point, grid20, rng
     ):
-        bump = ComplexMatrix(0.5 * (rng.normal(size=(2, 2)) + 0j))
+        bump = 0.5 * (rng.normal(size=(2, 2)) + 0j)
         nearby = ax.family_sum(const_two_point, ax.h_scaled(ax.constant_family(bump)))
         sweep = ax.resolvent_at(const_two_point, 0j, grid20)
         left, right = ax.resolvent_defect(nearby, sweep.inverses, 0j, grid20)
@@ -766,9 +765,9 @@ class TestCandidateUniqueness:
 @pytest.fixture(scope="module")
 def nilpotent_pair():
     nil = linalg.jordan_block(3, 0.0)
-    base = 0.7 * np.eye(3) + 0.3 * nil.array
+    base = 0.7 * np.eye(3) + 0.3 * nil
     tf = ax.constant_family(base)
-    sf = ax.constant_family(base + nil.array)
+    sf = ax.constant_family(base + nil)
     return sf, tf
 
 
@@ -790,7 +789,7 @@ class TestSeriesResolvent:
     def test_term_norms_respect_envelope(self, grid20):
         # summand n is bounded by a_n * M^(n+1): a_n the tail bracket norm,
         # M the tail resolvent norm of the source family
-        tf = ax.constant_family(ComplexMatrix(np.diag([0.5, 0.5, 0.5])))
+        tf = ax.constant_family(np.diag([0.5, 0.5, 0.5]))
         sf = ax.jordan_family(3, 0.5)
         lam = 1.7 + 0j
         measured = ax.series_resolvent(sf, tf, lam, grid20, 6).term_tails
@@ -1108,7 +1107,7 @@ class TestClusterHelpers:
 
     def test_clusters_match_detects_disagreement(self, expr_field, grid20):
         a = ax.spectrum_estimate(expr_field, 1e-3)
-        shifted = ax.constant_family(ComplexMatrix(np.diag([1.0, 2.7])))
+        shifted = ax.constant_family(np.diag([1.0, 2.7]))
         field = ax.resolvent_norm_field(shifted, expr_field.region, grid20)
         b = ax.spectrum_estimate(field, 1e-3)
         assert not ax.clusters_match(a, b)
