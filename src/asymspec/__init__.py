@@ -60,6 +60,8 @@ from .families import (
     geometric_grid,
     h_scaled,
     jordan_family,
+    matrix_from_dict,
+    matrix_to_dict,
     random_family,
     tail_to_dict,
     tail_vanishes,
@@ -76,8 +78,6 @@ from .linalg import (
     ComplexMatrix,
     Inverse,
     jordan_block,
-    matrix_from_dict,
-    matrix_to_dict,
     operator_norm,
     solve_inverse,
 )

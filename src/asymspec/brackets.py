@@ -19,7 +19,14 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadParameter, LengthMismatch, OutOfRange
-from .families import FamilySpec, HGrid, family_eval_stack, family_pair_stacks, window_sup
+from .families import (
+    FamilySpec,
+    HGrid,
+    family_eval_stack,
+    family_pair_stacks,
+    require_tolerance,
+    window_sup,
+)
 from .linalg import spectral_norms
 
 MAX_SEQUENCE_ORDER = 40
@@ -126,8 +133,10 @@ def root_limit(sequence: BracketSequence, tol: float) -> RootLimit:
     ``ZERO``: the last four roots all sit below ``tol`` and are not trending
     upward (least-squares slope at most a small dead-band). ``POSITIVE``: the
     last four roots agree to within 10% of their mean, which exceeds ``tol``.
-    Anything else is ``INCONCLUSIVE``.
+    Anything else is ``INCONCLUSIVE``. BadParameter unless ``tol`` is finite
+    and at least 0.
     """
+    require_tolerance(tol)
     if sequence.n_max < 8:
         raise BadParameter("root_limit wants a sequence of order at least 8")
     last = sequence.roots[-4:]

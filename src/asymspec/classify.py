@@ -71,12 +71,12 @@ def _vanishing_verdict(
     else FAILS.
 
     Both families are evaluated where they are read: at the tail-window
-    samples, and at the first grid sample h0 when the tolerance is omitted,
+    samples, and at the grid's first sample h0 when the tolerance is omitted,
     since default_vanish_tol scales with the norm there.
     """
     if tol is None:
-        first = family_pair_stacks(sf, tf, grid.samples[:1])
-        tol = default_vanish_tol(spectral_norms(combine(*first)))
+        first = family_pair_stacks(sf, tf, (grid.h0,))
+        tol = default_vanish_tol(spectral_norms(combine(*first))[0])
     window = family_pair_stacks(sf, tf, grid.window_samples)
     tail = window_limsup(spectral_norms(combine(*window)), grid)
     return EquivalenceVerdict(

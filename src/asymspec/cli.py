@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import is_dataclass
 
 from .brackets import DEFAULT_SEQUENCE_ORDER
 from .classify import (
@@ -39,12 +38,12 @@ from .errors import (
     SchemaError,
     UnboundVariable,
 )
-from .exprs import Var, parse_constant, parse_expr
+from .exprs import free_variables, parse_constant, parse_expr
 from .families import (
     FamilySpec,
     HGrid,
     family_from_dict,
-    geometric_grid,
+    matrix_to_dict,
     tail_to_dict,
     tail_vanishes,
 )
@@ -56,7 +55,6 @@ from .funcalc import (
     require_enclosing,
     require_quadrature,
 )
-from .linalg import matrix_to_dict
 from .spectrum import (
     ComplexRegion,
     default_region,
@@ -161,8 +159,8 @@ def _load_family(path: str, flag: str) -> FamilySpec:
     return family_from_dict(data)
 
 
-def _grid_from_args(args) -> "HGrid":
-    return geometric_grid(args.grid_h0, args.grid_ratio, args.grid_count, args.tail_window)
+def _grid_from_args(args) -> HGrid:
+    return HGrid(args.grid_h0, args.grid_ratio, args.grid_count, args.tail_window)
 
 
 def _region_from_args(args, fam, grid) -> ComplexRegion:
@@ -268,7 +266,7 @@ def _cmd_funcalc(args) -> int:
         ast = parse_expr(args.expr)
     except ParseError as exc:
         raise SchemaError(f"bad expression: {exc}", path="--expr") from exc
-    if _variables(ast) - {"z"}:
+    if free_variables(ast) - {"z"}:
         raise SchemaError("only the variable z (alias lambda) may appear", path="--expr")
     center = _parse_complex_flag(args.contour_center, "--contour-center")
     contour = ContourSpec(center, args.contour_radius, args.nodes)
@@ -295,15 +293,15 @@ def _cmd_funcalc(args) -> int:
     ]
     mapped = [
         {
-            "source_centroid": [c.centroid.real, c.centroid.imag],
-            "image": list(_complex_pair(func(c.centroid))),
+            "source_centroid": c.centroid,
+            "image": func(c.centroid),
         }
         for c in src_estimate.clusters
     ]
     payload = {
         "expr": args.expr,
         "contour": {
-            "center": [contour.center.real, contour.center.imag],
+            "center": contour.center,
             "radius": contour.radius,
             "nodes": contour.nodes,
         },
@@ -318,17 +316,6 @@ def _cmd_funcalc(args) -> int:
     return _emit(args, {"funcalc_report.json": canonical_json(payload)}, summary)
 
 
-def _variables(node) -> set[str]:
-    """Names of the variables an expression tree reads."""
-    if isinstance(node, Var):
-        return {node.name}
-    return set().union(*(_variables(v) for v in vars(node).values() if is_dataclass(v)))
-
-
-def _complex_pair(z: complex) -> tuple[float, float]:
-    return float(z.real), float(z.imag)
-
-
 def _cmd_series(args) -> int:
     target = _load_family(args.family, "--family")
     source = _load_family(args.family2, "--family2")
@@ -341,7 +328,7 @@ def _cmd_series(args) -> int:
         for h, m in zip(grid.window_samples, transport.matrices)
     ]
     payload = {
-        "lambda": list(_complex_pair(lam)),
+        "lambda": lam,
         "n_terms": transport.n_terms,
         "tol": args.tol,
         "left_defect": tail_to_dict(transport.left_defect),

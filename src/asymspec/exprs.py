@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Mapping, Union
 
 from .errors import DivisionNearZero, ExprError, ParseError, UnboundVariable
@@ -215,6 +215,13 @@ def parse_expr(src: str) -> FuncExpr:
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos, ("end of input",))
     return node
+
+
+def free_variables(expr: FuncExpr) -> set[str]:
+    """Names of the variables an expression tree reads ("z" for ``lambda``)."""
+    if isinstance(expr, Var):
+        return {expr.name}
+    return set().union(*(free_variables(v) for v in vars(expr).values() if is_dataclass(v)))
 
 
 def eval_expr(expr: FuncExpr, bindings: Mapping[str, complex]) -> complex:

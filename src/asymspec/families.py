@@ -36,8 +36,8 @@ from .errors import (
     SchemaError,
     TraceError,
 )
-from .exprs import FuncExpr, eval_expr, parse_expr
-from .linalg import ComplexMatrix, jordan_block, matrix_from_dict, matrix_to_dict
+from .exprs import FuncExpr, eval_expr, free_variables, parse_expr
+from .linalg import ComplexMatrix, jordan_block
 
 # Dead-band on the window slope below which a trend counts as flat.
 TREND_DEADBAND = 1e-10
@@ -49,41 +49,36 @@ TREND_DEADBAND = 1e-10
 
 @dataclass(frozen=True)
 class HGrid:
-    """Strictly decreasing samples of h in (0, 1] plus a tail window size."""
+    """The geometric grid ``h0 * ratio**j``, j = 0..count-1, read through its
+    last ``tail_window`` samples alone, ``window_samples`` (strictly
+    decreasing, in (0, 1]). The head of the grid is never formed.
+    ``geometric_grid`` is another name of this class."""
 
-    samples: tuple[float, ...]
-    tail_window: int
+    h0: float = 1.0
+    ratio: float = 0.5
+    count: int = 20
+    tail_window: int = 6
+    window_samples: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.samples) < 4:
-            raise BadParameter("grid needs at least 4 samples")
-        if not all(0.0 < h <= 1.0 for h in self.samples):
-            raise BadParameter("grid samples must lie in (0, 1]")
-        if not all(a > b for a, b in zip(self.samples, self.samples[1:])):
-            raise BadParameter("grid samples must be strictly decreasing")
-        if not 1 <= self.tail_window <= len(self.samples):
+        if not 0.0 < self.h0 <= 1.0:
+            raise BadParameter("h0 must lie in (0, 1]")
+        if not 0.0 < self.ratio < 1.0:
+            raise BadParameter("ratio must lie strictly between 0 and 1")
+        if self.count < 4:
+            raise BadParameter("count must be at least 4")
+        if not 1 <= self.tail_window <= self.count:
             raise BadParameter("tail_window must be between 1 and the sample count")
+        first = self.count - self.tail_window
+        window = tuple(self.h0 * self.ratio**j for j in range(first, self.count))
+        if not all(0.0 < h <= 1.0 for h in window):
+            raise BadParameter("grid samples must lie in (0, 1]")
+        if not all(a > b for a, b in zip(window, window[1:])):
+            raise BadParameter("grid samples must be strictly decreasing")
+        object.__setattr__(self, "window_samples", window)
 
-    @property
-    def count(self) -> int:
-        return len(self.samples)
 
-    @property
-    def window_samples(self) -> tuple[float, ...]:
-        return self.samples[-self.tail_window :]
-
-
-def geometric_grid(
-    h0: float = 1.0, ratio: float = 0.5, count: int = 20, tail_window: int = 6
-) -> HGrid:
-    """Grid ``h0 * ratio**j`` for j = 0..count-1."""
-    if not 0.0 < h0 <= 1.0:
-        raise BadParameter("h0 must lie in (0, 1]")
-    if not 0.0 < ratio < 1.0:
-        raise BadParameter("ratio must lie strictly between 0 and 1")
-    if count < 4:
-        raise BadParameter("count must be at least 4")
-    return HGrid(tuple(h0 * ratio**j for j in range(count)), tail_window)
+geometric_grid = HGrid
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +160,23 @@ def window_sup(window: Sequence[float]) -> float:
     return max(values) if all(math.isfinite(v) for v in values) else math.inf
 
 
-def default_vanish_tol(values: Sequence[float]) -> float:
+def default_vanish_tol(first: float) -> float:
     """Scale-aware tolerance: 1e-4 times (1 + the trace magnitude at h0)."""
-    first = float(values[0])
-    if not math.isfinite(first):
-        return 1e-4
-    return 1e-4 * (1.0 + abs(first))
+    return 1e-4 * (1.0 + abs(float(first))) if math.isfinite(first) else 1e-4
 
 
 def tail_vanishes(estimate: TailEstimate, tol: float) -> bool:
-    """True when the tail value is below ``tol`` and not trending upward."""
+    """True when the tail value is below ``tol`` and not trending upward.
+    BadParameter unless ``tol`` is finite and at least 0."""
+    require_tolerance(tol)
     return estimate.value <= tol and estimate.trend is not Trend.INCREASING
+
+
+def require_tolerance(tol: float) -> None:
+    """BadParameter unless ``tol`` is finite and at least 0: a negative or NaN
+    tolerance refuses every tail and an infinite one accepts every tail."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise BadParameter(f"tol must be finite and >= 0, got {tol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +231,8 @@ class Jordan(_Fixed):
 
 @dataclass(frozen=True)
 class DiagExpr(FamilySpec):
-    """Diagonal family whose entries are expressions in the free variable h.
+    """Diagonal family whose entries are expressions in the free variable h;
+    an entry that reads any other variable is refused.
 
     The entries are scalar expressions, so they are evaluated one h at a
     time, in the order of ``hs``; an error names the entry and the h.
@@ -242,7 +244,11 @@ class DiagExpr(FamilySpec):
     def __post_init__(self) -> None:
         if not self.entries:
             raise BadParameter("diag_expr needs at least one entry")
-        object.__setattr__(self, "_asts", tuple(parse_expr(src) for src in self.entries))
+        asts = tuple(parse_expr(src) for src in self.entries)
+        for i, ast in enumerate(asts):
+            if free_variables(ast) - {"h"}:
+                raise BadParameter(f"entry {i} ({self.entries[i]!r}) reads a variable other than h")
+        object.__setattr__(self, "_asts", asts)
 
     @property
     def dim(self) -> int:
@@ -400,28 +406,74 @@ def random_family(dim: int, seed: int, scale: float = 1.0) -> FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# JSON form: {"dim": n, "node": {"kind": ..., ...}}
-
-
-def _complex_from_json(value: object, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        re_part = value.get("re", 0.0)
-        im_part = value.get("im", 0.0)
-        if isinstance(re_part, (int, float)) and isinstance(im_part, (int, float)):
-            return complex(re_part, im_part)
-    raise SchemaError("expected a number or {re, im} object", path)
-
-
-def _complex_to_json(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
+# JSON form: {"dim": n, "node": {"kind": ..., ...}}; a matrix is
+# {"dim": n, "re": [...], "im": [...]} with row-major entries
 
 
 def _require(data: dict, key: str, path: str) -> object:
     if key not in data:
         raise SchemaError(f"missing key {key!r}", path)
     return data[key]
+
+
+def _json_int(value: object, path: str, least: int = 1) -> int:
+    """An integer of a JSON document, at least ``least``. A boolean is not an
+    integer; SchemaError names ``path``, whose last key names the value."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
+        return value
+    raise SchemaError(f"{path.rsplit('/', 1)[-1]} must be an integer >= {least}", path)
+
+
+def _json_number(value: object, path: str) -> float:
+    """A number of a JSON document as a float. A boolean is not a number, nor
+    is an integer past the float range; SchemaError names ``path``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise SchemaError("number out of the float range", path) from None
+    raise SchemaError("expected a number", path)
+
+
+def matrix_to_dict(a: np.ndarray) -> dict:
+    """Row-major JSON form of one square matrix."""
+    flat = a.ravel()
+    return {
+        "dim": a.shape[0],
+        "re": [float(v) for v in flat.real],
+        "im": [float(v) for v in flat.imag],
+    }
+
+
+def matrix_from_dict(data: object, path: str = "") -> np.ndarray:
+    """The matrix of a JSON form, checked and frozen by :class:`ComplexMatrix`;
+    SchemaError names ``path``."""
+    if not isinstance(data, dict):
+        raise SchemaError("expected a matrix object", path)
+    dim = _json_int(_require(data, "dim", path), f"{path}/dim")
+    parts = []
+    for key in ("re", "im"):
+        part = _require(data, key, path)
+        if not isinstance(part, list) or len(part) != dim * dim:
+            raise SchemaError(f"expected {dim * dim} numbers", f"{path}/{key}")
+        numbers = [_json_number(v, f"{path}/{key}/{i}") for i, v in enumerate(part)]
+        parts.append(np.array(numbers, dtype=np.float64).reshape(dim, dim))
+    re, im = parts
+    # 1j * inf is nan + inf j, with a warning: the check below reports it
+    with np.errstate(invalid="ignore"):
+        entries = re + 1j * im
+    try:
+        return ComplexMatrix(entries).array
+    except BadParameter as exc:
+        raise SchemaError(str(exc), path) from exc
+
+
+def _complex_from_json(value: object, path: str) -> complex:
+    if not isinstance(value, dict):
+        return complex(_json_number(value, path))
+    if set(value) <= {"re", "im"}:
+        return complex(*(_json_number(value.get(k, 0.0), f"{path}/{k}") for k in ("re", "im")))
+    raise SchemaError("expected a number or {re, im} object", path)
 
 
 def _node_from_dict(data: object, path: str) -> FamilySpec:
@@ -431,9 +483,7 @@ def _node_from_dict(data: object, path: str) -> FamilySpec:
     if kind == "constant":
         return Constant(matrix_from_dict(_require(data, "matrix", path), f"{path}/matrix"))
     if kind == "jordan":
-        size = _require(data, "dim", path)
-        if not isinstance(size, int) or size < 1:
-            raise SchemaError("dim must be a positive integer", f"{path}/dim")
+        size = _json_int(_require(data, "dim", path), f"{path}/dim")
         eig = _complex_from_json(_require(data, "eigenvalue", path), f"{path}/eigenvalue")
         return Jordan(size, eig)
     if kind == "diag_expr":
@@ -458,25 +508,17 @@ def _node_from_dict(data: object, path: str) -> FamilySpec:
         except DimensionMismatch as exc:
             raise SchemaError(str(exc), f"{path}/children") from exc
     if kind == "random":
-        size = _require(data, "dim", path)
-        seed = _require(data, "seed", path)
-        scale = data.get("scale", 1.0)
-        if not isinstance(size, int) or size < 1:
-            raise SchemaError("dim must be a positive integer", f"{path}/dim")
-        if not isinstance(seed, int):
-            raise SchemaError("seed must be an integer", f"{path}/seed")
-        if not isinstance(scale, (int, float)):
-            raise SchemaError("scale must be a number", f"{path}/scale")
-        return SeededRandom(size, seed, float(scale))
+        size = _json_int(_require(data, "dim", path), f"{path}/dim")
+        seed = _json_int(_require(data, "seed", path), f"{path}/seed", least=0)
+        scale = _json_number(data.get("scale", 1.0), f"{path}/scale")
+        return SeededRandom(size, seed, scale)
     raise SchemaError(f"unknown node kind {kind!r}", f"{path}/kind")
 
 
 def family_from_dict(data: object) -> FamilySpec:
     if not isinstance(data, dict):
         raise SchemaError("expected a family object", "")
-    dim = _require(data, "dim", "")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError("dim must be a positive integer", "/dim")
+    dim = _json_int(_require(data, "dim", ""), "/dim")
     node = _node_from_dict(_require(data, "node", ""), "/node")
     if node.dim != dim:
         raise SchemaError(f"node dimension {node.dim} does not match dim {dim}", "/dim")
@@ -487,7 +529,8 @@ def _node_to_dict(node: FamilySpec) -> dict:
     if isinstance(node, Constant):
         return {"kind": "constant", "matrix": matrix_to_dict(node.matrix)}
     if isinstance(node, Jordan):
-        return {"kind": "jordan", "dim": node.size, "eigenvalue": _complex_to_json(node.eigenvalue)}
+        eig = {"re": float(node.eigenvalue.real), "im": float(node.eigenvalue.imag)}
+        return {"kind": "jordan", "dim": node.size, "eigenvalue": eig}
     if isinstance(node, DiagExpr):
         return {"kind": "diag_expr", "entries": list(node.entries)}
     if isinstance(node, HScaled):

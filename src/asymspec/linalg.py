@@ -29,7 +29,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .errors import BadParameter, SchemaError
+from .errors import BadParameter
 
 # A matrix is singular when sigma_min <= SINGULAR_RTOL * sigma_max.
 SINGULAR_RTOL = 1e-14
@@ -472,45 +472,3 @@ def spectral_norms(a: np.ndarray) -> np.ndarray:
 def operator_norm(a: np.ndarray) -> float:
     """Spectral (2-)norm of one square matrix."""
     return float(spectral_norms(a))
-
-
-# ---------------------------------------------------------------------------
-# JSON form: {"dim": n, "re": [...], "im": [...]} with row-major entries
-
-
-def matrix_to_dict(a: np.ndarray) -> dict:
-    """Row-major JSON form of one square matrix."""
-    flat = a.ravel()
-    return {
-        "dim": a.shape[0],
-        "re": [float(v) for v in flat.real],
-        "im": [float(v) for v in flat.imag],
-    }
-
-
-def matrix_from_dict(data: object, path: str = "") -> np.ndarray:
-    """The matrix of a JSON form, checked and frozen by :class:`ComplexMatrix`;
-    SchemaError names ``path``."""
-    if not isinstance(data, dict):
-        raise SchemaError("expected a matrix object", path)
-    missing = {"dim", "re", "im"} - set(data)
-    if missing:
-        raise SchemaError(f"missing keys {sorted(missing)}", path)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError("dim must be a positive integer", f"{path}/dim")
-    for key in ("re", "im"):
-        part = data[key]
-        if not isinstance(part, list) or len(part) != dim * dim:
-            raise SchemaError(f"expected {dim * dim} numbers", f"{path}/{key}")
-        if not all(isinstance(v, (int, float)) for v in part):
-            raise SchemaError("entries must be numbers", f"{path}/{key}")
-    re = np.array(data["re"], dtype=np.float64).reshape(dim, dim)
-    im = np.array(data["im"], dtype=np.float64).reshape(dim, dim)
-    # 1j * inf is nan + inf j, with a warning: the check below reports it
-    with np.errstate(invalid="ignore"):
-        entries = re + 1j * im
-    try:
-        return ComplexMatrix(entries).array
-    except BadParameter as exc:
-        raise SchemaError(str(exc), path) from exc

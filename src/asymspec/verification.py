@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,10 +30,10 @@ from .classify import (
 from .errors import BadParameter, DimensionMismatch, OutOfRange
 from .families import (
     FamilySpec,
+    HGrid,
     constant_family,
     diag_family,
     family_sum,
-    geometric_grid,
     h_scaled,
     jordan_family,
     random_family,
@@ -54,6 +54,9 @@ from .spectrum import (
 )
 
 DEFAULT_SEED = 42
+
+# The grid of every suite but the one that needs a deeper tail.
+GRID = HGrid()
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,6 @@ def _suite_commuting_collapse(seed: int) -> SuiteResult:
 
 def _suite_equivalence_relation(seed: int) -> SuiteResult:
     rng = _rng(seed, 3)
-    grid = geometric_grid()
     base = _random_diagonal(rng, 4, 1.0)
     d1 = _random_diagonal(rng, 4, 0.8)
     d2 = _random_diagonal(rng, 4, 0.8)
@@ -219,18 +221,18 @@ def _suite_equivalence_relation(seed: int) -> SuiteResult:
         return verdict.result is VerdictResult.HOLDS
 
     equiv_checks = {
-        "reflexive": holds(asymptotic_equiv(fam_a, fam_a, grid)),
-        "symmetry_ab": holds(asymptotic_equiv(fam_a, fam_b, grid)),
-        "symmetry_ba": holds(asymptotic_equiv(fam_b, fam_a, grid)),
-        "step_bc": holds(asymptotic_equiv(fam_b, fam_c, grid)),
-        "transitive_ac": holds(asymptotic_equiv(fam_a, fam_c, grid)),
+        "reflexive": holds(asymptotic_equiv(fam_a, fam_a, GRID)),
+        "symmetry_ab": holds(asymptotic_equiv(fam_a, fam_b, GRID)),
+        "symmetry_ba": holds(asymptotic_equiv(fam_b, fam_a, GRID)),
+        "step_bc": holds(asymptotic_equiv(fam_b, fam_c, GRID)),
+        "transitive_ac": holds(asymptotic_equiv(fam_a, fam_c, GRID)),
     }
     qequiv_checks = {
-        "reflexive": holds(quasinilpotent_equiv(fam_a, fam_a, grid)),
-        "symmetry_ab": holds(quasinilpotent_equiv(fam_a, fam_b, grid)),
-        "symmetry_ba": holds(quasinilpotent_equiv(fam_b, fam_a, grid)),
-        "step_bc": holds(quasinilpotent_equiv(fam_b, fam_c, grid)),
-        "transitive_ac": holds(quasinilpotent_equiv(fam_a, fam_c, grid)),
+        "reflexive": holds(quasinilpotent_equiv(fam_a, fam_a, GRID)),
+        "symmetry_ab": holds(quasinilpotent_equiv(fam_a, fam_b, GRID)),
+        "symmetry_ba": holds(quasinilpotent_equiv(fam_b, fam_a, GRID)),
+        "step_bc": holds(quasinilpotent_equiv(fam_b, fam_c, GRID)),
+        "transitive_ac": holds(quasinilpotent_equiv(fam_a, fam_c, GRID)),
     }
     passed = all(equiv_checks.values()) and all(qequiv_checks.values())
     return SuiteResult(
@@ -245,7 +247,6 @@ def _suite_equivalence_relation(seed: int) -> SuiteResult:
 
 def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
     rng = _rng(seed, 4)
-    grid = geometric_grid()
     equiv_all = True
     qequiv_all = True
     worst_root = 0.0
@@ -253,8 +254,8 @@ def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
         base = constant_family(_random_diagonal(rng, 4, 1.0))
         bump = h_scaled(constant_family(_random_diagonal(rng, 4, 1.0)))
         pert = family_sum(base, bump)
-        equiv_all &= asymptotic_equiv(pert, base, grid).result is VerdictResult.HOLDS
-        verdict = quasinilpotent_equiv(pert, base, grid)
+        equiv_all &= asymptotic_equiv(pert, base, GRID).result is VerdictResult.HOLDS
+        verdict = quasinilpotent_equiv(pert, base, GRID)
         qequiv_all &= verdict.result is VerdictResult.HOLDS
         for seq in verdict.sequences:
             worst_root = max(worst_root, seq.roots[-1])
@@ -271,10 +272,9 @@ def _suite_equiv_implies_qequiv(seed: int) -> SuiteResult:
 
 
 def _suite_spectrum_two_point(seed: int) -> SuiteResult:
-    grid = geometric_grid()
     fam = diag_family(["1", "2+h"])
     region = ComplexRegion(0j, 2.5, 101)
-    field = resolvent_norm_field(fam, region, grid)
+    field = resolvent_norm_field(fam, region, GRID)
     estimate = spectrum_estimate(field, 1e-3)
     count = len(estimate.clusters)
     offsets = []
@@ -305,15 +305,14 @@ def _fixture_perturbation(seed: int) -> list[tuple[str, FamilySpec, ComplexRegio
 
 
 def _suite_perturbation_invariance(seed: int) -> SuiteResult:
-    grid = geometric_grid()
     epsilon = 1.0 / 3000.0
     per_fixture: dict = {}
     passed = True
     for k, (name, base, region) in enumerate(_fixture_perturbation(seed)):
         pert = family_sum(base, h_scaled(random_family(base.dim, seed + 601 + k, 0.5)))
-        equiv_ok = asymptotic_equiv(pert, base, grid).result is VerdictResult.HOLDS
-        est_base = spectrum_estimate(resolvent_norm_field(base, region, grid), epsilon)
-        est_pert = spectrum_estimate(resolvent_norm_field(pert, region, grid), epsilon)
+        equiv_ok = asymptotic_equiv(pert, base, GRID).result is VerdictResult.HOLDS
+        est_base = spectrum_estimate(resolvent_norm_field(base, region, GRID), epsilon)
+        est_pert = spectrum_estimate(resolvent_norm_field(pert, region, GRID), epsilon)
         match = clusters_match(est_base, est_pert)
         per_fixture[name] = {
             "equiv_holds": bool(equiv_ok),
@@ -326,24 +325,23 @@ def _suite_perturbation_invariance(seed: int) -> SuiteResult:
 
 
 def _suite_qequiv_spectrum_transport(seed: int) -> SuiteResult:
-    grid = geometric_grid()
     fam_t = constant_family(np.diag([0.5 + 0j, 0.5 + 0j, 0.5 + 0j]))
     fam_s = jordan_family(3, 0.5)  # 0.5 I + N with N^3 = 0, and N commutes with 0.5 I
 
-    qv = quasinilpotent_equiv(fam_s, fam_t, grid)
+    qv = quasinilpotent_equiv(fam_s, fam_t, GRID)
     qequiv_ok = qv.result is VerdictResult.HOLDS
 
     region = ComplexRegion(0.5 + 0j, 2.0, 41)
     epsilon = 1.0 / 3000.0
-    est_t = spectrum_estimate(resolvent_norm_field(fam_t, region, grid), epsilon)
-    est_s = spectrum_estimate(resolvent_norm_field(fam_s, region, grid), epsilon)
+    est_t = spectrum_estimate(resolvent_norm_field(fam_t, region, GRID), epsilon)
+    est_s = spectrum_estimate(resolvent_norm_field(fam_s, region, GRID), epsilon)
     match = clusters_match(est_t, est_s)
 
     probes = [1.7 + 0j, 0.5 + 1.2j, -0.6 + 0j]
     defects = []
     series_ok = True
     for lam in probes:
-        transport = series_resolvent(fam_s, fam_t, lam, grid, n_terms=12)
+        transport = series_resolvent(fam_s, fam_t, lam, GRID, n_terms=12)
         ok = tail_vanishes(transport.left_defect, 1e-6) and tail_vanishes(
             transport.right_defect, 1e-6
         )
@@ -364,12 +362,11 @@ def _suite_qequiv_spectrum_transport(seed: int) -> SuiteResult:
 
 
 def _suite_spectral_mapping(seed: int) -> SuiteResult:
-    grid = geometric_grid()
     src = diag_family(["1", "2+h"])
     contour = ContourSpec(1.5 + 0j, 1.8, 256)
 
     src_est = spectrum_estimate(
-        resolvent_norm_field(src, ComplexRegion(1.5 + 0j, 2.0, 41), grid), 1e-3
+        resolvent_norm_field(src, ComplexRegion(1.5 + 0j, 2.0, 41), GRID), 1e-3
     )
     enclosed = contour_encloses(contour, src_est.clusters)
 
@@ -381,7 +378,7 @@ def _suite_spectral_mapping(seed: int) -> SuiteResult:
     passed = enclosed
     for name, func, region, epsilon, targets in cases:
         image = family_funcalc(src, func, contour)
-        est = spectrum_estimate(resolvent_norm_field(image, region, grid), epsilon)
+        est = spectrum_estimate(resolvent_norm_field(image, region, GRID), epsilon)
         count_ok = len(est.clusters) == len(targets)
         offsets = [
             abs(c.centroid - t) for c, t in zip(est.clusters, targets)
@@ -399,7 +396,7 @@ def _suite_spectral_mapping(seed: int) -> SuiteResult:
 
 
 def _suite_quasinilpotent_spectrum(seed: int) -> SuiteResult:
-    deep = geometric_grid(1.0, 0.5, 36, 6)
+    deep = replace(GRID, count=36)
     fam_nil = family_sum(jordan_family(4, 0.0), h_scaled(random_family(4, seed + 901, 1.0)))
     v_nil = is_asymptotic_quasinilpotent(fam_nil, deep, n_max=24, tol=0.05)
 
@@ -409,10 +406,9 @@ def _suite_quasinilpotent_spectrum(seed: int) -> SuiteResult:
         len(est_nil.clusters) == 1 and abs(est_nil.clusters[0].centroid) <= region.spacing
     )
 
-    grid = geometric_grid()
     fam_pos = constant_family([[0.5 + 0j]])
-    v_pos = is_asymptotic_quasinilpotent(fam_pos, grid)
-    est_pos = spectrum_estimate(resolvent_norm_field(fam_pos, region, grid), 1e-3)
+    v_pos = is_asymptotic_quasinilpotent(fam_pos, GRID)
+    est_pos = spectrum_estimate(resolvent_norm_field(fam_pos, region, GRID), 1e-3)
     pos_cluster_ok = (
         len(est_pos.clusters) == 1
         and abs(est_pos.clusters[0].centroid - 0.5) <= region.spacing
@@ -468,19 +464,18 @@ def _suite_funcalc_accuracy(seed: int) -> SuiteResult:
 
 
 def _suite_resolvent_identities(seed: int) -> SuiteResult:
-    grid = geometric_grid()
     entries = np.diag([0.3 + 0.2j, -0.6 + 0j, 1.1 - 0.4j, 0.05 + 0.9j])
     fam_t = constant_family(entries)
     lam = 2.2 + 0j
     mu = -1.7 + 0.8j
 
-    sweep_lam = resolvent_at(fam_t, lam, grid)
-    sweep_mu = resolvent_at(fam_t, mu, grid)
+    sweep_lam = resolvent_at(fam_t, lam, GRID)
+    sweep_mu = resolvent_at(fam_t, mu, GRID)
     scale = 1.0 + sweep_lam.tail.value * sweep_mu.tail.value
 
-    eq_res = resolvent_equation_residual(fam_t, lam, mu, grid)
-    comm_res = resolvent_commutation_residual(fam_t, lam, grid)
-    pair_res = resolvent_commutation_residual(fam_t, lam, grid, mu)
+    eq_res = resolvent_equation_residual(fam_t, lam, mu, GRID)
+    comm_res = resolvent_commutation_residual(fam_t, lam, GRID)
+    pair_res = resolvent_commutation_residual(fam_t, lam, GRID, mu)
     exact_ok = (
         eq_res.value <= 1e-9 * scale
         and comm_res.value <= 1e-9 * scale
@@ -491,13 +486,13 @@ def _suite_resolvent_identities(seed: int) -> SuiteResult:
     eye = np.eye(4, dtype=np.complex128)
     bump = 0.3 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     exact = sweep_lam.inverses
-    perturbed = exact + np.multiply.outer(grid.window_samples, bump)
-    left_p, right_p = resolvent_defect(fam_t, perturbed, lam, grid)
+    perturbed = exact + np.multiply.outer(GRID.window_samples, bump)
+    left_p, right_p = resolvent_defect(fam_t, perturbed, lam, GRID)
     perturbed_ok = tail_vanishes(left_p, 1e-3) and tail_vanishes(right_p, 1e-3)
 
     shift = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     fam_s = family_sum(fam_t, h_scaled(constant_family(shift)))
-    left_t, right_t = resolvent_defect(fam_s, exact, lam, grid)
+    left_t, right_t = resolvent_defect(fam_s, exact, lam, GRID)
     transfer_ok = tail_vanishes(left_t, 1e-3) and tail_vanishes(right_t, 1e-3)
 
     passed = exact_ok and perturbed_ok and transfer_ok

@@ -209,6 +209,17 @@ def family_eval_per_sample(spec, hs) -> np.ndarray:
     return np.stack(out)
 
 
+def geometric_samples(h0, ratio, count):
+    """The whole geometric grid h0 * ratio**j, j = 0..count-1, head included,
+    by the expression the grid's window is held to bit for bit."""
+    return tuple(h0 * ratio**j for j in range(count))
+
+
+def grid_samples(grid):
+    """Every sample of an HGrid, which itself forms its tail window alone."""
+    return geometric_samples(grid.h0, grid.ratio, grid.count)
+
+
 def tail_limsup(values, grid):
     """Tail statistic of one value per grid sample (ordered like the grid):
     the values before the window, finite or not, are ignored."""
@@ -221,7 +232,7 @@ def resolvent_at_per_sample(sf, lam, grid):
     """Inverses and norms of lam I - S_h, one sample at a time: the solve_inverse
     result (None where singular) and its operator norm (inf where singular)."""
     eye = np.eye(sf.dim, dtype=np.complex128)
-    inverses = [solve_inverse(lam * eye - family_eval_array(sf, h)) for h in grid.samples]
+    inverses = [solve_inverse(lam * eye - family_eval_array(sf, h)) for h in grid_samples(grid)]
     norms = [math.inf if inv is None else operator_norm(inv.matrix) for inv in inverses]
     return inverses, norms
 
@@ -231,7 +242,7 @@ def resolvent_defect_per_sample(sf, rf, lam, grid):
     a time; a candidate with a NaN entry scores inf on both sides."""
     eye = np.eye(sf.dim, dtype=np.complex128)
     left, right = [], []
-    for h, r in zip(grid.samples, rf):
+    for h, r in zip(grid_samples(grid), rf):
         if np.isnan(r).any():
             left.append(math.inf)
             right.append(math.inf)

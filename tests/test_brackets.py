@@ -212,7 +212,7 @@ class TestWindowOnlySequence:
     @given(random_pairs())
     def test_equals_full_grid_reference(self, pair):
         sf, tf, grid = pair
-        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        sa, ta = families.family_pair_stacks(sf, tf, oracles.grid_samples(grid))
         orders = islice(brackets.iter_brackets(sa, ta), 1, 25)
         want = tuple(oracles.tail_limsup(linalg.spectral_norms(b), grid).value for b in orders)
         seq = ax.bracket_sequence(sf, tf, grid, n_max=24)
@@ -221,7 +221,7 @@ class TestWindowOnlySequence:
 
     def test_stacks_of_another_length_are_refused(self, coarse_grid):
         fam = ax.jordan_family(2, 0.0)
-        grid_stack = families.family_eval_stack(fam, coarse_grid.samples)
+        grid_stack = families.family_eval_stack(fam, oracles.grid_samples(coarse_grid))
         window_stack = families.family_eval_stack(fam, coarse_grid.window_samples)
         for sa, ta in ((grid_stack, grid_stack), (window_stack, grid_stack[:-1])):
             with pytest.raises(LengthMismatch):

@@ -722,6 +722,77 @@ class TestConfigErrors:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"].endswith("matrix entries must be finite")
 
+    @pytest.mark.parametrize(
+        "family, field",
+        [
+            ('{"dim": 1, "node": {"kind": "constant", "matrix": {"dim": true, "re": [1], '
+             '"im": [0]}}}', "/node/matrix/dim"),
+            ('{"dim": true, "node": {"kind": "jordan", "dim": 1, "eigenvalue": 0}}', "/dim"),
+            ('{"dim": 1, "node": {"kind": "random", "dim": 1, "seed": true}}', "/node/seed"),
+            ('{"dim": 1, "node": {"kind": "random", "dim": 1, "seed": 1, "scale": false}}',
+             "/node/scale"),
+            ('{"dim": 1, "node": {"kind": "jordan", "dim": 1, "eigenvalue": true}}',
+             "/node/eigenvalue"),
+            ('{"dim": 1, "node": {"kind": "constant", "matrix": {"dim": 1, "re": [true], '
+             '"im": [0]}}}', "/node/matrix/re/0"),
+            ('{"dim": 2, "node": {"kind": "diag_expr", "entries": ["1", "z+h"]}}',
+             "/node/entries"),
+        ],
+        ids=["matrix-dim", "dim", "seed", "scale", "eigenvalue", "re", "free-variable"],
+    )
+    def test_bad_family_file_is_one_configuration_error(self, capsys, tmp_path, family, field):
+        # a boolean is not a number, and a diag_expr entry reads h alone: both
+        # are refused at load, before any h is evaluated
+        path = tmp_path / "bad.json"
+        path.write_text(family)
+        code, out, err = run_strict(capsys, "qnil", "--family", str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["field"] == field
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equiv", "--family", "{f}", "--family2", "{f}", "--tol", "-1"],
+            ["equiv", "--family", "{f}", "--family2", "{f}", "--tol", "nan"],
+            ["qnil", "--family", "{f}", "--tol", "inf"],
+            ["qequiv", "--family", "{f}", "--family2", "{f}", "--tol=-1e-3"],
+            ["series", "--family", "{f}", "--family2", "{f}", "--at", "4", "--tol", "nan"],
+        ],
+        ids=["equiv-negative", "equiv-nan", "qnil-inf", "qequiv-negative", "series-nan"],
+    )
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, two_point, argv):
+        # a negative or NaN tolerance refuses every tail and an infinite one
+        # accepts every tail, so none of them is a verdict
+        code, out, err = run_strict(capsys, *(arg.format(f=two_point) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"].startswith("tol must be finite and >= 0")
+
+    def test_zero_tolerance_is_valid(self, capsys, two_point):
+        code, out, _ = run_strict(capsys, "equiv", "--family", two_point, "--family2", two_point,
+                                  "--tol", "0")
+        assert code == 0
+        assert json.loads(out)["result"] == "holds"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid-h0", "1.5"], "h0 must lie in (0, 1]"),
+            (["--grid-ratio", "1"], "ratio must lie strictly between 0 and 1"),
+            (["--grid-count", "3"], "count must be at least 4"),
+            (["--tail-window", "21"], "tail_window must be between 1 and the sample count"),
+            (["--grid-h0", "1e-300", "--grid-ratio", "1e-10"], "grid samples must lie in (0, 1]"),
+            (["--grid-h0", "5e-324", "--grid-ratio", "0.9", "--grid-count", "4",
+              "--tail-window", "4"], "grid samples must be strictly decreasing"),
+        ],
+        ids=["h0", "ratio", "count", "tail-window", "underflow", "repeat"],
+    )
+    def test_grid_flag_errors(self, capsys, two_point, flags, message):
+        code, out, err = run_strict(capsys, "qnil", "--family", two_point, *flags)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message, "field": None}
+
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2
 

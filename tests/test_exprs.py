@@ -135,6 +135,10 @@ class TestParseConstant:
     def test_arithmetic_folds(self):
         assert exprs.parse_constant("(1+1i)^2") == pytest.approx(2j)
 
+    def test_free_variables_of_a_tree(self):
+        assert exprs.free_variables(exprs.parse_expr("2+3i")) == set()
+        assert exprs.free_variables(exprs.parse_expr("exp(lambda)^2 * (1 - h)")) == {"z", "h"}
+
     def test_free_variables_rejected(self):
         with pytest.raises(UnboundVariable):
             exprs.parse_constant("2+h")

@@ -1,6 +1,7 @@
 """Sampling grids, family evaluation, and the tail limit estimator."""
 
 import cmath
+import dataclasses
 import json
 import math
 import re
@@ -32,12 +33,14 @@ from asymspec.spectrum import ComplexRegion
 class TestGeometricGrid:
     def test_half_ratio_samples(self):
         g = ax.geometric_grid(1.0, 0.5, 4, 2)
-        assert g.samples == (1.0, 0.5, 0.25, 0.125)
+        assert (g.h0, g.ratio, g.count, g.tail_window) == (1.0, 0.5, 4, 2)
         assert g.window_samples == (0.25, 0.125)
+        # the grid is its four parameters: no head samples are stored
+        assert not hasattr(g, "samples")
 
     def test_tenth_ratio_samples(self):
         g = ax.geometric_grid(0.5, 0.1, 5, 3)
-        assert np.allclose(g.samples, [0.5, 0.05, 0.005, 5e-4, 5e-5])
+        assert np.allclose(g.window_samples, [0.005, 5e-4, 5e-5])
 
     def test_unit_ratio_rejected(self):
         with pytest.raises(BadParameter):
@@ -54,6 +57,48 @@ class TestGeometricGrid:
     def test_h0_above_one_rejected(self):
         with pytest.raises(BadParameter):
             ax.geometric_grid(1.5, 0.5, 6, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True, allow_subnormal=True),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True),
+        st.integers(4, 64),
+    )
+    def test_window_is_the_whole_grids_tail_or_refused(self, h0, ratio, count):
+        # the grid forms its window alone; it holds the tail of the whole
+        # grid bit for bit, and refuses exactly the windows that underflow or
+        # repeat. A whole grid that is bad in its head alone passes, since
+        # nothing reads the head: that head repeats a sample
+        # (test_a_repeat_in_the_head_alone_is_not_read), it never underflows
+        samples = oracles.geometric_samples(h0, ratio, count)
+
+        def valid(hs):
+            return all(0.0 < h <= 1.0 for h in hs) and all(a > b for a, b in zip(hs, hs[1:]))
+
+        for window in range(1, count + 1):
+            tail = samples[-window:]
+            if valid(tail):
+                got = ax.HGrid(h0, ratio, count, window).window_samples
+                assert [h.hex() for h in got] == [h.hex() for h in tail]
+                assert valid(samples) or all(0.0 < h <= 1.0 for h in samples)
+            else:
+                with pytest.raises(BadParameter, match="^grid samples must"):
+                    ax.HGrid(h0, ratio, count, window)
+
+    def test_a_repeat_in_the_head_alone_is_not_read(self):
+        # samples 8 and 9 of the whole grid are equal; the window of the last
+        # six is strictly decreasing, and no statistic reads the head
+        h0, ratio = 0.9424502837770503, 1.0 - 2.0**-53
+        samples = oracles.geometric_samples(h0, ratio, 15)
+        assert samples[8] == samples[9]
+        assert ax.HGrid(h0, ratio, 15, 6).window_samples == samples[-6:]
+        with pytest.raises(BadParameter, match="strictly decreasing"):
+            ax.HGrid(h0, ratio, 15, 7)
+
+    def test_deepening_is_a_replace(self):
+        deep = dataclasses.replace(ax.geometric_grid(), count=36)
+        assert deep == ax.geometric_grid(1.0, 0.5, 36, 6)
+        assert deep.window_samples == oracles.geometric_samples(1.0, 0.5, 36)[-6:]
 
 
 class TestFamilyEval:
@@ -123,14 +168,15 @@ class TestScalarTrace:
         f = ax.diag_family(["h", "1"])
         values = [
             np.abs(ax.family_eval(f, h).array - ax.family_eval(f, h).array).max()
-            for h in coarse_grid.samples
+            for h in oracles.grid_samples(coarse_grid)
         ]
         assert values == [0.0] * coarse_grid.count
 
     def test_diag_h_norm_equals_samples(self, coarse_grid):
         f = ax.diag_family(["h"])
-        values = [linalg.operator_norm(ax.family_eval(f, h).array) for h in coarse_grid.samples]
-        assert np.allclose(values, coarse_grid.samples, rtol=1e-12)
+        hs = oracles.grid_samples(coarse_grid)
+        values = [linalg.operator_norm(ax.family_eval(f, h).array) for h in hs]
+        assert np.allclose(values, hs, rtol=1e-12)
 
 
 # Random recipe trees: every node kind, depth <= 3, moderate entries so that
@@ -174,9 +220,9 @@ def families_and_samples(draw):
     spec = draw(st.integers(1, 6).flatmap(trees))
     hs = draw(
         st.one_of(
-            st.just(DEFAULT_GRID.samples),
-            st.just(LONG_GRID.samples),
-            st.lists(st.sampled_from(DEFAULT_GRID.samples), min_size=1, max_size=25),
+            st.just(oracles.grid_samples(DEFAULT_GRID)),
+            st.just(oracles.grid_samples(LONG_GRID)),
+            st.lists(st.sampled_from(oracles.grid_samples(DEFAULT_GRID)), min_size=1, max_size=25),
             st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=12),
         )
     )
@@ -273,7 +319,7 @@ class TestEntryChecks:
         parts[part] = f"[{value}, 0, 0, 1]"
         data = json.loads(f'{{"dim": 2, "re": {parts["re"]}, "im": {parts["im"]}}}')
         with pytest.raises(SchemaError) as err:
-            linalg.matrix_from_dict(data, "/m")
+            families.matrix_from_dict(data, "/m")
         assert (err.value.path, str(err.value)) == ("/m", "/m: matrix entries must be finite")
 
     @pytest.mark.parametrize(
@@ -294,7 +340,7 @@ class TestEntryChecks:
         raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         doc = ax.family_to_dict(ax.constant_family(raw))["node"]
         arrays = {
-            "matrix_from_dict": linalg.matrix_from_dict(doc["matrix"]),
+            "matrix_from_dict": families.matrix_from_dict(doc["matrix"]),
             "jordan_block": linalg.jordan_block(2, 0.5),
             "constant_family": ax.constant_family(raw).matrix,
             "jordan_family": ax.jordan_family(2, 0.5).matrix,
@@ -389,18 +435,18 @@ class TestFamilyIsItsRecipe:
 
 class TestTailLimsup:
     def test_monotone_trace_decreasing(self, coarse_grid):
-        values = [2.0 + h for h in coarse_grid.samples]
+        values = [2.0 + h for h in oracles.grid_samples(coarse_grid)]
         est = oracles.tail_limsup(values, coarse_grid)
-        assert est.value == 2.0 + coarse_grid.samples[-coarse_grid.tail_window]
+        assert est.value == 2.0 + oracles.grid_samples(coarse_grid)[-coarse_grid.tail_window]
         assert est.trend is Trend.DECREASING
 
     def test_oscillating_trace_stays_in_envelope(self, grid):
         # |cos| <= 1 forces the window max into [3 - h, 3 + h] at window
         # scale; the trend flag is phase-dependent noise here, so only the
         # envelope is asserted
-        values = [3.0 + h * math.cos(1.0 / h) for h in grid.samples]
+        values = [3.0 + h * math.cos(1.0 / h) for h in oracles.grid_samples(grid)]
         est = oracles.tail_limsup(values, grid)
-        h_edge = grid.samples[-grid.tail_window]
+        h_edge = oracles.grid_samples(grid)[-grid.tail_window]
         assert 3.0 - h_edge <= est.value <= 3.0 + h_edge
 
     def test_constant_trace_flat(self, coarse_grid):
@@ -409,7 +455,7 @@ class TestTailLimsup:
         assert est.trend is Trend.FLAT
 
     def test_growing_trace_increasing(self, grid):
-        values = [1.0 / h for h in grid.samples]
+        values = [1.0 / h for h in oracles.grid_samples(grid)]
         assert oracles.tail_limsup(values, grid).trend is Trend.INCREASING
 
     def test_value_is_window_max(self, coarse_grid):
@@ -444,19 +490,19 @@ class TestTailLimsup:
 
 class TestVanishes:
     def test_order_h_trace_vanishes(self, grid):
-        values = [h for h in grid.samples]
+        values = [h for h in oracles.grid_samples(grid)]
         assert families.tail_vanishes(oracles.tail_limsup(values, grid), tol=1e-3)
 
     def test_order_one_trace_does_not(self, grid):
-        values = [1.0 + h for h in grid.samples]
+        values = [1.0 + h for h in oracles.grid_samples(grid)]
         assert not families.tail_vanishes(oracles.tail_limsup(values, grid), tol=1e-3)
 
     def test_zero_trace_vanishes(self, grid):
         assert families.tail_vanishes(oracles.tail_limsup([0.0] * grid.count, grid), tol=1e-12)
 
     def test_default_tolerance_tracks_initial_scale(self):
-        assert families.default_vanish_tol([3.0, 1.0]) == pytest.approx(4e-4)
-        assert families.default_vanish_tol([0.0, 0.0]) == pytest.approx(1e-4)
+        assert families.default_vanish_tol(3.0) == pytest.approx(4e-4)
+        assert families.default_vanish_tol(0.0) == pytest.approx(1e-4)
 
 
 class TestBoundedness:
@@ -472,9 +518,8 @@ class TestBoundedness:
             ax.random_family(2, seed=11, scale=1.0),
         ]
         for spec in specs:
-            peak = max(
-                linalg.operator_norm(ax.family_eval(spec, h).array) for h in grid.samples
-            )
+            hs = oracles.grid_samples(grid)
+            peak = max(linalg.operator_norm(ax.family_eval(spec, h).array) for h in hs)
             assert math.isfinite(peak)
 
 
@@ -517,6 +562,40 @@ class TestSerialization:
             ax.family_from_dict(data)
         assert err.value.path == "/node/children/0"
         assert "eigenvalue" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            ({"dim": True, "node": {"kind": "jordan", "dim": 1, "eigenvalue": 0}}, "/dim"),
+            ({"kind": "jordan", "dim": True, "eigenvalue": 0}, "/node/dim"),
+            ({"kind": "jordan", "dim": 1, "eigenvalue": True}, "/node/eigenvalue"),
+            ({"kind": "jordan", "dim": 1, "eigenvalue": {"im": False}}, "/node/eigenvalue/im"),
+            ({"kind": "random", "dim": 1, "seed": True}, "/node/seed"),
+            ({"kind": "random", "dim": 1, "seed": 1, "scale": False}, "/node/scale"),
+            ({"kind": "constant", "matrix": {"dim": True, "re": [1], "im": [0]}},
+             "/node/matrix/dim"),
+            ({"kind": "constant", "matrix": {"dim": 1, "re": [True], "im": [0]}},
+             "/node/matrix/re/0"),
+            ({"kind": "constant", "matrix": {"dim": 1, "re": [0], "im": [10**400]}},
+             "/node/matrix/im/0"),
+            ({"kind": "random", "dim": 1, "seed": -1}, "/node/seed"),
+        ],
+        ids=["dim", "jordan-dim", "eigenvalue", "eigenvalue-im", "seed", "scale",
+             "matrix-dim", "matrix-re", "integer-past-float-range", "negative-seed"],
+    )
+    def test_booleans_are_not_numbers(self, data, path):
+        if "node" not in data:
+            data = {"dim": 1, "node": data}
+        with pytest.raises(SchemaError) as err:
+            ax.family_from_dict(data)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("entry", ["z+h", "lambda", "exp(z)*h"])
+    def test_diag_entries_read_only_h(self, entry):
+        data = {"dim": 2, "node": {"kind": "diag_expr", "entries": ["h", entry]}}
+        with pytest.raises(SchemaError, match=re.escape(f"entry 1 ({entry!r})")) as err:
+            ax.family_from_dict(data)
+        assert err.value.path == "/node/entries"
 
     def test_bad_expression_reports_entry(self):
         data = {"dim": 1, "node": {"kind": "diag_expr", "entries": ["2 +* 3"]}}

@@ -375,7 +375,7 @@ class TestFamilyFuncalc:
         tf = ax.diag_family(["1", "2+h"])
         fam = ax.family_funcalc(tf, lambda z: z, ContourSpec(1.5 + 0j, 2.0, 256))
         assert fam.dim == tf.dim
-        for h in coarse_grid.samples:
+        for h in oracles.grid_samples(coarse_grid):
             gap = entry_gap(ax.family_eval(fam, h), ax.family_eval(tf, h).array)
             assert gap <= 1e-8
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from asymspec import linalg
+from asymspec import families, linalg
 from asymspec.errors import BadParameter, OutOfRange, SchemaError
 from asymspec.linalg import ComplexMatrix
 from asymspec.verification import _matrix_power as matrix_power
@@ -520,20 +520,20 @@ class TestConstruction:
 class TestSerialization:
     def test_round_trip(self, rng):
         a = random_matrix(rng, 3)
-        again = linalg.matrix_from_dict(linalg.matrix_to_dict(a))
+        again = families.matrix_from_dict(families.matrix_to_dict(a))
         assert np.array_equal(a, again)
 
     def test_accepts_raw_arrays(self, rng):
         raw = rng.normal(size=(2, 2)) + 0j
-        data = linalg.matrix_to_dict(raw)
+        data = families.matrix_to_dict(raw)
         assert data["dim"] == 2
-        assert np.array_equal(linalg.matrix_from_dict(data), raw)
+        assert np.array_equal(families.matrix_from_dict(data), raw)
 
     def test_missing_key_names_path(self):
         with pytest.raises(SchemaError) as err:
-            linalg.matrix_from_dict({"dim": 2, "re": [1, 0, 0, 1]}, path="/m")
+            families.matrix_from_dict({"dim": 2, "re": [1, 0, 0, 1]}, path="/m")
         assert "im" in str(err.value)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(SchemaError):
-            linalg.matrix_from_dict({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]})
+            families.matrix_from_dict({"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]})

@@ -55,7 +55,8 @@ def cluster_near(estimate, point):
 
 def grid_norm_sup(fam, grid):
     """The largest ||S_h|| over every sample of the grid."""
-    return float(linalg.spectral_norms(families.family_eval_stack(fam, grid.samples)).max())
+    stack = families.family_eval_stack(fam, oracles.grid_samples(grid))
+    return float(linalg.spectral_norms(stack).max())
 
 
 def flagged_points(field, estimate):
@@ -112,8 +113,8 @@ class TestResolventAt:
     def test_moving_eigenvalue_gives_one_over_h(self, grid20):
         sweep = ax.resolvent_at(ax.diag_family(["2+h"]), 2.0 + 0j, grid20)
         assert np.allclose(sweep.norms, [1.0 / h for h in grid20.window_samples])
-        window_edge = grid20.samples[-grid20.tail_window]
-        assert sweep.tail.value == pytest.approx(1.0 / grid20.samples[-1])
+        window_edge = oracles.grid_samples(grid20)[-grid20.tail_window]
+        assert sweep.tail.value == pytest.approx(1.0 / oracles.grid_samples(grid20)[-1])
         assert sweep.tail.value >= 1.0 / window_edge
 
 
@@ -177,7 +178,7 @@ class TestNormField:
         bump = ax.random_family(2, seed=404, scale=0.5)
         perturbed_family = ax.family_sum(const_two_point, ax.h_scaled(bump))
         perturbed = ax.resolvent_norm_field(perturbed_family, region, grid20)
-        h_edge = grid20.samples[-grid20.tail_window]
+        h_edge = oracles.grid_samples(grid20)[-grid20.tail_window]
         bump_norm = linalg.operator_norm(ax.family_eval(bump, 1.0).array)
         drift = np.abs(perturbed.values - base.values)
         envelope = 4.0 * h_edge * bump_norm * base.values ** 2
@@ -613,7 +614,7 @@ def resolvent_cases(draw):
         ax.h_scaled(ax.constant_family(np.diag(rng.normal(size=dim)))),
     )
     if draw(st.booleans()):
-        h = grid.samples[draw(st.integers(0, count - 1))]
+        h = oracles.grid_samples(grid)[draw(st.integers(0, count - 1))]
         k = draw(st.integers(0, dim - 1))
         lam = complex(families.family_eval_array(fam, h)[k, k])
     else:
@@ -648,7 +649,7 @@ class TestStackedResolvents:
         rf = np.stack([
             np.full((fam.dim, fam.dim), np.nan) if inv is None or rng.random() < 0.2
             else inv.matrix + h * bump
-            for inv, h in zip(inverses, grid.samples)
+            for inv, h in zip(inverses, oracles.grid_samples(grid))
         ])
         left, right = oracles.resolvent_defect_per_sample(fam, rf, lam, grid)
         assert ax.resolvent_defect(fam, rf[-w:], lam, grid) == (
@@ -886,7 +887,7 @@ class TestWindowOnlyTails:
     @given(window_cases())
     def test_identities_equal_full_grid_reference(self, case):
         sf, _, grid, lam, mu = case
-        a = families.family_eval_stack(sf, grid.samples)
+        a = families.family_eval_stack(sf, oracles.grid_samples(grid))
         eye = np.eye(sf.dim)
         r_lam = linalg.inverse_stack(lam * eye - a)[0]
         r_mu = linalg.inverse_stack(mu * eye - a)[0]
@@ -909,7 +910,7 @@ class TestWindowOnlyTails:
     @given(window_cases())
     def test_series_equals_full_grid_reference(self, case):
         sf, tf, grid, lam, _ = case
-        sa, ta = families.family_pair_stacks(sf, tf, grid.samples)
+        sa, ta = families.family_pair_stacks(sf, tf, oracles.grid_samples(grid))
         eye = np.eye(sf.dim)
         r = linalg.inverse_stack(lam * eye - ta)[0]
         # the summands X_n = B_n R^(n+1) by X_{n+1} = (S X_n - X_n T) R
@@ -1005,9 +1006,15 @@ class TestWindowOnlyTails:
             with pytest.raises(ExprError, match=re.escape(window_h)):
                 statistic(inside)
         capsys.readouterr()
-        # the default tolerance scales with the value at h0 = 1
-        with pytest.raises(ExprError, match=re.escape("h=1.0")):
-            ax.asymptotic_equiv(outside, outside, grid20)
+        # the default tolerance scales with the value at the grid's h0 = 1,
+        # its one read outside the window
+        calm = ax.diag_family(["1+h"])
+        for classifier in (ax.asymptotic_equiv, ax.asymptotic_commuting):
+            evaluated.clear()
+            assert classifier(calm, calm, grid20) is not None
+            assert set(evaluated) == set(grid20.window_samples) | {grid20.h0}
+            with pytest.raises(ExprError, match=re.escape("h=1.0")):
+                classifier(outside, outside, grid20)
 
 
 class TestSerializationHelpers:
