@@ -89,7 +89,7 @@ def stack_bracket_sequence(
     passes the float range is reported as inf.
     """
     if not 1 <= n_max <= MAX_SEQUENCE_ORDER:
-        raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}")
+        raise OutOfRange(f"n_max={n_max} outside 1..{MAX_SEQUENCE_ORDER}", param="n_max")
     if not len(sa) == len(ta) == grid.tail_window:
         raise LengthMismatch(f"expected stacks of {grid.tail_window} window samples")
     exponent = 0
@@ -138,7 +138,7 @@ def root_limit(sequence: BracketSequence, tol: float) -> RootLimit:
     """
     require_tolerance(tol)
     if sequence.n_max < 8:
-        raise BadParameter("root_limit wants a sequence of order at least 8")
+        raise BadParameter("root_limit wants a sequence of order at least 8", param="n_max")
     last = sequence.roots[-4:]
     mean = sum(last) / 4.0
     xs = np.arange(4.0)

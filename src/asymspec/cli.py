@@ -66,6 +66,28 @@ from .spectrum import (
 )
 from .verification import DEFAULT_SEED, SUITE_NAMES, run_all_suites
 
+# The flags that carry each library parameter (AsymspecError.param) that a
+# handler hands on from a flag; a group names every flag of a joint value.
+_PARAM_FLAGS = {
+    "h0": "--grid-h0",
+    "ratio": "--grid-ratio",
+    "count": "--grid-count",
+    "tail_window": "--tail-window",
+    "grid": "--grid-h0,--grid-ratio,--grid-count,--tail-window",
+    "pair": "--family,--family2",
+    "tol": "--tol",
+    "n_max": "--nmax",
+    "n_terms": "--nmax",
+    "center": "--region-center",
+    "half_width": "--region-half-width",
+    "region": "--region-center,--region-half-width",
+    "resolution": "--resolution",
+    "epsilon": "--epsilon",
+    "contour_center": "--contour-center",
+    "radius": "--contour-radius",
+    "nodes": "--nodes",
+}
+
 _CONFIG_ERRORS = (
     SchemaError,
     BadParameter,
@@ -488,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except _CONFIG_ERRORS as exc:
-        field = getattr(exc, "path", None)
+        field = exc.path if isinstance(exc, SchemaError) else _PARAM_FLAGS.get(exc.param)
         sys.stderr.write(canonical_json({"error": str(exc), "field": field}))
         return 2
     except AsymspecError as exc:

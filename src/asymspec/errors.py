@@ -8,7 +8,16 @@ from __future__ import annotations
 
 
 class AsymspecError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``param`` names the parameter whose value is at fault, where the error
+    is about one (or about the joint value of a few, named as a group), so
+    that a front end can name the option that carried it.
+    """
+
+    def __init__(self, *args, param: str | None = None) -> None:
+        super().__init__(*args)
+        self.param = param
 
 
 class DimensionMismatch(AsymspecError):

@@ -62,19 +62,21 @@ class HGrid:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.h0 <= 1.0:
-            raise BadParameter("h0 must lie in (0, 1]")
+            raise BadParameter("h0 must lie in (0, 1]", param="h0")
         if not 0.0 < self.ratio < 1.0:
-            raise BadParameter("ratio must lie strictly between 0 and 1")
+            raise BadParameter("ratio must lie strictly between 0 and 1", param="ratio")
         if self.count < 4:
-            raise BadParameter("count must be at least 4")
+            raise BadParameter("count must be at least 4", param="count")
         if not 1 <= self.tail_window <= self.count:
-            raise BadParameter("tail_window must be between 1 and the sample count")
+            raise BadParameter(
+                "tail_window must be between 1 and the sample count", param="tail_window"
+            )
         first = self.count - self.tail_window
         window = tuple(self.h0 * self.ratio**j for j in range(first, self.count))
         if not all(0.0 < h <= 1.0 for h in window):
-            raise BadParameter("grid samples must lie in (0, 1]")
+            raise BadParameter("grid samples must lie in (0, 1]", param="grid")
         if not all(a > b for a, b in zip(window, window[1:])):
-            raise BadParameter("grid samples must be strictly decreasing")
+            raise BadParameter("grid samples must be strictly decreasing", param="grid")
         object.__setattr__(self, "window_samples", window)
 
 
@@ -176,7 +178,7 @@ def require_tolerance(tol: float) -> None:
     """BadParameter unless ``tol`` is finite and at least 0: a negative or NaN
     tolerance refuses every tail and an infinite one accepts every tail."""
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParameter(f"tol must be finite and >= 0, got {tol!r}")
+        raise BadParameter(f"tol must be finite and >= 0, got {tol!r}", param="tol")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +372,9 @@ def family_pair_stacks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both families of a pair stacked at each h in ``hs``; DimensionMismatch if dims differ."""
     if sf.dim != tf.dim:
-        raise DimensionMismatch(f"family dimensions differ: {sf.dim} vs {tf.dim}")
+        raise DimensionMismatch(
+            f"family dimensions differ: {sf.dim} vs {tf.dim}", param="pair"
+        )
     return family_eval_stack(sf, hs), family_eval_stack(tf, hs)
 
 

@@ -115,11 +115,11 @@ class ContourSpec:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
-            raise BadParameter("contour center must be finite")
+            raise BadParameter("contour center must be finite", param="contour_center")
         if not (math.isfinite(self.radius) and self.radius > 0):
-            raise BadParameter("contour radius must be finite and positive")
+            raise BadParameter("contour radius must be finite and positive", param="radius")
         if self.nodes < MIN_NODES or self.nodes & (self.nodes - 1):
-            raise BadParameter(f"nodes must be a power of two >= {MIN_NODES}")
+            raise BadParameter(f"nodes must be a power of two >= {MIN_NODES}", param="nodes")
 
 
 ScalarFunc = Callable[[complex], complex]

@@ -110,8 +110,12 @@ class Workspace:
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
         # the views handed out so far, so that a repeated request costs one
-        # dict lookup: a sweep makes a few dozen per slice
+        # dict lookup: a sweep makes a few dozen per call. A sweep's calls
+        # come in a few sizes, but their number grows with the sweeps, so the
+        # views are dropped once there are VIEWS_PER_ARRAY per array.
         self._views: dict[tuple, np.ndarray] = {}
+
+    VIEWS_PER_ARRAY = 8
 
     @property
     def nbytes(self) -> int:
@@ -125,6 +129,8 @@ class Workspace:
             if a is None or a.size < size or a.dtype != dtype:
                 a = self._arrays[name] = np.empty(size, dtype)
                 self._views = {key: v for key, v in self._views.items() if key[0] != name}
+            elif len(self._views) >= self.VIEWS_PER_ARRAY * len(self._arrays):
+                self._views.clear()
             view = self._views[name, shape, dtype] = a[:size].reshape(shape)
         return view
 

@@ -14,10 +14,14 @@ inverts, multiplies and takes norms there only: the default region, the
 field sweeps, resolvent_at, the resolvent identities, defects and series
 transport. An evaluation error therefore raises only where it names a
 window h. A sweep evaluates the window once, in the calling thread, and
-slices the region's points by one rule (see resolvent_norm_field): numpy
+schedules its kernel calls by one rule (see resolvent_norm_field): numpy
 kernels in the calling thread up to dimension 3, batched LAPACK SVDs on a
 thread pool from dimension 4 up, and the field does not depend on the CPU
-count.
+count. It evaluates every point at the window's first and last samples,
+and an interior sample only where a second-order bound along the segment
+between those two matrices cannot prove that the sample leaves the
+point's value as it is; the field is the one that evaluating every
+sample gives, bit for bit.
 
 Per-h resolvent data has one form: a stack (k, d, d) ordered like the
 h-samples, in which a NaN member marks a singular sample or a missing
@@ -29,6 +33,7 @@ The spectrum estimate clusters the flagged points with a numpy labelling
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -48,6 +53,7 @@ from .families import (
     window_sup,
 )
 from .linalg import (
+    SINGULAR_RTOL,
     Workspace,
     inverse_stack,
     is_singular,
@@ -76,15 +82,15 @@ class ComplexRegion:
 
     def __post_init__(self):
         if not (math.isfinite(self.center.real) and math.isfinite(self.center.imag)):
-            raise BadParameter("region center must be finite")
+            raise BadParameter("region center must be finite", param="center")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
-            raise BadParameter("region half_width must be finite and positive")
+            raise BadParameter("region half_width must be finite and positive", param="half_width")
         c, w = self.center, self.half_width
         # the grid's extremes and its width, which must not overflow
         if not all(map(math.isfinite, (c.real - w, c.real + w, c.imag - w, c.imag + w, 2.0 * w))):
-            raise BadParameter("region center +- half_width overflows")
+            raise BadParameter("region center +- half_width overflows", param="region")
         if self.resolution < 21 or self.resolution % 2 == 0:
-            raise BadParameter("region resolution must be odd and at least 21")
+            raise BadParameter("region resolution must be odd and at least 21", param="resolution")
 
     @property
     def spacing(self) -> float:
@@ -179,6 +185,19 @@ ROWS_PER_SLICE = 8
 _thread_state = threading.local()
 KEPT_WORKSPACE_BYTES = 16 * 2**20
 
+# Rounding allowance of the window-sample skip in resolvent_norm_field. In
+# units of a point's sigma_max bound, SKIP_ALLOWANCE * dim * eps comes off
+# both ends' sigma_min and onto the least sigma_min a skipped sample must
+# keep, for the rounding of the kernels (a few eps sigma_max, LAPACK's
+# growing with dim) and of the formed shifts lam - s_h; the norms of R, of
+# the E_j and of the window matrices are raised by as much, and the bound's
+# own arithmetic gets SKIP_ALLOWANCE * eps of its terms. On rounding-level
+# ties (a constant plus h times 1e-12 to 1e-9 in one of its zero entries,
+# dimensions 1 to 5) the skip changed some values with no allowance and none
+# with an allowance of 1 or more.
+SKIP_ALLOWANCE = 64
+EPS = float(np.finfo(np.float64).eps)
+
 
 def _cpu_count() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
@@ -192,76 +211,224 @@ def resolvent_norm_field(sf: FamilySpec, region: ComplexRegion, grid: HGrid) -> 
     """Sweep the tail resolvent norm max_h 1/sigma_min(lam I - S_h) over the region.
 
     Each tail-window matrix is evaluated once, in the calling thread. The
-    region's points, in y-major order, are cut into slices, and each slice
-    gets the singular values of lam I - S_h at every (point, window sample)
-    in one call; a sample that is singular under linalg.is_singular makes
-    its point inf. One rule schedules the slices. Up to dimension 3 the call
-    is a numpy kernel, within a few eps sigma_max of LAPACK: |lam - s_h| at
-    dimension 1, the closed form linalg.singular_values_2x2 at dimension 2,
-    the Jacobi kernel linalg.singular_values_3x3 at dimension 3. It runs on
-    slices of ROWS_PER_SLICE rows in the calling thread, whose workspace
-    holds every large intermediate from slice to slice and from sweep to
-    sweep. From dimension 4 up it is one batched SVD, on slices of
-    ceil(resolution / workers) points, one worker thread per available CPU,
-    so the slices in flight hold about one row's worth of shifted matrices.
-    No kernel lets one point's value
-    depend on another's, so the field is the same for any worker count or
-    slice size. A region on which lam - s_h overflows for a diagonal entry
-    s_h raises UnresolvedPoint before any slice runs.
+    value at a point is max_j 1/s_j over the window samples j, where s_j is
+    the smallest singular value of lam I - S_{h_j} as the dimension's kernel
+    computes it; a sample that is singular under linalg.is_singular makes
+    its point inf. Up to dimension 3 the kernel is numpy, within a few eps
+    sigma_max of LAPACK: |lam - s_h| at dimension 1, the closed form
+    linalg.singular_values_2x2 at dimension 2, the Jacobi kernel
+    linalg.singular_values_3x3 at dimension 3. From dimension 4 up it is a
+    batched LAPACK SVD.
+
+    The sweep makes two passes. The endpoint pass evaluates every point at
+    the first and last window samples, W_0 and W_L. The interior pass
+    evaluates only the (point, interior sample) pairs that a second-order
+    bound along the segment from W_0 to W_L cannot exclude. With
+    t_j = (h_j - h_0) / (h_L - h_0), R = W_L - W_0 and
+    E_j = W_j - (1 - t_j) W_0 - t_j W_L, the function
+    sigma_min(lam I - (1 - t) W_0 - t W_L)^2 - ||R||^2 t^2 is concave in t,
+    being a minimum over unit x of quadratics whose t^2 coefficient
+    ||R x||^2 - ||R||^2 is at most 0. So, by Weyl's inequality,
+
+        sigma_min(lam I - W_j)
+            >= sqrt((1 - t_j) s_0^2 + t_j s_L^2 - ||R||^2 t_j (1 - t_j)) - ||E_j||.
+
+    A pair is skipped where this bound, less the rounding allowance
+    SKIP_ALLOWANCE (of the kernels, of the formed shifts and of the bound
+    itself), is at least min(s_0, s_L), and the point's sigma_min at both
+    endpoints exceeds 2 SINGULAR_RTOL of its sigma_max. sigma_max is convex
+    along the segment, so a skipped sample's sigma_max is at most the
+    endpoints' largest plus ||E_j||: a skipped sample can neither raise the
+    point's max_j 1/s_j nor make it inf, and every value is the one an
+    evaluation of every sample gives, bit for bit. A non-finite R or E_j
+    skips nothing.
+
+    One rule schedules the kernel calls: each holds as many (point, sample)
+    pairs as a slice of points at every window sample, ROWS_PER_SLICE
+    region rows up to dimension 3 and ceil(resolution / workers) points from
+    dimension 4 up. The endpoint pass cuts the region's points, in y-major
+    order, into slices of half that many; the interior pass cuts the pairs
+    it keeps, sample by sample, into chunks of that many. Each call forms
+    its shifted matrices in place, sample by sample. Up to dimension 3 the
+    calls run in the calling thread, whose workspace holds every large
+    intermediate from call to call and from sweep to sweep; from dimension 4
+    up they run on a thread pool, one worker thread per available CPU. No
+    kernel lets one pair's values depend on another's, so the field is the
+    same for any worker count or slice size. A region on which lam - s_h
+    overflows for a diagonal entry s_h raises UnresolvedPoint before any
+    kernel runs.
     """
     window = family_eval_stack(sf, grid.window_samples)
     _require_finite_shifts(region, window)
-    samples = window.shape[0]
-    if sf.dim == 1:
+    singular_values = _sweep_kernel(window)
+    n = region.resolution
+    lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
+
+    def evaluate(runs: list, work: Workspace):
+        """The norm, sigma_max and sigma_min of every pair of the runs, in
+        order; a run (j, points) pairs the points with window sample j."""
+        s = singular_values([(j, lams[points]) for j, points in runs], work)
+        sigma_min = s[:, -1]
+        norms = np.full(len(s), INF)
+        np.divide(1.0, sigma_min, out=norms, where=~is_singular(s))
+        return norms, s[:, 0].copy(), sigma_min.copy()
+
+    if sf.dim <= 3:
+        per_call = window.shape[0] * n * ROWS_PER_SLICE
+        work = getattr(_thread_state, "work", None) or Workspace()
+        pool = contextlib.nullcontext()
+
+        def run(tasks: list) -> list:
+            return [evaluate(runs, work) for runs in tasks]
+
+    else:
+        workers = _cpu_count()
+        per_call = window.shape[0] * -(-n // workers)
+        work = Workspace()
+        pool = ThreadPoolExecutor(workers)
+
+        def run(tasks: list) -> list:
+            return list(pool.map(lambda runs: evaluate(runs, Workspace()), tasks))
+
+    last = window.shape[0] - 1
+    ends = [0, last] if last else [0]
+    with pool:
+        step = per_call // len(ends)
+        slices = [slice(i, i + step) for i in range(0, lams.size, step)]
+        # rows: the ends; columns: the points
+        norms, sigma_max, sigma_min = (
+            np.concatenate([x.reshape(len(ends), -1) for x in arrays], axis=1)
+            for arrays in zip(*run([[(j, part) for j in ends] for part in slices]))
+        )
+        values = norms.max(axis=0)
+        if last > 1:
+            upper = sigma_max.max(axis=0)
+            del norms, sigma_max
+            needed = _interior_needed(window, grid, upper, sigma_min, work)
+            tasks = _chunks(needed, per_call)
+            for runs, (norms, _, _) in zip(tasks, run(tasks)):
+                start = 0
+                for _, points in runs:
+                    stop = start + points.size
+                    values[points] = np.maximum(values[points], norms[start:stop])
+                    start = stop
+    if sf.dim <= 3:
+        _thread_state.work = work if work.nbytes <= KEPT_WORKSPACE_BYTES else None
+    return ResolventField(region, values.reshape(n, n))
+
+
+def _chunks(needed: list[np.ndarray], size: int) -> list[list]:
+    """The pairs (interior sample j, point) of needed, whose member j - 1
+    holds sample j's points, cut in order into tasks of at most size pairs;
+    a task is a list of runs (j, points)."""
+    tasks, runs, room = [], [], size
+    for j, points in enumerate(needed, start=1):
+        while points.size:
+            head, points = points[:room], points[room:]
+            runs.append((j, head))
+            room -= head.size
+            if not room:
+                tasks.append(runs)
+                runs, room = [], size
+    return tasks + [runs] if runs else tasks
+
+
+def _sweep_kernel(window: np.ndarray):
+    """The field sweep's kernel for the window stack: singular_values(runs,
+    work) takes runs (j, lams) and gives the singular values (k, d), in
+    descending order, of lam I - W_j for each lam of each run in order,
+    forming the k shifted matrices run by run in work's arrays."""
+    dim = window.shape[-1]
+
+    def rows(runs):
+        start = 0
+        for j, lams in runs:
+            yield j, lams, slice(start, start + lams.size)
+            start += lams.size
+
+    def size(runs) -> int:
+        return sum(lams.size for _, lams in runs)
+
+    if dim == 1:
         s11 = window[:, 0, 0]
 
-        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
-            shape = (lams.shape[0], samples)
-            shifted = np.subtract(lams, s11, out=work("shifted", shape, np.complex128))
-            return np.abs(shifted, out=work("sigma", shape))[..., None]
+        def singular_values(runs, work):
+            shifted = work("shifted", (size(runs),), np.complex128)
+            for j, lams, part in rows(runs):
+                np.subtract(lams, s11[j], out=shifted[part])
+            return np.abs(shifted, out=work("sigma", shifted.shape))[:, None]
 
-    elif sf.dim == 2:
+    elif dim == 2:
         s11, s22 = window[:, 0, 0], window[:, 1, 1]
-        b, c = -window[:, 0, 1], -window[:, 1, 0]
+        s12, s21 = -window[:, 0, 1], -window[:, 1, 0]
 
-        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
-            shape = (lams.shape[0], samples)
-            a = np.subtract(lams, s11, out=work("shifted11", shape, np.complex128))
-            d = np.subtract(lams, s22, out=work("shifted22", shape, np.complex128))
+        def singular_values(runs, work):
+            shape = (size(runs),)
+            a, b, c, d = (
+                work(name, shape, np.complex128)
+                for name in ("shifted11", "shifted12", "shifted21", "shifted22")
+            )
+            for j, lams, part in rows(runs):
+                np.subtract(lams, s11[j], out=a[part])
+                np.subtract(lams, s22[j], out=d[part])
+                b[part], c[part] = s12[j], s21[j]
             return singular_values_2x2(a, b, c, d, work)
 
     else:
-        eye = np.eye(sf.dim)
+        eye = np.eye(dim)
 
-        def singular_values(lams: np.ndarray, work: Workspace) -> np.ndarray:
-            shifted = work("shifted", (lams.shape[0],) + window.shape, np.complex128)
-            np.subtract(np.multiply(lams[..., None, None], eye, out=shifted), window, out=shifted)
-            if sf.dim == 3:
+        def singular_values(runs, work):
+            shifted = work("shifted", (size(runs), dim, dim), np.complex128)
+            for j, lams, part in rows(runs):
+                np.multiply(lams[:, None, None], eye, out=shifted[part])
+                np.subtract(shifted[part], window[j], out=shifted[part])
+            if dim == 3:
                 return singular_values_3x3(shifted, work)
             return np.linalg.svd(shifted, compute_uv=False)
 
-    def tail_norms(lams: np.ndarray, work: Workspace) -> np.ndarray:
-        s = singular_values(lams[:, None], work)
-        sigma_min = s[..., -1]
-        norms = work("norms", sigma_min.shape)
-        norms.fill(INF)
-        np.divide(1.0, sigma_min, out=norms, where=~is_singular(s))
-        return norms.max(axis=1)
+    return singular_values
 
-    n = region.resolution
-    lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
-    if sf.dim <= 3:
-        step = n * ROWS_PER_SLICE
-        work = getattr(_thread_state, "work", None) or Workspace()
-        values = [tail_norms(lams[i : i + step], work) for i in range(0, lams.size, step)]
-        _thread_state.work = work if work.nbytes <= KEPT_WORKSPACE_BYTES else None
-    else:
-        workers = _cpu_count()
-        step = -(-n // workers)
-        slices = [lams[i : i + step] for i in range(0, lams.size, step)]
-        with ThreadPoolExecutor(workers) as pool:
-            values = list(pool.map(lambda part: tail_norms(part, Workspace()), slices))
-    return ResolventField(region, np.concatenate(values).reshape(n, n))
+
+def _interior_needed(
+    window: np.ndarray, grid: HGrid, upper: np.ndarray, sigma_min: np.ndarray, work: Workspace
+) -> list[np.ndarray]:
+    """For each interior window sample, the points whose singular values
+    there the sweep must compute, from every point's largest sigma_max at
+    the first and last samples, upper (points,), and its sigma_min there,
+    (2, points). See resolvent_norm_field for the bound, which this takes
+    with the largest ||E_j|| for every j; its norms come from the
+    dimension's kernel at lam = 0, in work's arrays."""
+    hs = np.asarray(grid.window_samples)
+    t = (hs[1:-1] - hs[0]) / (hs[-1] - hs[0])
+    w0, wl = window[0], window[-1]
+    allowance = SKIP_ALLOWANCE * window.shape[-1] * EPS
+    tau = SKIP_ALLOWANCE * EPS
+    with np.errstate(all="ignore"):
+        # R, the E_j as computed, and the window matrices, whose norms bound
+        # the rounding of the E_j
+        e_j = window[1:-1] - (1.0 - t)[:, None, None] * w0 - t[:, None, None] * wl
+        stack = np.concatenate([(wl - w0)[None], e_j, window])
+        if not np.isfinite(stack).all():
+            return [np.arange(upper.size)] * t.size
+        zero = np.zeros(1)
+        norms = _sweep_kernel(stack)([(j, zero) for j in range(len(stack))], work)[:, 0]
+        norms = norms * (1.0 + allowance)
+        own = norms[t.size + 1 :]
+        e = (norms[1 : t.size + 1] + allowance * (own[1:-1] + own[0] + own[-1])).max()
+        # per point, in units of a bound on its sigma_max at every window
+        # sample, so that no square overflows
+        upper = upper + e
+        s_0, s_l = sigma_min / upper
+        m = np.minimum(s_0, s_l)
+        a = np.square(np.maximum(s_0 - allowance, 0.0))
+        b = np.square(np.maximum(s_l - allowance, 0.0))
+        r = np.square(norms[0] / upper)
+        target = np.square(m + e / upper + allowance) * (1.0 + tau) + tau * (a + b + r)
+        # the bound at t_j, less the target, is (a - target) + t_j (b - a)
+        # - r t_j (1 - t_j); a point near singular at an endpoint skips nothing
+        floor = np.where(m > 2.0 * SINGULAR_RTOL, target - a, np.inf)
+        slope = b - a
+        return [np.flatnonzero(~(slope * tj - r * (tj * (1.0 - tj)) >= floor)) for tj in t]
 
 
 def _require_finite_shifts(region: ComplexRegion, window: np.ndarray) -> None:
@@ -392,7 +559,7 @@ def spectrum_estimate(field: ResolventField, epsilon: float | None = None) -> Sp
     if epsilon is None:
         epsilon = 0.75 * field.region.spacing
     if not (epsilon > 0 and math.isfinite(epsilon)):
-        raise BadParameter("epsilon must be finite and positive")
+        raise BadParameter("epsilon must be finite and positive", param="epsilon")
     threshold = 1.0 / epsilon
     flagged = field.values >= threshold
     labels, n_blobs = _label_cells(flagged)
@@ -511,7 +678,7 @@ def series_resolvent(
     on the way there are silenced, the refusal says it.
     """
     if not (0 <= n_terms <= MAX_SERIES_TERMS):
-        raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]")
+        raise BadParameter(f"n_terms must lie in [0, {MAX_SERIES_TERMS}]", param="n_terms")
     sa, ta = family_pair_stacks(sf, tf, grid.window_samples)
     r = _resolvents(ta, lam, grid)
     term = total = r

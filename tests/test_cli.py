@@ -64,6 +64,9 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     return proc
 
 
+GRID_FLAGS = "--grid-h0,--grid-ratio,--grid-count,--tail-window"
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -776,22 +779,81 @@ class TestConfigErrors:
         assert json.loads(out)["result"] == "holds"
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "flags, message, field",
         [
-            (["--grid-h0", "1.5"], "h0 must lie in (0, 1]"),
-            (["--grid-ratio", "1"], "ratio must lie strictly between 0 and 1"),
-            (["--grid-count", "3"], "count must be at least 4"),
-            (["--tail-window", "21"], "tail_window must be between 1 and the sample count"),
-            (["--grid-h0", "1e-300", "--grid-ratio", "1e-10"], "grid samples must lie in (0, 1]"),
+            (["--grid-h0", "1.5"], "h0 must lie in (0, 1]", "--grid-h0"),
+            (["--grid-ratio", "1"], "ratio must lie strictly between 0 and 1", "--grid-ratio"),
+            (["--grid-count", "3"], "count must be at least 4", "--grid-count"),
+            (["--tail-window", "21"], "tail_window must be between 1 and the sample count",
+             "--tail-window"),
+            (["--grid-h0", "1e-300", "--grid-ratio", "1e-10"], "grid samples must lie in (0, 1]",
+             GRID_FLAGS),
             (["--grid-h0", "5e-324", "--grid-ratio", "0.9", "--grid-count", "4",
-              "--tail-window", "4"], "grid samples must be strictly decreasing"),
+              "--tail-window", "4"], "grid samples must be strictly decreasing", GRID_FLAGS),
         ],
         ids=["h0", "ratio", "count", "tail-window", "underflow", "repeat"],
     )
-    def test_grid_flag_errors(self, capsys, two_point, flags, message):
+    def test_grid_flag_errors(self, capsys, two_point, flags, message, field):
+        # a window that the four flags fix together names all four
         code, out, err = run_strict(capsys, "qnil", "--family", two_point, *flags)
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": message, "field": None}
+        assert json.loads(err) == {"error": message, "field": field}
+
+    @pytest.mark.parametrize(
+        "argv, message, field",
+        [
+            (["qnil", "--family", "{f}", "--grid-ratio", "1"],
+             "ratio must lie strictly between 0 and 1", "--grid-ratio"),
+            (["qnil", "--family", "{f}", "--grid-h0", "2"], "h0 must lie in (0, 1]", "--grid-h0"),
+            (["qnil", "--family", "{f}", "--grid-count", "2"], "count must be at least 4",
+             "--grid-count"),
+            (["qnil", "--family", "{f}", "--tail-window", "30"],
+             "tail_window must be between 1 and the sample count", "--tail-window"),
+            (["qnil", "--family", "{f}", "--tol", "nan"], "tol must be finite and >= 0, got nan",
+             "--tol"),
+            (["equiv", "--family", "{f}", "--family2", "{f}", "--tol", "nan"],
+             "tol must be finite and >= 0, got nan", "--tol"),
+            (["series", "--family", "{f}", "--family2", "{f}", "--at", "4", "--tol", "-1"],
+             "tol must be finite and >= 0, got -1.0", "--tol"),
+            (["qnil", "--family", "{f}", "--nmax", "99"], "n_max=99 outside 1..40", "--nmax"),
+            (["qequiv", "--family", "{f}", "--family2", "{f}", "--nmax", "2"],
+             "root_limit wants a sequence of order at least 8", "--nmax"),
+            (["series", "--family", "{f}", "--family2", "{f}", "--at", "4", "--nmax", "99"],
+             "n_terms must lie in [0, 30]", "--nmax"),
+            (["spectrum", "--family", "{f}", "--resolution", "20"],
+             "region resolution must be odd and at least 21", "--resolution"),
+            (["field", "--family", "{f}", "--region-half-width", "0"],
+             "region half_width must be finite and positive", "--region-half-width"),
+            (["spectrum", "--family", "{f}", "--region-center", "1e308",
+              "--region-half-width", "1e308"],
+             "region center +- half_width overflows", "--region-center,--region-half-width"),
+            (["spectrum", "--family", "{f}", "--epsilon", "-1"],
+             "epsilon must be finite and positive", "--epsilon"),
+            (["field", "--family", "{f}", "--region-center", "1e999"],
+             "region center must be finite", "--region-center"),
+            (["funcalc", "--family", "{f}", "--expr", "z", "--contour-center", "1e999",
+              "--contour-radius", "2"], "contour center must be finite", "--contour-center"),
+            (["funcalc", "--family", "{f}", "--expr", "z", "--contour-center", "1.5",
+              "--contour-radius", "-2"], "contour radius must be finite and positive",
+             "--contour-radius"),
+            (["funcalc", "--family", "{f}", "--expr", "z", "--contour-center", "1.5",
+              "--contour-radius", "2", "--nodes", "3"], "nodes must be a power of two >= 64",
+             "--nodes"),
+            (["equiv", "--family", "{f}", "--family2", "{g}"], "family dimensions differ: 2 vs 1",
+             "--family,--family2"),
+        ],
+        ids=["ratio", "h0", "count", "tail-window", "qnil-tol", "equiv-tol", "series-tol",
+             "qnil-nmax", "qequiv-nmax", "series-nmax", "resolution", "half-width", "region",
+             "epsilon", "center", "contour-center", "contour-radius", "nodes", "pair"],
+    )
+    def test_library_refusal_names_its_flag(self, capsys, tmp_path, two_point, argv, message, field):
+        # the library refuses a value that a flag carried; the line names the
+        # flag and keeps the library's message
+        one = constant(tmp_path, "one.json", [0.5])
+        code, out, err = run_strict(capsys, *(arg.format(f=two_point, g=one) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err) == {"error": message, "field": field}
 
     def test_no_subcommand_prints_help(self, capsys):
         assert cli.main([]) == 2

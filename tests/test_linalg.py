@@ -466,6 +466,16 @@ class TestWorkspace:
             got = linalg.singular_values_3x3(stack, work)
             assert np.array_equal(got, linalg.singular_values_3x3(stack))
 
+    def test_views_kept_do_not_grow_with_the_shapes_asked_for(self, rng):
+        # a sweep's interior pass asks for a new size per chunk, sweep after
+        # sweep; the views kept stay bounded, and the arrays stay shared
+        work = linalg.Workspace()
+        for points in range(1, 200):
+            entries, _ = self.slice_args(rng, points, samples=1)
+            got = linalg.singular_values_2x2(*entries, work)
+            assert np.array_equal(got, linalg.singular_values_2x2(*entries))
+        assert len(work._views) <= work.VIEWS_PER_ARRAY * len(work._arrays)
+
     def test_warm_call_allocates_less_than_the_trim_threshold(self, rng):
         # glibc's malloc hands the heap top back to the OS once more than
         # 128 KiB lie free there; a slice of a 101^2 sweep allocates less

@@ -415,6 +415,160 @@ class TestThreadedSweep:
         assert spectrum._cpu_count() >= 1
 
 
+def every_sample_field(sf, region, grid):
+    """The sweep's value with no sample skipped: max_j 1/sigma_min over every
+    window sample, inf where a sample is singular. From dimension 4 up this
+    is rowwise_field's LAPACK reference; up to dimension 3 it is the sweep's
+    own kernel on every (point, sample) pair."""
+    if sf.dim >= 4:
+        return rowwise_field(sf, region, grid)
+    window = families.family_eval_stack(sf, grid.window_samples)
+    lams = (region.xs[None, :] + 1j * region.ys[:, None]).ravel()
+    runs = [(j, lams) for j in range(len(window))]
+    s = spectrum._sweep_kernel(window)(runs, linalg.Workspace())
+    norms = np.full(len(s), math.inf)
+    np.divide(1.0, s[:, -1], out=norms, where=~linalg.is_singular(s))
+    return norms.reshape(len(window), -1).max(axis=0).reshape(region.resolution, -1)
+
+
+def near_tie(dim, seed):
+    """A constant plus h times 1e-10 in one entry where the constant is 0:
+    the window's singular values differ at rounding level, and E_j is
+    rounding of the tiny entry only."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a[-1, 0] = 0.0
+    bump = np.zeros((dim, dim))
+    bump[-1, 0] = 1e-10
+    return ax.family_sum(ax.constant_family(a), ax.h_scaled(ax.constant_family(bump)))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A family, a region on its scale and a grid whose window runs over
+    1-6 samples, of the kinds the window skip must leave bit for bit:
+    affine and curved in h, exact and rounding-level ties, singular cells."""
+    dim = draw(st.integers(1, 6))
+    kind = draw(
+        st.sampled_from(
+            ["affine", "square", "exp", "product", "image", "constant", "static", "singular", "tie"]
+        )
+    )
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+
+    def entry():
+        re, im = rng.uniform(-1.0, 1.0, 2).tolist()
+        return f"({re!r}{'+' if im >= 0 else '-'}{abs(im)!r}i)"
+
+    def random(scale=1.0, offset=0):
+        return ax.random_family(dim, seed=seed + offset, scale=scale)
+
+    center, half_width = 0j, 2.0
+    if kind == "affine":
+        fam = ax.family_sum(random(), ax.h_scaled(random(offset=1)))
+    elif kind == "square":
+        entries = [f"{entry()}+{entry()}*(4*h)^2" for _ in range(dim)]
+        fam = ax.family_sum(ax.diag_family(entries), random(0.3))
+    elif kind == "exp":
+        entries = [f"exp({float(rng.uniform(-8.0, 8.0))!r}*h)*{entry()}" for _ in range(dim)]
+        fam = ax.family_sum(ax.diag_family(entries), random(0.3))
+    elif kind == "product":
+        first = ax.family_sum(random(), ax.h_scaled(random(offset=1)))
+        fam = ax.family_product(first, ax.family_sum(random(offset=2), ax.h_scaled(random(offset=3))))
+    elif kind == "image":
+        source = ax.diag_family([entry() + "+h" if k % 2 else entry() for k in range(dim)])
+        fam = ax.family_funcalc(source, lambda z: z * z, ax.ContourSpec(0j, 2.5, 256))
+    elif kind == "constant":
+        fam = random()
+    elif kind == "static":
+        # diagonal entries that do not move with h, beside ones that do
+        fam = ax.diag_family([entry() + ("+h" if k == 0 else "") for k in range(dim)])
+    elif kind == "singular":
+        # eigenvalues on the grid points 0, 1 and -1 at every h
+        fam = ax.diag_family(["0", "1", "-1", "0.5+0.5i+h", "0.25", "1+h"][:dim])
+        half_width = 1.0
+    else:
+        fam = near_tie(dim, seed)
+    scale = draw(st.sampled_from([1.0, 1e150, 1e-150]))
+    if scale != 1.0:
+        fam = ax.family_product(ax.constant_family(scale * np.eye(dim)), fam)
+    tail_window = draw(st.sampled_from([1, 2, 3, 6]))
+    # a wide window, where curvature in h shows, or the default one
+    count = draw(st.sampled_from([tail_window + 2, 20]))
+    grid = ax.HGrid(1.0, 0.5, max(count, 4), tail_window)
+    return fam, ComplexRegion(scale * center, scale * half_width, 21), grid
+
+
+class TestWindowSkip:
+    """The endpoint pass and the bound leave every value as an evaluation of
+    every window sample gives it (see resolvent_norm_field)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_cases())
+    def test_two_pass_field_equals_every_sample_field(self, case):
+        fam, region, grid = case
+        got = ax.resolvent_norm_field(fam, region, grid).values
+        want = every_sample_field(fam, region, grid)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_interior_window_minimum_is_evaluated(self):
+        # (16 h - 1)^2 is 9 and 0.77 at the window's ends but 0 at its third
+        # sample, h = 1/16: only ||E_j|| keeps the bound from skipping it
+        grid = ax.HGrid(1.0, 0.5, 8, 6)
+        assert grid.window_samples[2] == 1 / 16
+        fam = ax.diag_family(["(16*h-1)^2"])
+        region = ComplexRegion(0j, 1.0, 21)
+        field = ax.resolvent_norm_field(fam, region, grid)
+        assert math.isinf(field.values[10, 10])
+        assert np.array_equal(field.values, every_sample_field(fam, region, grid))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rounding_level_tie_is_evaluated(self, dim):
+        # without SKIP_ALLOWANCE the bound skips samples whose sigma_min is
+        # below both ends' by a rounding error at some points
+        fam, region, grid = near_tie(dim, 4), ComplexRegion(0j, 2.0, 21), ax.geometric_grid()
+        window = families.family_eval_stack(fam, grid.window_samples)
+        assert len({w.tobytes() for w in window}) == grid.tail_window
+        assert np.array_equal(
+            ax.resolvent_norm_field(fam, region, grid).values, every_sample_field(fam, region, grid)
+        )
+
+    def test_random_family_sweep_takes_at_most_40_percent_of_its_svds(self, grid20, monkeypatch):
+        real_svd = np.linalg.svd
+        matrices = []
+
+        def counting_svd(a, *args, **kwargs):
+            matrices.append(math.prod(a.shape[:-2]))
+            return real_svd(a, *args, **kwargs)
+
+        scale = 0.25
+        fam = ax.family_sum(
+            ax.random_family(16, seed=1016, scale=scale),
+            ax.h_scaled(ax.random_family(16, seed=7, scale=scale)),
+        )
+        region = ComplexRegion(0.01 - 0.02j, 1.5, 21)
+        want = rowwise_field(fam, region, grid20)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        field = ax.resolvent_norm_field(fam, region, grid20)
+        assert np.array_equal(field.values, want)
+        assert sum(matrices) <= 0.4 * region.resolution**2 * grid20.tail_window
+
+    def test_skip_needs_no_lapack_below_dimension_four(self, grid20, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a dim <= 3 sweep took an SVD")
+
+        fams = [
+            ax.family_sum(ax.random_family(d, seed=3, scale=1.0), ax.h_scaled(ax.random_family(d, seed=4)))
+            for d in (1, 2, 3)
+        ]
+        region = ComplexRegion(0j, 2.0, 21)
+        wants = [every_sample_field(fam, region, grid20) for fam in fams]
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for fam, want in zip(fams, wants):
+            assert np.array_equal(ax.resolvent_norm_field(fam, region, grid20).values, want)
+
+
 class TestSpectrumEstimate:
     def test_off_grid_swap_spectrum_has_both_eigenvalues(self, grid20):
         # the all-ones vector is an eigenvector of the swap matrix, and no
